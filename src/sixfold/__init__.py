@@ -26,7 +26,6 @@ from .engine import (
     report_to_csv_rows,
     report_to_dict,
     rhs_example,
-    rhs_limit,
     rhs_limit_full,
     rhs_theorem,
     theorem_parameters,
@@ -49,7 +48,6 @@ from .quad import (
     QmcSpec,
     Rule1D,
     gauss_laguerre,
-    gauss_legendre,
     integrate_6d_qmc,
     integrate_6d_tensor,
     log_axis_rule,

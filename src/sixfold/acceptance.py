@@ -34,10 +34,6 @@ class CriterionResult:
     seconds: float
 
 
-def _scaled_ok(x: complex, y: complex, tol: float) -> bool:
-    return abs(x - y) <= tol * (1.0 + max(abs(x), abs(y)))
-
-
 def _random_valid_parameters(rng: random.Random, k: complex = 0.0, a: complex = 1.0) -> ParameterSet:
     while True:
         ps = ParameterSet(

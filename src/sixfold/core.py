@@ -36,13 +36,6 @@ class NonFiniteSampleError(SixfoldError):
     """An integrand sample produced NaN/Inf; coordinates are in the message."""
 
 
-def ensure_finite(z: complex, what: str = "value") -> complex:
-    """Return ``z`` unchanged, raising if either component is NaN or Inf."""
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonFiniteSampleError(f"non-finite {what}: {z!r}")
-    return z
-
-
 # Strict-inequality margin for the boundary-proximity warnings only.
 _BOUNDARY_WARN = 1e-8
 
@@ -196,10 +189,6 @@ class Tolerances:
     def within(self, x: complex, y: complex) -> bool:
         scale = max(abs(x), abs(y))
         return abs(x - y) <= self.abs_tol + self.rel_tol * scale
-
-
-def is_close(x: complex, y: complex, rel: float = 1e-9, abs_tol: float = 0.0) -> bool:
-    return abs(x - y) <= abs_tol + rel * max(abs(x), abs(y))
 
 
 def principal_power(base: complex, expo: complex) -> complex:

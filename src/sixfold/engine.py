@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .core import (
@@ -46,7 +47,7 @@ from .jets import (
 from .lerch import lerch_minus_one_split, lerch_phi
 from .mellin import mellin_legendre_closed
 from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor, log_axis_rule, tanh_sinh
-from .specialfn import digamma, riemann_zeta
+from .specialfn import digamma, gamma, hurwitz_zeta, riemann_zeta
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -144,8 +145,6 @@ def product_identity_check(ps: ParameterSet) -> tuple[complex, complex]:
 
 
 def _gamma1(beta: complex) -> complex:
-    from .specialfn import gamma
-
     return gamma(beta + 1.0)
 
 
@@ -153,14 +152,76 @@ def _catanh(z: complex) -> complex:
     return 0.5 * (cmath.log(1.0 + z) - cmath.log(1.0 - z))
 
 
+def _two(e: complex) -> complex:
+    return principal_power(2.0, e)
+
+
 # ----------------------------------------------------------------------
-# Identity catalog
+# Identity catalog: the cases' elementary forms, then the entries
 # ----------------------------------------------------------------------
+
+
+def _zeta_split(s: complex, v: complex) -> complex:
+    """zeta(s, v/2) - zeta(s, (v+1)/2), which equals 2^s Phi(-1, s, v).
+
+    At s = 1 both zetas have a pole; the difference is then taken from the
+    Lerch form, which is finite there.
+    """
+    if abs(s - 1.0) < 1e-12:
+        return lerch_minus_one_split(s, v) * _two(s)
+    return hurwitz_zeta(s, v / 2.0) - hurwitz_zeta(s, (v + 1.0) / 2.0)
+
+
+def _hurwitz_split_form(ps: ParameterSet, n: complex | None) -> complex:
+    vv = lerch_third_argument(ps.a)
+    pref = cmath.exp(ps.k * 0.5j * math.pi + (ps.k + 2.0) * _LNPI + (ps.k + ps.mu + ps.u) * _LN2)
+    return pref * _two(ps.k) * _zeta_split(-ps.k, vv)
+
+
+def _harmonic_form(ps: ParameterSet, n: complex | None) -> complex:
+    vv = lerch_third_argument(ps.a)
+    return -1j * math.pi * _two(ps.mu + ps.u - 2.0) * (digamma((vv + 1.0) / 2.0) - digamma(vv / 2.0))
+
+
+def _difference_form(ps: ParameterSet, n: complex | None) -> complex:
+    if n is None:
+        raise DomainError("difference case needs the second exponent n")
+    return (
+        math.pi
+        * _two(ps.mu + ps.u)
+        * (_catanh(cmath.exp(1j * math.pi * ps.m)) - _catanh(cmath.exp(1j * math.pi * n)))
+    )
+
+
+def _alt_lerch_form(ps: ParameterSet, n: complex | None) -> complex:
+    pref = -1j * cmath.exp(
+        (ps.k + 2.0) * _LNPI + 0.5j * math.pi * (ps.k + ps.m) + (ps.k + ps.mu + ps.u) * _LN2
+    )
+    return pref * lerch_phi(cmath.exp(1j * math.pi * ps.m), -ps.k, ps.a)
+
+
+def _eta_line_form(ps: ParameterSet, n: complex | None) -> complex:
+    """-(2^(k+1)-1) e^(i pi k/2) pi^(k+2) zeta(-k) 2^(k+mu+u)."""
+    k = ps.k
+    if abs(k + 1.0) < 1e-12:
+        raise PoleError("zeta line undefined at k = -1; use the limit path")
+    factor = _two(k + 1.0) - 1.0
+    return (
+        -factor
+        * cmath.exp(0.5j * math.pi * k + (k + 2.0) * _LNPI + (k + ps.mu + ps.u) * _LN2)
+        * riemann_zeta(-k)
+    )
 
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One catalog entry: parameter pins and admissible paths."""
+    """One catalog entry: parameter pins, admissible paths and data.
+
+    ``special``: the elementary form, (ps, n) -> complex; None for theorem.
+    ``limit``: (k0, family tag); the limit path extrapolates the family
+    case's elementary form in k to k0.  ``alt_form``: stated in the shifted
+    form, mapped onto the general identity by ``theorem_parameters``.
+    """
 
     tag: str
     label: str
@@ -169,6 +230,9 @@ class IdentityCase:
     needs_second_exponent: bool = False
     second_exponent: complex | None = None
     paths: tuple[str, ...] = ()
+    special: Callable[[ParameterSet, complex | None], complex] | None = None
+    limit: tuple[float, str] | None = None
+    alt_form: bool = False
 
 
 CATALOG: tuple[IdentityCase, ...] = (
@@ -184,6 +248,7 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="k = 0",
         pins={"k": 0.0},
         paths=("jet", "moment", "tensor", "qmc", "closed", "special"),
+        special=lambda ps, n: math.pi**2 * _two(ps.mu + ps.u - 1.0) / cmath.sin(math.pi * ps.m),
     ),
     IdentityCase(
         tag="hurwitz_zeta_form",
@@ -191,6 +256,7 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="m = 1/2",
         pins={"m": 0.5},
         paths=("jet", "moment", "tensor", "qmc", "closed", "special"),
+        special=_hurwitz_split_form,
     ),
     IdentityCase(
         tag="harmonic_limit",
@@ -198,6 +264,8 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="k = -1, m = 1/2, a = -2",
         pins={"k": -1.0, "m": 0.5, "a": -2.0},
         paths=("qmc", "closed", "special", "limit"),
+        special=_harmonic_form,
+        limit=(-1.0, "hurwitz_zeta_form"),
     ),
     IdentityCase(
         tag="difference_arctanh",
@@ -206,6 +274,7 @@ CATALOG: tuple[IdentityCase, ...] = (
         pins={"k": -1.0, "a": 1.0},
         needs_second_exponent=True,
         paths=("closed", "special"),
+        special=_difference_form,
     ),
     IdentityCase(
         tag="log3",
@@ -215,6 +284,7 @@ CATALOG: tuple[IdentityCase, ...] = (
         needs_second_exponent=True,
         second_exponent=1.0 / 3.0,
         paths=("closed", "special"),
+        special=lambda ps, n: -math.pi * math.log(3.0) * _two(ps.mu + ps.u - 2.0),
     ),
     IdentityCase(
         tag="arccoth_sqrt2",
@@ -224,12 +294,15 @@ CATALOG: tuple[IdentityCase, ...] = (
         needs_second_exponent=True,
         second_exponent=0.25,
         paths=("closed", "special"),
+        special=lambda ps, n: -math.pi * math.log(1.0 + math.sqrt(2.0)) * _two(ps.mu + ps.u - 1.0),
     ),
     IdentityCase(
         tag="alt_lerch",
         label="shifted form: -i pi^(k+2) e^(i pi(k+m)/2) 2^(k+mu+u) Phi(e^(i pi m), -k, a)",
         constraints="maps to the general identity via m -> m/2, a -> e^(i pi (2a-1)); needs Re(a) in (0, 1]",
         paths=("jet", "moment", "tensor", "qmc", "closed", "special"),
+        special=_alt_lerch_form,
+        alt_form=True,
     ),
     IdentityCase(
         tag="eta_zeta_line",
@@ -237,6 +310,8 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="m = 1, a = 1 in the alt form; k != -1",
         pins={"m": 1.0, "a": 1.0},
         paths=("jet", "moment", "tensor", "qmc", "closed", "special"),
+        special=_eta_line_form,
+        alt_form=True,
     ),
     IdentityCase(
         tag="log2_limit",
@@ -244,6 +319,9 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="k = -1; m = 1, a = 1 in the alt form",
         pins={"k": -1.0, "m": 1.0, "a": 1.0},
         paths=("qmc", "closed", "special", "limit"),
+        special=lambda ps, n: -1j * math.pi * _LN2 * _two(ps.mu + ps.u - 1.0),
+        limit=(-1.0, "eta_zeta_line"),
+        alt_form=True,
     ),
     IdentityCase(
         tag="apery",
@@ -251,11 +329,13 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="k = -3; m = 1, a = 1 in the alt form",
         pins={"k": -3.0, "m": 1.0, "a": 1.0},
         paths=("qmc", "closed", "special", "limit"),
+        special=lambda ps, n: 3j * riemann_zeta(3.0).real * _two(ps.mu + ps.u - 5.0) / math.pi,
+        limit=(-3.0, "eta_zeta_line"),
+        alt_form=True,
     ),
 )
 
 _CATALOG_BY_TAG = {c.tag: c for c in CATALOG}
-_ALT_FORM_TAGS = ("alt_lerch", "eta_zeta_line", "log2_limit", "apery")
 
 
 def catalog_case(tag: str) -> IdentityCase:
@@ -266,7 +346,7 @@ def catalog_case(tag: str) -> IdentityCase:
 
 def theorem_parameters(case: IdentityCase, ps: ParameterSet) -> ParameterSet:
     """Map case parameters onto the general-identity parameter set."""
-    if case.tag in _ALT_FORM_TAGS:
+    if case.alt_form:
         a_mapped = cmath.exp(1j * math.pi * (2.0 * ps.a - 1.0))
         return ps.replace(m=ps.m / 2.0, a=a_mapped)
     return ps
@@ -276,70 +356,9 @@ def rhs_example(case: IdentityCase | str, ps: ParameterSet, second: complex | No
     """Per-case elementary closed form."""
     if isinstance(case, str):
         case = catalog_case(case)
-    tag = case.tag
-    two = lambda e: principal_power(2.0, e)  # noqa: E731
-
-    if tag == "theorem":
-        return rhs_theorem(ps)
-    if tag == "degenerate":
-        return math.pi**2 * two(ps.mu + ps.u - 1.0) / cmath.sin(math.pi * ps.m)
-    if tag == "hurwitz_zeta_form":
-        vv = lerch_third_argument(ps.a)
-        pref = cmath.exp(ps.k * 0.5j * math.pi + (ps.k + 2.0) * _LNPI + (ps.k + ps.mu + ps.u) * _LN2)
-        return pref * two(ps.k) * _zeta_split(-ps.k, vv)
-    if tag == "harmonic_limit":
-        vv = lerch_third_argument(ps.a)
-        return -1j * math.pi * two(ps.mu + ps.u - 2.0) * (
-            digamma((vv + 1.0) / 2.0) - digamma(vv / 2.0)
-        )
-    if tag in ("difference_arctanh", "log3", "arccoth_sqrt2"):
-        if tag == "log3":
-            return -math.pi * math.log(3.0) * two(ps.mu + ps.u - 2.0)
-        if tag == "arccoth_sqrt2":
-            return -math.pi * math.log(1.0 + math.sqrt(2.0)) * two(ps.mu + ps.u - 1.0)
-        if second is None:
-            raise DomainError("difference case needs the second exponent n")
-        return (
-            math.pi
-            * two(ps.mu + ps.u)
-            * (_catanh(cmath.exp(1j * math.pi * ps.m)) - _catanh(cmath.exp(1j * math.pi * second)))
-        )
-    if tag == "alt_lerch":
-        pref = -1j * cmath.exp(
-            (ps.k + 2.0) * _LNPI + 0.5j * math.pi * (ps.k + ps.m) + (ps.k + ps.mu + ps.u) * _LN2
-        )
-        return pref * lerch_phi(cmath.exp(1j * math.pi * ps.m), -ps.k, ps.a)
-    if tag == "eta_zeta_line":
-        return _eta_line_value(ps.k, ps)
-    if tag == "log2_limit":
-        return -1j * math.pi * _LN2 * two(ps.mu + ps.u - 1.0)
-    if tag == "apery":
-        zeta3 = riemann_zeta(3.0).real
-        return 3j * zeta3 * two(ps.mu + ps.u - 5.0) / math.pi
-    raise DomainError(f"no closed form for case {tag!r}")
-
-
-def _zeta_split(s: complex, v: complex) -> complex:
-    """2^s-free split combination 2^s[zeta(s,v/2) - zeta(s,(v+1)/2)] ... the
-    caller supplies the 2^k factor; this returns the bare zeta difference."""
-    from .specialfn import hurwitz_zeta
-
-    if abs(s - 1.0) < 1e-12:
-        # Removable: the split equals Phi(-1, s, v) * 2^s; reuse the limit.
-        return lerch_minus_one_split(s, v) * principal_power(2.0, s)
-    return hurwitz_zeta(s, v / 2.0) - hurwitz_zeta(s, (v + 1.0) / 2.0)
-
-
-def _eta_line_value(k: complex, ps: ParameterSet) -> complex:
-    """-(2^(k+1)-1) e^(i pi k/2) pi^(k+2) zeta(-k) 2^(k+mu+u)."""
-    if abs(k + 1.0) < 1e-12:
-        raise PoleError("zeta line undefined at k = -1; use the limit path")
-    factor = principal_power(2.0, k + 1.0) - 1.0
-    return (
-        -factor
-        * cmath.exp(0.5j * math.pi * k + (k + 2.0) * _LNPI + (k + ps.mu + ps.u) * _LN2)
-        * riemann_zeta(-k)
-    )
+    if case.special is None:
+        raise DomainError(f"no closed form for case {case.tag!r}")
+    return case.special(ps, second)
 
 
 # ----------------------------------------------------------------------
@@ -361,19 +380,10 @@ def rhs_limit_full(
     """
     if isinstance(case, str):
         case = catalog_case(case)
-    if case.tag in ("log2_limit", "apery"):
-        family = lambda k: _eta_line_value(k, ps)  # noqa: E731
-        k0 = -1.0 if case.tag == "log2_limit" else -3.0
-    elif case.tag == "harmonic_limit":
-        vv = lerch_third_argument(ps.a)
-
-        def family(k: complex) -> complex:
-            pref = cmath.exp(k * 0.5j * math.pi + (k + 2.0) * _LNPI + (k + ps.mu + ps.u) * _LN2)
-            return pref * principal_power(2.0, k) * _zeta_split(-k, vv)
-
-        k0 = -1.0
-    else:
+    if case.limit is None:
         raise DomainError(f"case {case.tag!r} has no limit family")
+    k0, family_tag = case.limit
+    family = catalog_case(family_tag).special
 
     eps = tuple(float(e) for e in eps_sequence)
     if len(eps) < 2 or any(e < 1e-5 for e in eps) or any(
@@ -381,7 +391,10 @@ def rhs_limit_full(
     ):
         raise DomainError("eps sequence must be decreasing with entries >= 1e-5")
 
-    sym = [(family(k0 + e) + family(k0 - e)) / 2.0 for e in eps]
+    sym = [
+        (family(ps.replace(k=k0 + e), None) + family(ps.replace(k=k0 - e), None)) / 2.0
+        for e in eps
+    ]
     # Neville in eps^2.
     table = list(sym)
     prev_diag = table[0]
@@ -398,10 +411,6 @@ def rhs_limit_full(
         est_err = err
         prev_diag = table[0]
     return table[0], est_err
-
-
-def rhs_limit(case, ps: ParameterSet, eps_sequence=_DEFAULT_EPS) -> complex:
-    return rhs_limit_full(case, ps, eps_sequence)[0]
 
 
 # ----------------------------------------------------------------------
@@ -472,7 +481,8 @@ def verify(
     if isinstance(case, str):
         case = catalog_case(case)
     ps_eff = ps.replace(**case.pins) if case.pins else ps
-    if case.needs_second_exponent and second is None:
+    # Pinned parameters win over the caller's, the second exponent included.
+    if case.second_exponent is not None:
         second = case.second_exponent
     requested = tuple(paths) if paths is not None else case.paths
     for p in requested:
@@ -502,7 +512,7 @@ def verify(
     for path in requested:
         t0 = time.perf_counter()
         try:
-            reason = _admissibility(case, path, ps_eff, ps_thm)
+            reason = _admissibility(case, path, ps_thm)
             if reason is not None:
                 results[path] = PathResult(status="inadmissible", detail=reason)
                 continue
@@ -540,9 +550,7 @@ def verify(
     )
 
 
-def _admissibility(
-    case: IdentityCase, path: str, ps_eff: ParameterSet, ps_thm: ParameterSet
-) -> str | None:
+def _admissibility(case: IdentityCase, path: str, ps_thm: ParameterSet) -> str | None:
     k = ps_thm.k
     int_k = abs(k.imag) < 1e-12 and abs(k.real - round(k.real)) < 1e-12
     if path in ("jet", "moment"):
@@ -561,12 +569,10 @@ def _admissibility(
         if not _real_strip_parameters(ps_thm):
             return "qmc path needs real strip parameters"
         return Integrand6D(ps_thm).qmc_admissible()
-    if path == "special" and case.tag == "theorem":
+    if path == "special" and case.special is None:
         return "the general case has no separate elementary form"
-    if path == "limit" and case.tag not in ("log2_limit", "harmonic_limit", "apery"):
+    if path == "limit" and case.limit is None:
         return "no limit family for this case"
-    if path in ("closed", "special", "limit"):
-        return None
     return None
 
 

@@ -1,8 +1,8 @@
 """Quadrature rules and the direct six-dimensional integration paths.
 
 One-dimensional rules: tanh-sinh on the open unit interval (double
-exponential, handles endpoint singularities), Gauss-Legendre on (-1, 1),
-and generalized Gauss-Laguerre on (0, inf) with weight x^alpha e^-x.
+exponential, handles endpoint singularities) and generalized
+Gauss-Laguerre on (0, inf) with weight x^alpha e^-x.
 
 The six-dimensional integrand, after substituting L = log(1/.) on the four
 log-power axes, factors as
@@ -57,10 +57,6 @@ class Rule1D:
         if len(self.nodes) != len(self.weights):
             raise DomainError("rule nodes/weights length mismatch")
 
-    def apply(self, f) -> complex:
-        vals = f(self.nodes) if self.complement is None else f(self.nodes, self.complement)
-        return complex(np.sum(self.weights * vals))
-
 
 def tanh_sinh(level: int) -> Rule1D:
     """Tanh-sinh rule on the open interval (0, 1); mesh h = 2^-level."""
@@ -81,14 +77,6 @@ def tanh_sinh(level: int) -> Rule1D:
     comp = np.concatenate([hi[:0:-1], lo])
     weights = np.concatenate([w[:0:-1], w])
     return Rule1D(nodes=nodes, weights=weights, kind="tanh_sinh", complement=comp)
-
-
-def gauss_legendre(n: int) -> Rule1D:
-    """Gauss-Legendre rule on (-1, 1)."""
-    if not 1 <= n <= _MAX_NODES:
-        raise DomainError(f"gauss_legendre n must be in [1, {_MAX_NODES}]")
-    x, w = np.polynomial.legendre.leggauss(n)
-    return Rule1D(nodes=x, weights=w, kind="gauss_legendre")
 
 
 def gauss_laguerre(n: int, alpha: float = 0.0) -> Rule1D:
@@ -385,7 +373,7 @@ def integrate_6d_tensor(f: Integrand6D, rules) -> complex:
     return complex(total)
 
 
-def integrate_6d_brute(f: Integrand6D, rules, block: int = 1 << 18) -> complex:
+def integrate_6d_brute(f: Integrand6D, rules) -> complex:
     """Literal tensor-sum enumeration (for validating the fast path).
 
     O(prod n_i) work; keep the rules tiny.

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import richardson_derivative
 from sixfold import engine
-from sixfold.core import ParameterSet, Tolerances, validate_parameters
+from sixfold.core import DomainError, ParameterSet, Tolerances, validate_parameters
 from sixfold.quad import QmcSpec
 from sixfold.specialfn import harmonic, riemann_zeta
 
@@ -248,6 +248,29 @@ def test_catalog_size_and_tags():
         "log2_limit",
         "apery",
     }
+
+
+@pytest.mark.parametrize("case", engine.CATALOG, ids=lambda c: c.tag)
+def test_catalog_entry_consistent(case):
+    assert ("special" in case.paths) == (case.special is not None)
+    assert ("limit" in case.paths) == (case.limit is not None)
+    analytic = tuple(p for p in case.paths if p not in ("tensor", "qmc"))
+    second = 0.3 if case.tag == "difference_arctanh" else None
+    rep = engine.verify(case, ParameterSet(), paths=analytic, second=second)
+    assert rep.verdict == "pass"
+    assert all(r.status == "ok" for r in rep.paths.values()), rep.paths
+
+
+@pytest.mark.parametrize("tag", ["log3", "arccoth_sqrt2"])
+def test_pinned_second_exponent_wins(tag):
+    rep = engine.verify(tag, ParameterSet(), second=0.4)
+    assert rep.verdict == "pass"
+    assert rep.second_exponent == engine.catalog_case(tag).second_exponent
+
+
+def test_rhs_example_general_case_has_no_elementary_form():
+    with pytest.raises(DomainError, match="no closed form"):
+        engine.rhs_example("theorem", REFERENCE)
 
 
 def test_alt_lerch_mapping_consistency():

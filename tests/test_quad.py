@@ -8,7 +8,6 @@ from sixfold.quad import (
     Integrand6D,
     QmcSpec,
     gauss_laguerre,
-    gauss_legendre,
     integrate_6d_brute,
     integrate_6d_qmc,
     integrate_6d_tensor,
@@ -43,19 +42,6 @@ def _ref_rules(level=5, n=32):
         log_axis_rule(b.real, n=n, level=level)
         for b in (exq.beta_p, exq.beta_q, exq.beta_t, exq.beta_z)
     )
-
-
-def test_gauss_legendre_odd_function():
-    rule = gauss_legendre(2)
-    assert abs(np.sum(rule.weights * rule.nodes**3)) < 1e-15
-
-
-def test_gauss_legendre_polynomial_exactness():
-    rule = gauss_legendre(6)
-    for j in range(0, 12):
-        got = np.sum(rule.weights * rule.nodes**j)
-        expect = 2.0 / (j + 1.0) if j % 2 == 0 else 0.0
-        assert abs(got - expect) < 1e-13
 
 
 def test_gauss_laguerre_unit_mass():
