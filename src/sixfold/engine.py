@@ -454,12 +454,6 @@ def _default_tensor_rules(exq, coarse: bool = False):
     )
 
 
-def _real_strip_parameters(ps: ParameterSet) -> bool:
-    return all(
-        abs(getattr(ps, name).imag) < 1e-12 for name in ("m", "u", "v", "mu", "nu")
-    )
-
-
 def verify(
     case: IdentityCase | str,
     ps: ParameterSet,
@@ -560,14 +554,12 @@ def _admissibility(case: IdentityCase, path: str, ps_thm: ParameterSet) -> str |
     if path == "tensor":
         if not (int_k and round(k.real) >= 0):
             return "tensor path needs integer k >= 0"
-        if not _real_strip_parameters(ps_thm):
+        if not Integrand6D(ps_thm).has_real_strip():
             return "tensor path needs real strip parameters"
         if abs(ps_thm.a.imag) > 1e-12 or ps_thm.a.real <= 0:
             return "tensor path needs a > 0"
         return None
     if path == "qmc":
-        if not _real_strip_parameters(ps_thm):
-            return "qmc path needs real strip parameters"
         return Integrand6D(ps_thm).qmc_admissible()
     if path == "special" and case.special is None:
         return "the general case has no separate elementary form"

@@ -93,15 +93,30 @@ def _hyp2f1_exact_terminating(a: int, b: int, c: int, x: float) -> complex:
 
 
 def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
-    """Vectorized Gauss series over an array of x in [0, 1/2]."""
+    """Vectorized Gauss series over an array of x in [0, 1/2].
+
+    Runs in float64 and returns float64 when a, b and c are real, complex128
+    otherwise.  Stops after three consecutive terms below 1e-17 of the
+    partial sum at every node.  That all-node test only runs once it holds
+    at the node with the largest x, where the series converges slowest: the
+    probe is a necessary condition, so the term count does not depend on it.
+    """
     x = np.asarray(x, dtype=float)
     if x.size and (x.min() < 0.0 or x.max() > 0.5 + 1e-15):
         raise DomainError("hyp2f1_array needs x in [0, 1/2]")
     a = complex(a)
     b = complex(b)
     c = complex(c)
-    total = np.ones(x.shape, dtype=complex)
-    term = np.ones(x.shape, dtype=complex)
+    real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
+    if real:
+        a, b, c = a.real, b.real, c.real
+    dtype = float if real else complex
+    total = np.ones(x.shape, dtype=dtype)
+    term = np.ones(x.shape, dtype=dtype)
+    step = np.empty(x.shape, dtype=dtype)
+    if not x.size:
+        return total
+    probe = np.unravel_index(np.argmax(x), x.shape)
     small = 0
     for n in range(_MAX_TERMS):
         an, bn, cn = a + n, b + n, c + n
@@ -109,8 +124,11 @@ def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarra
             return total
         if abs(cn) < 1e-13:
             raise PoleError(f"hyp2f1 pole: c={c!r} hits a non-positive integer")
-        term *= (an * bn / (cn * (n + 1.0))) * x
-        if np.all(np.abs(term) < 1e-17 * np.abs(total) + 1e-300):
+        np.multiply(an * bn / (cn * (n + 1.0)), x, out=step)
+        term *= step
+        if abs(term[probe]) < 1e-17 * abs(total[probe]) + 1e-300 and np.all(
+            np.abs(term) < 1e-17 * np.abs(total) + 1e-300
+        ):
             small += 1
             if small >= 3:
                 return total + term
@@ -140,8 +158,6 @@ def assoc_legendre_p(v: complex, u: complex, x: float) -> complex:
     # Integer order >= 1: recurrence in the order from hypergeometric seeds.
     s = math.sqrt((1.0 - x) * (1.0 + x))
     p0 = hyp2f1(-v, v + 1.0, 1.0, w)
-    if mo == 0:
-        return p0
     p1 = -s * (v * (v + 1.0) / 2.0) * hyp2f1(1.0 - v, v + 2.0, 2.0, w)
     if mo == 1:
         return p1
@@ -174,24 +190,27 @@ def kernel_factor(v: complex, u: complex, x: float, one_minus_x: float | None = 
 def kernel_factor_array(
     v: complex, u: complex, x: np.ndarray, one_minus_x: np.ndarray | None = None
 ) -> np.ndarray:
-    """Vectorized kernel_factor over node arrays."""
+    """Vectorized kernel_factor over node arrays; float64 when v and u are real."""
     x = np.asarray(x, dtype=float)
     omx = (1.0 - x) if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
     v = complex(v)
     u = complex(u)
     mo = _positive_int_order(u)
+    real = v.imag == 0.0 and u.imag == 0.0
+    if real:
+        v, u = v.real, u.real
+    w = omx / 2.0
     if mo is None:
-        f = hyp2f1_array(-v, v + 1.0, 1.0 - u, omx / 2.0)
-        return np.exp(-u * np.log(omx)) * rgamma(1.0 - u) * f
+        rg = rgamma(1.0 - u)
+        f = hyp2f1_array(-v, v + 1.0, 1.0 - u, w)
+        return np.exp(-u * np.log(omx)) * (rg.real if real else rg) * f
     # Integer order: order recurrence, vectorized.
     s = np.sqrt(omx * (1.0 + x))
-    p0 = hyp2f1_array(-v, v + 1.0, 1.0, omx / 2.0)
-    p1 = -s * (v * (v + 1.0) / 2.0) * hyp2f1_array(1.0 - v, v + 2.0, 2.0, omx / 2.0)
-    p = p0 if mo == 0 else p1
+    p0 = hyp2f1_array(-v, v + 1.0, 1.0, w)
+    p1 = -s * (v * (v + 1.0) / 2.0) * hyp2f1_array(1.0 - v, v + 2.0, 2.0, w)
     for m in range(1, mo):
-        p = -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
-        p0, p1 = p1, p
-    return p * np.exp(-0.5 * u * np.log(omx * (1.0 + x)))
+        p0, p1 = p1, -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
+    return p1 * np.exp(-0.5 * u * np.log(omx * (1.0 + x)))
 
 
 def legendre_recurrence(nmax: int, mo: int, x: float) -> list[float]:

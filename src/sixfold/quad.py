@@ -14,7 +14,9 @@ log-power axes, factors as
 that integrand; for integer k >= 0 the sum is reorganized exactly (binomial
 regrouping of S^k inside the finite sum) so it runs in seconds instead of
 hours.  ``integrate_6d_qmc`` is a digitally-shifted Sobol estimator with a
-replicate-based standard error.
+replicate-based standard error; it admits only real strip parameters, so
+its Legendre kernels and log-axis weights run in float64 and complex
+numbers enter only through log a and the coupling S^k.
 """
 
 from __future__ import annotations
@@ -219,6 +221,21 @@ class QmcSpec:
 # ----------------------------------------------------------------------
 
 
+def _nearest_int(z: complex) -> int | None:
+    if abs(z.imag) < 1e-12 and abs(z.real - round(z.real)) < 1e-12:
+        return round(z.real)
+    return None
+
+
+def _int_power(s_vals: np.ndarray, n: int) -> np.ndarray:
+    """s^n by repeated multiplication: numpy's float power calls pow() per
+    element, which is several times slower for the small |n| used here."""
+    out = np.ones_like(s_vals)
+    for _ in range(abs(n)):
+        out *= s_vals
+    return 1.0 / out if n < 0 else out
+
+
 @dataclass(frozen=True)
 class Integrand6D:
     """Transformed integrand on (0,1)^2 x (0,inf)^4.
@@ -244,31 +261,39 @@ class Integrand6D:
         return np.exp(-ps.m * np.log(y)) * kernel_factor_array(ps.nu, ps.mu, y, one_minus_y)
 
     def x_kernel(self, x: np.ndarray) -> np.ndarray:
-        """x factor without the x^(m-1) power (absorbed by QMC warping)."""
-        return kernel_factor_array(self.ps.v, self.ps.u, x)
+        """Real x factor without the x^(m-1) power (absorbed by QMC warping)."""
+        return kernel_factor_array(self.ps.v.real, self.ps.u.real, x)
 
     def y_kernel(self, y: np.ndarray) -> np.ndarray:
-        """y factor without the y^-m power (absorbed by QMC warping)."""
-        return kernel_factor_array(self.ps.nu, self.ps.mu, y)
+        """Real y factor without the y^-m power (absorbed by QMC warping)."""
+        return kernel_factor_array(self.ps.nu.real, self.ps.mu.real, y)
+
+    def has_real_strip(self) -> bool:
+        """True when m, u, v, mu and nu are real to within 1e-12."""
+        names = ("m", "u", "v", "mu", "nu")
+        return all(abs(getattr(self.ps, name).imag) < 1e-12 for name in names)
 
     def integer_k(self) -> int | None:
-        k = self.ps.k
-        if abs(k.imag) < 1e-12 and abs(k.real - round(k.real)) < 1e-12 and round(k.real) >= 0:
-            return round(k.real)
-        return None
+        """k as an int when it is a non-negative integer, else None."""
+        kk = _nearest_int(self.ps.k)
+        return kk if kk is not None and kk >= 0 else None
 
     def coupling(self, s_vals: np.ndarray) -> np.ndarray:
-        """S^k with principal powers; plain integer powers for integer k."""
-        kk = self.integer_k()
-        if kk is not None:
-            return s_vals**kk
-        s_complex = s_vals.astype(complex)
-        if np.any(np.abs(s_complex) < 1e-300):
+        """S^k with principal powers; plain integer powers for integer k of
+        either sign."""
+        kk = _nearest_int(self.ps.k)
+        if kk is not None and kk >= 0:
+            return _int_power(s_vals, kk)
+        if np.any(np.abs(s_vals) < 1e-300):
             raise NonFiniteSampleError("coupling log argument hit zero")
-        return np.exp(self.ps.k * np.log(s_complex))
+        if kk is not None:
+            return _int_power(s_vals, kk)
+        return np.exp(self.ps.k * np.log(s_vals.astype(complex)))
 
     def qmc_admissible(self) -> str | None:
         """None when the direct QMC estimator is defined; else the reason."""
+        if not self.has_real_strip():
+            return "qmc path needs real strip parameters"
         if self.integer_k() is not None:
             return None
         a = self.ps.a
@@ -416,14 +441,16 @@ def integrate_6d_brute(f: Integrand6D, rules) -> complex:
 def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     """Digitally-shifted Sobol estimate of the transformed integral.
 
-    Unit-cube mapping: the x and y samples are power-warped (x = u^(1/Re m),
-    y = u^(1/(1-Re m))) so the endpoint powers x^(m-1), y^-m are absorbed by
+    Unit-cube mapping: the x and y samples are power-warped (x = u^(1/m),
+    y = u^(1/(1-m))) so the endpoint powers x^(m-1), y^-m are absorbed by
     the sampling density; the four log-axis variables use L = -log(u)
-    composed with a head warp L = T^(1/(1+Re beta)) for T <= 1 that absorbs
+    composed with a head warp L = T^(1/(1+beta)) for T <= 1 that absorbs
     the L^beta singularity.  Without the warps the estimator has unbounded
     variance and its replicate scatter understates the error; with them the
-    weight is bounded up to logarithms.  The value is the mean of
-    ``spec.replicates`` digitally shifted replicates, the standard error
+    weight is bounded up to logarithms.  Strip parameters must be real
+    (imaginary parts below 1e-12 are dropped): the kernels and weights run
+    in float64 and the coupling S^k is applied last.  The value is the mean
+    of ``spec.replicates`` digitally shifted replicates, the standard error
     their scatter; bit-for-bit reproducible for a fixed spec.
     """
     reason = f.qmc_admissible()
@@ -432,12 +459,15 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     base = sobol_points(spec.count, spec.dimension)
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * spec.dimension)
     exq = f.exq
-    ps = f.ps
-    lna = cmath.log(complex(ps.a))
-    px = 1.0 / ps.m.real
-    py = 1.0 / (1.0 - ps.m.real)
-    betas = (exq.beta_p, exq.beta_q, exq.beta_t, exq.beta_z)
-    heads = tuple(1.0 / (1.0 + b.real) for b in betas)
+    lna = cmath.log(complex(f.ps.a))
+    if lna.imag == 0.0:
+        lna = lna.real
+    px = 1.0 / f.ps.m.real
+    py = 1.0 / (1.0 - f.ps.m.real)
+    betas = tuple(b.real for b in (exq.beta_p, exq.beta_q, exq.beta_t, exq.beta_z))
+    if min(betas) <= -1.0:
+        raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
+    heads = tuple(1.0 / (1.0 + b) for b in betas)
 
     rep_means: list[complex] = []
     scale = 2.0**-_SOBOL_BITS
@@ -451,28 +481,28 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
             pts = np.bitwise_xor(base[start : start + block], shift[None, :])
             u = (pts.astype(np.float64) + 0.5) * scale
             lnu_x, lnu_y = np.log(u[:, 0]), np.log(u[:, 1])
-            x = np.exp(px * lnu_x)
-            y = np.exp(py * lnu_y)
-            # x^(m-1) dx and y^-m dy with their warp Jacobians, in log form;
-            # for real m both collapse to the constants px and py.
-            vals = (
-                px * np.exp((ps.m * px - 1.0) * lnu_x)
-                * py * np.exp(((1.0 - ps.m) * py - 1.0) * lnu_y)
-                * f.x_kernel(x) * f.y_kernel(y)
-            ).astype(complex)
+            # x^(m-1) dx and y^-m dy with their warp Jacobians are the
+            # constants px and py.
+            vals = (px * py) * f.x_kernel(np.exp(px * lnu_x)) * f.y_kernel(np.exp(py * lnu_y))
+            # Log of the four log-axis weights L^beta e^(-L) dL/dT e^T.  On
+            # the head L = T^c, ln L = c ln T is kept as is (L itself
+            # underflows when beta is near -1) and the Jacobian c T^(c-1)
+            # joins the exponent.
+            log_w = np.zeros(len(u))
             ln_ell = []
             for i, (beta, c) in enumerate(zip(betas, heads)):
                 t_exp = -np.log(u[:, 2 + i])
+                ln_t = np.log(t_exp)
                 head = t_exp <= 1.0
-                ell = np.where(head, np.exp(c * np.log(t_exp)), t_exp)
-                jac = np.where(head, c * np.exp((c - 1.0) * np.log(t_exp)), 1.0)
-                lell = np.log(ell)
-                ln_ell.append(lell)
-                vals = vals * jac * np.exp(beta * lell - ell + t_exp)
+                lnl = np.where(head, c * ln_t, ln_t)
+                ell = np.where(head, np.exp(lnl), t_exp)
+                log_w += np.where(head, math.log(c) + (c - 1.0) * ln_t, 0.0)
+                log_w += beta * lnl - ell + t_exp
+                ln_ell.append(lnl)
             s_vals = lna + px * lnu_x - py * lnu_y + 0.5 * (
                 ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1]
             )
-            vals = vals * f.coupling(s_vals)
+            vals = vals * np.exp(log_w) * f.coupling(s_vals)
             if not np.all(np.isfinite(vals)):
                 bad = int(np.argwhere(~np.isfinite(vals))[0][0]) + start
                 raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")

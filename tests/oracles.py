@@ -121,6 +121,32 @@ def laplace_legendre(v: float, x: float, n: int = 64) -> float:
     return float(np.sum(w * vals).real / math.pi)
 
 
+def hyp2f1_array_complex(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
+    """Gauss series over an array in complex arithmetic with the all-node
+    stop test on every term: the reference for the float64 series, whose
+    term count and real part must match it exactly."""
+    x = np.asarray(x, dtype=float)
+    a, b, c = complex(a), complex(b), complex(c)
+    total = np.ones(x.shape, dtype=complex)
+    term = np.ones(x.shape, dtype=complex)
+    small = 0
+    for n in range(100_000):
+        an, bn, cn = a + n, b + n, c + n
+        if an == 0 or bn == 0:
+            return total
+        if abs(cn) < 1e-13:
+            raise ZeroDivisionError(f"hyp2f1 pole: c={c!r}")
+        term *= (an * bn / (cn * (n + 1.0))) * x
+        if np.all(np.abs(term) < 1e-17 * np.abs(total) + 1e-300):
+            small += 1
+            if small >= 3:
+                return total + term
+        else:
+            small = 0
+        total += term
+    raise ArithmeticError("hyp2f1 series did not converge")
+
+
 def central_derivative(f, order: int, h) -> complex:
     if order == 1:
         return (f(h) - f(-h)) / (2.0 * h)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import laplace_legendre
+from oracles import hyp2f1_array_complex, laplace_legendre
 from sixfold.core import DomainError, PoleError
 from sixfold.legendre import (
     assoc_legendre_p,
@@ -50,6 +50,56 @@ def test_hyp2f1_array_matches_scalar():
     arr = hyp2f1_array(0.3 - 0.2j, 1.4, 0.8 + 0.1j, xs)
     for x, got in zip(xs, arr):
         assert abs(got - hyp2f1(0.3 - 0.2j, 1.4, 0.8 + 0.1j, float(x))) < 1e-14
+
+
+def test_hyp2f1_array_real_series_matches_complex_reference():
+    # The float64 series must reproduce the real part of the complex series
+    # with the all-node stop test, bit for bit, terminating series included.
+    rng = random.Random(31)
+    gen = np.random.default_rng(31)
+    for trial in range(60):
+        a = float(-rng.randint(0, 6)) if trial % 4 == 0 else rng.uniform(-4.0, 3.0)
+        b = rng.uniform(-3.0, 4.0)
+        c = rng.uniform(0.05, 3.0) if trial % 3 else rng.uniform(-2.9, -0.1)
+        x = gen.uniform(0.0, 0.5, 257)
+        x[:2] = (0.0, 0.5)
+        got = hyp2f1_array(a, b, c, x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, hyp2f1_array_complex(a, b, c, x).real), (a, b, c)
+
+
+def test_hyp2f1_array_stop_test_covers_every_node():
+    # P_3.3(1 - 2x) = 2F1(-3.3, 4.3; 1; x) vanishes near x = 0.435.  A node
+    # there needs far more terms than the node at x = 1/2, so passing the
+    # stop test at the largest x must not end the series by itself.
+    lo, hi = 0.43, 0.44
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (hyp2f1(-3.3, 4.3, 1.0, lo) * hyp2f1(-3.3, 4.3, 1.0, mid)).real <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    x = np.array([0.0, 0.25, lo, 0.5])
+    got = hyp2f1_array(-3.3, 4.3, 1.0, x)
+    assert np.array_equal(got, hyp2f1_array_complex(-3.3, 4.3, 1.0, x).real)
+
+
+def test_hyp2f1_array_complex_parameters_stay_complex():
+    x = np.linspace(0.0, 0.5, 33)
+    got = hyp2f1_array(0.3 - 0.2j, 1.4, 0.8 + 0.1j, x)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, hyp2f1_array_complex(0.3 - 0.2j, 1.4, 0.8 + 0.1j, x))
+
+
+def test_kernel_factor_array_real_dtype_both_branches():
+    x = np.array([0.05, 0.3, 0.7, 0.95])
+    for v, u in ((1.7, -0.6), (2.4, 1.0), (3.0, 2.0)):
+        got = kernel_factor_array(v, u, x)
+        assert got.dtype == np.float64
+        for t, g in zip(x, got):
+            ref = kernel_factor(v, u, float(t))
+            assert abs(g - ref) <= 1e-13 * abs(ref), (v, u, t)
+    assert kernel_factor_array(1.7 + 0.1j, -0.6, x).dtype == np.complex128
 
 
 def test_legendre_simple_values():

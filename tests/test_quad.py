@@ -1,9 +1,16 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from sixfold.core import DomainError, ParameterSet, UnsupportedRegimeError, derive_exponents
+from sixfold.core import (
+    DomainError,
+    NonFiniteSampleError,
+    ParameterSet,
+    UnsupportedRegimeError,
+    derive_exponents,
+)
 from sixfold.quad import (
     Integrand6D,
     QmcSpec,
@@ -18,6 +25,16 @@ from sixfold.quad import (
 from sixfold.specialfn import digamma, gamma, polygamma
 
 REFERENCE = ParameterSet(k=0, a=1.0, m=0.5, u=0.0, v=1.0, mu=0.0, nu=1.0)
+# Re(beta_p) = -0.9923: the head warp L = T^130 underflows for small T.
+NEAR_BETA_MINUS_ONE = ParameterSet(
+    k=4,
+    a=1.5860789719579715,
+    m=0.06558552497627514,
+    u=-1.1141350972002884,
+    v=0.5203655233919114,
+    mu=-0.40151651631397245,
+    nu=2.320494519115759,
+)
 
 # First points of the 6-dimensional Sobol sequence (cross-checked against an
 # independent generator during development).
@@ -212,3 +229,38 @@ def test_integrand_pointwise_finite():
     f = Integrand6D(REFERENCE.replace(k=2))
     val = f(0.3, 0.7, 0.5, 1.2, 0.8, 2.0)
     assert np.all(np.isfinite(val))
+
+
+def test_qmc_head_warp_underflow_stays_finite():
+    f = Integrand6D(NEAR_BETA_MINUS_ONE)
+    assert -0.993 < f.exq.beta_p.real < -0.992
+    val, se = integrate_6d_qmc(f, QmcSpec(count=1 << 12, shift_seed=20170))
+    assert math.isfinite(val.real) and math.isfinite(val.imag)
+    assert math.isfinite(se) and se > 0.0
+
+
+def test_qmc_rejects_log_axis_exponent_below_minus_one():
+    ps = REFERENCE.replace(mu=-0.5, nu=2.4)  # beta_p = (0.5 - 0.5 - 2.4) / 2 = -1.2
+    with pytest.raises(DomainError):
+        integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 10))
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_coupling_negative_integer_power(k):
+    rng = np.random.default_rng(7)
+    s_vals = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
+    got = Integrand6D(REFERENCE.replace(k=k, a=-2.0)).coupling(s_vals)
+    expect = np.array([cmath.exp(k * cmath.log(s)) for s in s_vals])
+    assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-14
+
+
+def test_coupling_negative_integer_power_zero_guard():
+    f = Integrand6D(REFERENCE.replace(k=-1, a=-2.0))
+    with pytest.raises(NonFiniteSampleError):
+        f.coupling(np.array([1.0 + 0.5j, 0.0j]))
+
+
+def test_qmc_rejects_complex_strip_parameters():
+    ps = REFERENCE.replace(m=0.5 + 0.1j)
+    with pytest.raises(UnsupportedRegimeError, match="real strip parameters"):
+        integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 10))
