@@ -191,6 +191,17 @@ class Tolerances:
         return abs(x - y) <= self.abs_tol + self.rel_tol * scale
 
 
+def nearest_int(z: complex, tol: float) -> int | None:
+    """The integer n with |Re z - n| <= tol and |Im z| <= tol, else None.
+
+    The one integer test of the package; each caller passes its own tol.
+    """
+    if abs(z.imag) > tol:
+        return None
+    n = round(z.real)
+    return n if abs(z.real - n) <= tol else None
+
+
 def principal_power(base: complex, expo: complex) -> complex:
     """base**expo with the principal branch of log(base); 0**0 = 1."""
     if base == 0:

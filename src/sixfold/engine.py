@@ -33,6 +33,7 @@ from .core import (
     PoleError,
     Tolerances,
     derive_exponents,
+    nearest_int,
     parameter_warnings,
     principal_power,
     validate_parameters,
@@ -56,10 +57,9 @@ PATH_NAMES = ("jet", "moment", "tensor", "qmc", "closed", "special", "limit")
 
 
 def _pin_int_k(ps: ParameterSet) -> int:
-    k = ps.k
-    if abs(k.imag) > 1e-12 or abs(k.real - round(k.real)) > 1e-12:
-        raise DomainError(f"integer-k path needs integer k, got {k!r}")
-    kk = round(k.real)
+    kk = nearest_int(ps.k, 1e-12)
+    if kk is None:
+        raise DomainError(f"integer-k path needs integer k, got {ps.k!r}")
     if not 0 <= kk <= 10:
         raise DomainError(f"integer-k path needs 0 <= k <= 10, got {kk}")
     return kk
@@ -545,14 +545,13 @@ def verify(
 
 
 def _admissibility(case: IdentityCase, path: str, ps_thm: ParameterSet) -> str | None:
-    k = ps_thm.k
-    int_k = abs(k.imag) < 1e-12 and abs(k.real - round(k.real)) < 1e-12
+    kk = nearest_int(ps_thm.k, 1e-12)
     if path in ("jet", "moment"):
-        if not (int_k and 0 <= round(k.real) <= 10):
+        if kk is None or not 0 <= kk <= 10:
             return "jet paths need integer k in [0, 10]"
         return None
     if path == "tensor":
-        if not (int_k and round(k.real) >= 0):
+        if kk is None or kk < 0:
             return "tensor path needs integer k >= 0"
         if not Integrand6D(ps_thm).has_real_strip():
             return "tensor path needs real strip parameters"

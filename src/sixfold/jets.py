@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, ParameterSet, PoleError
+from .core import DomainError, ParameterSet, PoleError, nearest_int
 from .specialfn import log_gamma, polygamma
 
 MAX_ORDER = 12
@@ -162,7 +162,7 @@ def jet_sin(theta: Jet) -> Jet:
 def jet_csc(m: complex, order: int) -> Jet:
     """Jet of w -> csc(pi*(m + w)); poles at integer m."""
     m = complex(m)
-    if abs(m.imag) < 1e-13 and abs(m.real - round(m.real)) < 1e-13:
+    if nearest_int(m, 1e-13) is not None:
         raise PoleError(f"csc(pi m) pole at integer m={m!r}")
     theta = jet_variable(m, order).scale(math.pi)
     return jet_sin(theta).reciprocal()

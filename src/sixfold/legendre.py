@@ -18,60 +18,31 @@ import math
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, PoleError
+from .core import ConvergenceError, DomainError, PoleError, nearest_int
 from .specialfn import rgamma
 
 _MAX_TERMS = 100_000
+_ORDER_TOL = 1e-12
 
 
 def hyp2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     """Gauss series sum of 2F1(a, b; c; x) for real x in [0, 1/2].
 
-    Truncates once three consecutive terms fall below 1e-17 of the partial
-    sum.  c at a non-positive integer raises unless the series terminates
-    first (a or b a non-positive integer of smaller magnitude).
+    A terminating series (a or b a non-positive integer) can cancel down by
+    ~|max term| / |sum|, so it is summed exactly when a, b and c are all
+    integers (the sum is then rational in x) and otherwise by
+    :func:`hyp2f1_array` in extended precision (np.longdouble).  Every other
+    input goes through :func:`hyp2f1_array` in double precision.  c at a
+    non-positive integer raises unless the series terminates first.
     """
     if not 0.0 <= x <= 0.5 + 1e-15:
         raise DomainError(f"hyp2f1 implemented for x in [0, 1/2], got {x}")
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-
-    c_pole = abs(c.imag) < 1e-13 and abs(c.real - round(c.real)) < 1e-13 and round(c.real) <= 0
-
-    # Terminating series (a or b a non-positive integer): the alternating
-    # finite sum can cancel down by ~|max term| / |sum|.  With all-integer
-    # parameters the sum is rational in x, so do it exactly; otherwise
-    # accumulate in extended precision.
-    wide = any(
-        abs(p.imag) < 1e-13 and abs(p.real - round(p.real)) < 1e-13 and round(p.real) <= 0
-        for p in (a, b)
-    )
-    if wide and all(
-        abs(p.imag) < 1e-13 and abs(p.real - round(p.real)) < 1e-13 for p in (a, b, c)
-    ):
-        return _hyp2f1_exact_terminating(round(a.real), round(b.real), round(c.real), x)
-    one = np.clongdouble(1.0) if wide else 1.0 + 0.0j
-    xw = np.clongdouble(x) if wide else x
-
-    total = one
-    term = one
-    small = 0
-    for n in range(_MAX_TERMS):
-        an, bn, cn = a + n, b + n, c + n
-        if an == 0 or bn == 0:
-            return complex(total)  # terminating series
-        if c_pole and abs(cn) < 1e-13:
-            raise PoleError(f"hyp2f1 pole: c={c!r} hits a non-positive integer")
-        term = term * (an * bn) / (cn * (n + 1.0)) * xw
-        total = total + term
-        if abs(term) < 1e-17 * abs(total):
-            small += 1
-            if small >= 3:
-                return complex(total)
-        else:
-            small = 0
-    raise ConvergenceError("hyp2f1 did not converge within 1e5 terms")
+    ints = [nearest_int(p, 1e-13) for p in (a, b, c)]
+    terminating = any(n is not None and n <= 0 for n in ints[:2])
+    if terminating and None not in ints:
+        return _hyp2f1_exact_terminating(*ints, x)
+    xs = np.full(1, x, dtype=np.longdouble if terminating else float)
+    return complex(hyp2f1_array(a, b, c, xs)[0])
 
 
 def _hyp2f1_exact_terminating(a: int, b: int, c: int, x: float) -> complex:
@@ -95,13 +66,19 @@ def _hyp2f1_exact_terminating(a: int, b: int, c: int, x: float) -> complex:
 def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
     """Vectorized Gauss series over an array of x in [0, 1/2].
 
-    Runs in float64 and returns float64 when a, b and c are real, complex128
-    otherwise.  Stops after three consecutive terms below 1e-17 of the
-    partial sum at every node.  That all-node test only runs once it holds
-    at the node with the largest x, where the series converges slowest: the
-    probe is a necessary condition, so the term count does not depend on it.
+    The package's one series loop.  It runs in the precision of x: float64,
+    or np.longdouble when :func:`hyp2f1` sums a terminating series in
+    extended precision.  Values are real when a, b and c are real, complex
+    otherwise.  Float64 input sums terminating series in float64 as well:
+    exact and extended-precision sums are a contract of :func:`hyp2f1` only.
+
+    Stops after three consecutive terms below 1e-17 of the partial sum at
+    every node.  That all-node test only runs once it holds at the node with
+    the largest x, where the series converges slowest: the probe is a
+    necessary condition, so the term count does not depend on it.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    x = x if x.dtype == np.longdouble else x.astype(float, copy=False)
     if x.size and (x.min() < 0.0 or x.max() > 0.5 + 1e-15):
         raise DomainError("hyp2f1_array needs x in [0, 1/2]")
     a = complex(a)
@@ -110,7 +87,12 @@ def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarra
     real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
     if real:
         a, b, c = a.real, b.real, c.real
-    dtype = float if real else complex
+    dtype = x.dtype if real else np.result_type(x.dtype, np.complex64)
+    if x.dtype == np.longdouble:
+        # Form the step coefficients in extended precision too.  Double
+        # parameters stay Python scalars: numpy's complex division rounds
+        # differently in the last bit and would move the float64 results.
+        a, b, c = dtype.type(a), dtype.type(b), dtype.type(c)
     total = np.ones(x.shape, dtype=dtype)
     term = np.ones(x.shape, dtype=dtype)
     step = np.empty(x.shape, dtype=dtype)
@@ -123,7 +105,7 @@ def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarra
         if an == 0 or bn == 0:
             return total
         if abs(cn) < 1e-13:
-            raise PoleError(f"hyp2f1 pole: c={c!r} hits a non-positive integer")
+            raise PoleError(f"hyp2f1 pole: c={complex(c)!r} hits a non-positive integer")
         np.multiply(an * bn / (cn * (n + 1.0)), x, out=step)
         term *= step
         if abs(term[probe]) < 1e-17 * abs(total[probe]) + 1e-300 and np.all(
@@ -138,79 +120,62 @@ def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarra
     raise ConvergenceError("hyp2f1_array did not converge within 1e5 terms")
 
 
-def _positive_int_order(u: complex) -> int | None:
-    if abs(u.imag) < 1e-12 and abs(u.real - round(u.real)) < 1e-12 and round(u.real) >= 1:
-        return round(u.real)
-    return None
+def _order_recurrence(series, v, mo: int, x, w, s):
+    """P_v^mo(x) for integer order mo >= 1: the order recurrence from the
+    hypergeometric seeds at orders 0 and 1.  series is hyp2f1 or
+    hyp2f1_array, w = (1-x)/2 and s = sqrt(1-x^2)."""
+    p0 = series(-v, v + 1.0, 1.0, w)
+    p1 = -s * (v * (v + 1.0) / 2.0) * series(1.0 - v, v + 2.0, 2.0, w)
+    for m in range(1, mo):
+        p0, p1 = p1, -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
+    return p1
 
 
 def assoc_legendre_p(v: complex, u: complex, x: float) -> complex:
-    """P_v^u(x) for complex degree/order and real x in (0, 1)."""
+    """P_v^u(x) for complex degree/order and real x in (0, 1).
+
+    Sums through the scalar :func:`hyp2f1`, so terminating series (integer
+    degree) are exact or extended precision, unlike :func:`kernel_factor_array`.
+    """
     if not 0.0 < x < 1.0:
         raise DomainError(f"assoc_legendre_p needs x in (0,1), got {x}")
     v = complex(v)
     u = complex(u)
-    mo = _positive_int_order(u)
+    mo = nearest_int(u, _ORDER_TOL)
     w = (1.0 - x) / 2.0
-    if mo is None:
+    if mo is None or mo < 1:
         pref = cmath.exp(0.5 * u * math.log((1.0 + x) / (1.0 - x)))
         return pref * rgamma(1.0 - u) * hyp2f1(-v, v + 1.0, 1.0 - u, w)
-    # Integer order >= 1: recurrence in the order from hypergeometric seeds.
-    s = math.sqrt((1.0 - x) * (1.0 + x))
-    p0 = hyp2f1(-v, v + 1.0, 1.0, w)
-    p1 = -s * (v * (v + 1.0) / 2.0) * hyp2f1(1.0 - v, v + 2.0, 2.0, w)
-    if mo == 1:
-        return p1
-    for m in range(1, mo):
-        p2 = -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
-        p0, p1 = p1, p2
-    return p1
-
-
-def kernel_factor(v: complex, u: complex, x: float, one_minus_x: float | None = None) -> complex:
-    """(1 - x^2)^(-u/2) * P_v^u(x) - the form the integral kernel uses.
-
-    For non-integer order this collapses to
-    (1-x)^(-u) * 2F1(-v, v+1; 1-u; (1-x)/2) / Gamma(1-u),
-    which stays finite and accurate at both endpoints.  Pass one_minus_x
-    when 1-x is known to more digits than x itself.
-    """
-    omx = (1.0 - x) if one_minus_x is None else one_minus_x
-    if omx <= 0.0 or x <= 0.0:
-        raise DomainError("kernel_factor needs x in (0,1)")
-    v = complex(v)
-    u = complex(u)
-    mo = _positive_int_order(u)
-    if mo is None:
-        return cmath.exp(-u * math.log(omx)) * rgamma(1.0 - u) * hyp2f1(-v, v + 1.0, 1.0 - u, omx / 2.0)
-    p = assoc_legendre_p(v, u, x)
-    return p * cmath.exp(-0.5 * u * math.log(omx * (1.0 + x)))
+    return _order_recurrence(hyp2f1, v, mo, x, w, math.sqrt((1.0 - x) * (1.0 + x)))
 
 
 def kernel_factor_array(
     v: complex, u: complex, x: np.ndarray, one_minus_x: np.ndarray | None = None
 ) -> np.ndarray:
-    """Vectorized kernel_factor over node arrays; float64 when v and u are real."""
+    """(1 - x^2)^(-u/2) * P_v^u(x) over node arrays - the form the integral
+    kernel uses; float64 when v and u are real.
+
+    For non-integer order this collapses to
+    (1-x)^(-u) * 2F1(-v, v+1; 1-u; (1-x)/2) / Gamma(1-u),
+    which stays finite and accurate at both endpoints.  Pass one_minus_x
+    when 1-x is known to more digits than x itself.  The series always runs
+    in float64 (:func:`hyp2f1_array`), terminating ones included.
+    """
     x = np.asarray(x, dtype=float)
     omx = (1.0 - x) if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
     v = complex(v)
     u = complex(u)
-    mo = _positive_int_order(u)
+    mo = nearest_int(u, _ORDER_TOL)
     real = v.imag == 0.0 and u.imag == 0.0
     if real:
         v, u = v.real, u.real
     w = omx / 2.0
-    if mo is None:
+    if mo is None or mo < 1:
         rg = rgamma(1.0 - u)
         f = hyp2f1_array(-v, v + 1.0, 1.0 - u, w)
         return np.exp(-u * np.log(omx)) * (rg.real if real else rg) * f
-    # Integer order: order recurrence, vectorized.
-    s = np.sqrt(omx * (1.0 + x))
-    p0 = hyp2f1_array(-v, v + 1.0, 1.0, w)
-    p1 = -s * (v * (v + 1.0) / 2.0) * hyp2f1_array(1.0 - v, v + 2.0, 2.0, w)
-    for m in range(1, mo):
-        p0, p1 = p1, -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
-    return p1 * np.exp(-0.5 * u * np.log(omx * (1.0 + x)))
+    p = _order_recurrence(hyp2f1_array, v, mo, x, w, np.sqrt(omx * (1.0 + x)))
+    return p * np.exp(-0.5 * u * np.log(omx * (1.0 + x)))
 
 
 def legendre_recurrence(nmax: int, mo: int, x: float) -> list[float]:

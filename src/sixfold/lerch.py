@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, PoleError, UnsupportedRegimeError, principal_power
+from .core import DomainError, PoleError, UnsupportedRegimeError, nearest_int, principal_power
 from .quad import gauss_laguerre, tanh_sinh
 from .specialfn import digamma, hurwitz_zeta, rgamma
 
@@ -28,18 +28,10 @@ _MAX_SERIES_TERMS = 200_000
 _INT_TOL = 1e-12
 
 
-def _near_nonpositive_int(w: complex, tol: float = _INT_TOL) -> int | None:
-    if abs(w.imag) <= tol:
-        r = round(w.real)
-        if r <= 0 and abs(w.real - r) <= tol:
-            return r
-    return None
-
-
 def lerch_series(z: complex, s: complex, v: complex) -> complex:
     """Direct power series; intended for |z| <= 1 - 1e-3."""
     z, s, v = complex(z), complex(s), complex(v)
-    if _near_nonpositive_int(v) is not None:
+    if (pole := nearest_int(v, _INT_TOL)) is not None and pole <= 0:
         raise PoleError(f"series pole: v={v!r} is a non-positive integer")
     total = principal_power(v, -s)
     zpow = 1.0 + 0.0j
@@ -236,7 +228,7 @@ def lerch_phi(z: complex, s: complex, v: complex) -> complex:
     closed disk boundary ring.  |z| > 1 is rejected.
     """
     z, s, v = complex(z), complex(s), complex(v)
-    if _near_nonpositive_int(v) is not None:
+    if (pole := nearest_int(v, _INT_TOL)) is not None and pole <= 0:
         raise PoleError(f"lerch_phi pole: v={v!r} is a non-positive integer")
     az = abs(z)
     if az > 1.0 + 1e-12:
@@ -247,8 +239,8 @@ def lerch_phi(z: complex, s: complex, v: complex) -> complex:
             return hurwitz_zeta(s, v)
         raise DomainError("z = 1 requires Re(s) > 1")
 
-    neg = _near_nonpositive_int(s)
-    if neg is not None and -neg <= 10:
+    neg = nearest_int(s, _INT_TOL)
+    if neg is not None and -10 <= neg <= 0:
         return lerch_apostol(z, -neg, v)
 
     if az <= 1.0 - 1e-3:

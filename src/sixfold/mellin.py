@@ -18,10 +18,12 @@ import math
 
 import numpy as np
 
-from .core import DomainError, PoleError
+from .core import DomainError, PoleError, nearest_int
 from .legendre import kernel_factor_array
 from .quad import tanh_sinh
-from .specialfn import gamma, log_gamma, _near_nonpositive_integer
+from .specialfn import gamma, log_gamma
+
+_POLE_TOL = 1e-13
 
 
 def _check_strip(s: complex, u: complex, v: complex) -> None:
@@ -44,12 +46,13 @@ def mellin_legendre_closed(s: complex, u: complex, v: complex) -> complex:
     an exact zero.
     """
     s, u, v = complex(s), complex(u), complex(v)
-    if _near_nonpositive_integer(s):
+    if (pole := nearest_int(s, _POLE_TOL)) is not None and pole <= 0:
         raise PoleError(f"M(s;u,v) pole at s={s!r}")
     d1 = (s - u + v) / 2.0 + 1.0
     d2 = (s - u - v + 1.0) / 2.0
-    if _near_nonpositive_integer(d1) or _near_nonpositive_integer(d2):
-        return 0.0 + 0.0j
+    for d in (d1, d2):
+        if (pole := nearest_int(d, _POLE_TOL)) is not None and pole <= 0:
+            return 0.0 + 0.0j
     expo = (
         0.5 * math.log(math.pi)
         + (u - s) * math.log(2.0)

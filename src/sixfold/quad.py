@@ -34,6 +34,7 @@ from .core import (
     ParameterSet,
     UnsupportedRegimeError,
     derive_exponents,
+    nearest_int,
 )
 from .legendre import kernel_factor_array
 from .specialfn import gamma
@@ -221,12 +222,6 @@ class QmcSpec:
 # ----------------------------------------------------------------------
 
 
-def _nearest_int(z: complex) -> int | None:
-    if abs(z.imag) < 1e-12 and abs(z.real - round(z.real)) < 1e-12:
-        return round(z.real)
-    return None
-
-
 def _int_power(s_vals: np.ndarray, n: int) -> np.ndarray:
     """s^n by repeated multiplication: numpy's float power calls pow() per
     element, which is several times slower for the small |n| used here."""
@@ -275,13 +270,13 @@ class Integrand6D:
 
     def integer_k(self) -> int | None:
         """k as an int when it is a non-negative integer, else None."""
-        kk = _nearest_int(self.ps.k)
+        kk = nearest_int(self.ps.k, 1e-12)
         return kk if kk is not None and kk >= 0 else None
 
     def coupling(self, s_vals: np.ndarray) -> np.ndarray:
         """S^k with principal powers; plain integer powers for integer k of
         either sign."""
-        kk = _nearest_int(self.ps.k)
+        kk = nearest_int(self.ps.k, 1e-12)
         if kk is not None and kk >= 0:
             return _int_power(s_vals, kk)
         if np.any(np.abs(s_vals) < 1e-300):
@@ -299,9 +294,9 @@ class Integrand6D:
         a = self.ps.a
         if abs(a.imag) < 1e-12 and a.real > 0:
             return (
-                "non-integer k with a on the positive real axis: the coupling "
-                "log vanishes inside the domain and no principal-value meaning "
-                "is defined"
+                "k is not a non-negative integer and a is on the positive real "
+                "axis: the coupling log vanishes inside the domain, where S^k "
+                "has a pole or branch point without a principal-value meaning"
             )
         return None
 

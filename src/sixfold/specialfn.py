@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import DomainError, PoleError
+from .core import DomainError, PoleError, nearest_int
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -59,13 +59,6 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-13
 
 
-def _near_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
-    if abs(z.imag) > tol:
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
-
-
 def _lanczos_log_gamma(z: complex) -> complex:
     # Valid for Re(z) >= 0.5.
     acc = _LANCZOS_C[0]
@@ -81,7 +74,7 @@ def log_gamma(z: complex) -> complex:
     gamma(z) = exp(log_gamma(z)); poles at the non-positive integers raise.
     """
     z = complex(z)
-    if _near_nonpositive_integer(z):
+    if (pole := nearest_int(z, _POLE_TOL)) is not None and pole <= 0:
         raise PoleError(f"log_gamma pole at z={z!r}")
     if z.real >= 0.5:
         return _lanczos_log_gamma(z)
@@ -97,7 +90,7 @@ def log_gamma(z: complex) -> complex:
 def gamma(z: complex) -> complex:
     """Complex gamma function (reflection used for Re(z) < 0.5)."""
     z = complex(z)
-    if _near_nonpositive_integer(z):
+    if (pole := nearest_int(z, _POLE_TOL)) is not None and pole <= 0:
         raise PoleError(f"gamma pole at z={z!r}")
     if z.real < 0.5:
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
@@ -107,7 +100,7 @@ def gamma(z: complex) -> complex:
 def rgamma(z: complex) -> complex:
     """1/gamma(z); entire, returns 0 at the poles of gamma."""
     z = complex(z)
-    if _near_nonpositive_integer(z):
+    if (pole := nearest_int(z, _POLE_TOL)) is not None and pole <= 0:
         return 0.0 + 0.0j
     return 1.0 / gamma(z)
 
@@ -116,7 +109,7 @@ def digamma(z: complex) -> complex:
     """psi(z) by asymptotic series after upward recurrence; reflection on
     the left half-plane.  Relative accuracy ~1e-12 for |z| <= 50."""
     z = complex(z)
-    if _near_nonpositive_integer(z):
+    if (pole := nearest_int(z, _POLE_TOL)) is not None and pole <= 0:
         raise PoleError(f"digamma pole at z={z!r}")
     if z.real < 0.5:
         # psi(z) = psi(1-z) - pi*cot(pi*z)
@@ -142,7 +135,7 @@ def polygamma(n: int, z: complex) -> complex:
     if n == 0:
         return digamma(z)
     z = complex(z)
-    if _near_nonpositive_integer(z):
+    if (pole := nearest_int(z, _POLE_TOL)) is not None and pole <= 0:
         raise PoleError(f"polygamma pole at z={z!r}")
 
     fact_n = math.factorial(n)
@@ -227,8 +220,8 @@ def hurwitz_zeta(s: complex, v: complex) -> complex:
     if abs(s - 1.0) < 1e-12:
         raise PoleError("hurwitz_zeta pole at s=1")
 
-    n_int = round(s.real)
-    if abs(s.imag) <= _POLE_TOL and abs(s.real - n_int) <= _POLE_TOL and -26 <= n_int <= 0:
+    n_int = nearest_int(s, _POLE_TOL)
+    if n_int is not None and -26 <= n_int <= 0:
         n = -n_int
         return -bernoulli_polynomial(n + 1, v) / (n + 1)
 

@@ -147,6 +147,17 @@ def hyp2f1_array_complex(a: complex, b: complex, c: complex, x: np.ndarray) -> n
     raise ArithmeticError("hyp2f1 series did not converge")
 
 
+def hyp2f1_fraction(a: int, b: float, c: float, x: float) -> float:
+    """Terminating 2F1 (a a non-positive integer) summed in exact rational
+    arithmetic from the binary values of b, c and x."""
+    b, c, w = Fraction(b), Fraction(c), Fraction(x)
+    total = term = Fraction(1)
+    for n in range(-a):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * w
+        total += term
+    return float(total)
+
+
 def central_derivative(f, order: int, h) -> complex:
     if order == 1:
         return (f(h) - f(-h)) / (2.0 * h)

@@ -8,6 +8,7 @@ from sixfold.core import (
     ParameterSet,
     Tolerances,
     derive_exponents,
+    nearest_int,
     parameter_warnings,
     validate_parameters,
 )
@@ -115,3 +116,13 @@ def test_parameter_set_replace_immutable():
     assert ps.m == 0.5 + 0j
     assert ps2.m == 0.3 + 0j
     assert math.isfinite(ps2.m.real)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 7])
+@pytest.mark.parametrize("tol", [1e-13, 1e-12])
+def test_nearest_int_edges(n, tol):
+    for z in (n, n + tol / 2, n - tol / 2, complex(n, tol / 2)):
+        got = nearest_int(z, tol)
+        assert got == n and type(got) is int, z
+    for z in (n + 2 * tol, n - 2 * tol, complex(n, 2 * tol), complex(n, -2 * tol)):
+        assert nearest_int(z, tol) is None, z

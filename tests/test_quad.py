@@ -213,9 +213,10 @@ def test_qmc_coverage_on_reference():
 
 
 def test_qmc_inadmissible_regime():
-    ps = REFERENCE.replace(k=-1.0)  # a = 1 > 0 with negative k
-    with pytest.raises(UnsupportedRegimeError):
-        integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 10))
+    for k in (-1.0, 0.5):  # a = 1 > 0 with k not a non-negative integer
+        ps = REFERENCE.replace(k=k)
+        with pytest.raises(UnsupportedRegimeError, match="k is not a non-negative integer"):
+            integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 10))
 
 
 def test_qmc_negative_a_bounded_coupling_allowed():
