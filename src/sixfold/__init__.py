@@ -39,7 +39,6 @@ from .lerch import (
     lerch_minus_one_split,
     lerch_phi,
     lerch_series,
-    lerch_unit_circle,
     lerch_unit_circle_full,
 )
 from .mellin import log_moment, mellin_legendre_closed, mellin_legendre_quadrature

@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     ParameterSet,
     PoleError,
+    SixfoldError,
     Tolerances,
     derive_exponents,
     nearest_int,
@@ -470,7 +471,9 @@ def verify(
     stochastic and discretization paths); fewer than two computed values
     leave nothing to compare and the verdict passes vacuously, with the
     per-path statuses telling the story.  Parameter-strip violations
-    short-circuit to "invalid_parameters".
+    short-circuit to "invalid_parameters".  A path that raises a
+    ``SixfoldError`` or an ``ArithmeticError`` gets status "error"; any
+    other exception is a bug and propagates.
     """
     if isinstance(case, str):
         case = catalog_case(case)
@@ -508,14 +511,14 @@ def verify(
         try:
             reason = _admissibility(case, path, ps_thm)
             if reason is not None:
-                results[path] = PathResult(status="inadmissible", detail=reason)
-                continue
-            value, err = _run_path(case, path, ps_eff, ps_thm, second, qmc_spec, eps_sequence)
-            results[path] = PathResult(status="ok", value=value, err=err)
-        except Exception as exc:  # pragma: no cover - defensive reporting
-            results[path] = PathResult(status="error", detail=f"{type(exc).__name__}: {exc}")
-        finally:
-            results[path].seconds = time.perf_counter() - t0
+                result = PathResult(status="inadmissible", detail=reason)
+            else:
+                value, err = _run_path(case, path, ps_eff, ps_thm, second, qmc_spec, eps_sequence)
+                result = PathResult(status="ok", value=value, err=err)
+        except (SixfoldError, ArithmeticError) as exc:
+            result = PathResult(status="error", detail=f"{type(exc).__name__}: {exc}")
+        result.seconds = time.perf_counter() - t0
+        results[path] = result
 
     diffs: dict[str, dict[str, float]] = {}
     ok = [(name, r) for name, r in results.items() if r.status == "ok"]

@@ -173,6 +173,26 @@ def test_verify_multi_path_pass():
     assert all(r.status == "ok" for r in rep.paths.values())
 
 
+def test_verify_reports_numeric_failure_as_path_error(monkeypatch):
+    def broken(*args):
+        raise DomainError("no convergence")
+
+    monkeypatch.setattr(engine, "lhs_moment_expansion", broken)
+    rep = engine.verify("theorem", REFERENCE, paths=("jet", "moment", "closed"))
+    assert rep.paths["moment"].status == "error"
+    assert rep.paths["moment"].detail == "DomainError: no convergence"
+    assert rep.paths["jet"].status == rep.paths["closed"].status == "ok"
+
+
+def test_verify_propagates_programming_errors(monkeypatch):
+    def broken(*args):
+        raise TypeError("bad operand")
+
+    monkeypatch.setattr(engine, "lhs_moment_expansion", broken)
+    with pytest.raises(TypeError, match="bad operand"):
+        engine.verify("theorem", REFERENCE, paths=("jet", "moment", "closed"))
+
+
 def test_verify_invalid_parameters():
     rep = engine.verify("theorem", ParameterSet(k=0, m=1.2))
     assert rep.verdict == "invalid_parameters"

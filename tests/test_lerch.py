@@ -13,7 +13,6 @@ from sixfold.lerch import (
     lerch_minus_one_split,
     lerch_phi,
     lerch_series,
-    lerch_unit_circle,
     lerch_unit_circle_full,
 )
 from sixfold.specialfn import hurwitz_zeta
@@ -65,7 +64,7 @@ def test_apostol_pole_and_cap():
 
 
 def test_unit_circle_eta3():
-    got = lerch_unit_circle(-1.0, 3.0, 1.0)
+    got = lerch_unit_circle_full(-1.0, 3.0, 1.0)[0]
     partial = alternating_sum(lambda n: (n + 1.0) ** -3, 4000)
     assert abs(got - partial) < (4001.0) ** -3 + 1e-12
     assert abs(got - 0.75 * ZETA3) < 1e-12
@@ -74,7 +73,7 @@ def test_unit_circle_eta3():
 def test_unit_circle_vs_hurwitz_split():
     s, v = 2.5, 0.8
     split = lerch_minus_one_split(s, v)
-    circle = lerch_unit_circle(-1.0, s, v)
+    circle = lerch_unit_circle_full(-1.0, s, v)[0]
     assert abs(split - circle) <= 1e-9 * abs(split)
 
 
@@ -86,9 +85,9 @@ def test_unit_circle_imaginary_point_frozen():
 
 def test_unit_circle_rejects_near_one():
     with pytest.raises(DomainError):
-        lerch_unit_circle(cmath.exp(1e-8j), 2.0, 1.0)
+        lerch_unit_circle_full(cmath.exp(1e-8j), 2.0, 1.0)
     with pytest.raises(DomainError):
-        lerch_unit_circle(0.5, 2.0, 1.0)
+        lerch_unit_circle_full(0.5, 2.0, 1.0)
 
 
 def test_minus_one_split_values():
@@ -164,7 +163,7 @@ def test_regime_agreement_series_vs_abel_plana():
         s = complex(rng.uniform(-2.5, 4.0), rng.uniform(-1.0, 1.0))
         v = complex(rng.uniform(0.4, 2.0), rng.uniform(-0.5, 0.5))
         a = lerch_series(z, s, v)
-        b = _abel_plana_phi(z, s, v, level=8)
+        b = _abel_plana_phi(z, s, v)[0]
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a)), (z, s, v)
 
 
@@ -174,7 +173,7 @@ def test_regime_agreement_circle_vs_integral_oracle():
         z = cmath.exp(2j * math.pi * rng.uniform(0.1, 0.9))
         s = complex(rng.uniform(0.6, 3.5), rng.uniform(-0.8, 0.8))
         v = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.4, 0.4))
-        a = lerch_unit_circle(z, s, v)
+        a = lerch_unit_circle_full(z, s, v)[0]
         b = lerch_integral_oracle(z, s, v)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a)), (z, s, v)
 
@@ -185,7 +184,7 @@ def test_regime_agreement_apostol_vs_circle():
         z = cmath.exp(2j * math.pi * rng.uniform(0.1, 0.9))
         v = complex(rng.uniform(0.4, 1.8), rng.uniform(-0.4, 0.4))
         a = lerch_apostol(z, n, v)
-        b = lerch_unit_circle(z, complex(-n), v)
+        b = lerch_unit_circle_full(z, complex(-n), v)[0]
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a)), (z, n, v)
 
 
@@ -199,3 +198,77 @@ def test_apostol_is_polynomial_in_v():
             diff = [b - a for a, b in zip(diff, diff[1:])]
         scale = max(abs(v) for v in vals)
         assert abs(diff[0]) <= 1e-10 * scale
+
+
+def _mp_lerch(mpmath, z, s, v):
+    with mpmath.workdps(30):
+        return complex(mpmath.lerchphi(mpmath.mpc(z), mpmath.mpc(s), mpmath.mpc(v)))
+
+
+def _abel_plana_route_points(rng, route, count):
+    """Points that lerch_phi sends to the Abel-Plana evaluator.  Re v >= 0.1
+    for Re s <= 0 (the closed form's s = -k) and Re v >= 0.3 otherwise:
+    closer to Re v = 0 the factor (v +- it)^-s varies faster than the capped
+    level resolves (see test_abel_plana_estimate_covers_near_singular_v)."""
+    for _ in range(count):
+        if route == "handoff":
+            s = complex(rng.uniform(-6.0, -2.5), rng.uniform(-1.0, 1.0))
+        else:
+            s = complex(rng.uniform(-6.0, 4.0), rng.uniform(-1.0, 1.0))
+        v = complex(rng.uniform(0.1 if s.real <= 0 else 0.3, 2.0), rng.uniform(-1.0, 1.0))
+        if route == "circle":  # |z - 1| >= 0.01
+            z = cmath.exp(1j * rng.choice((1.0, -1.0)) * rng.uniform(0.01, math.pi))
+        elif route == "annulus":
+            rho = rng.uniform(0.999, 1.0 - 1e-6)
+            z = rho * cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01))
+        else:
+            z = rng.uniform(0.99, 0.999) * cmath.exp(1j * rng.uniform(0.05, 2 * math.pi - 0.05))
+        yield z, s, v
+
+
+@pytest.mark.parametrize("route", ["circle", "annulus", "handoff"])
+def test_abel_plana_routes_match_mpmath(route, monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    import sixfold.lerch as lerch
+
+    calls = []
+    real = lerch._abel_plana_phi
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lerch, "_abel_plana_phi", spy)
+    rng = random.Random({"circle": 61, "annulus": 62, "handoff": 63}[route])
+    for z, s, v in _abel_plana_route_points(rng, route, 6):
+        calls.clear()
+        got = lerch.lerch_phi(z, s, v)
+        assert calls, (route, z, s, v)
+        ref = _mp_lerch(mpmath, z, s, v)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (route, z, s, v)
+
+
+def test_abel_plana_estimate_covers_near_singular_v():
+    # Re v < 0.1 with Re s > 0: (v +- it)^-s peaks at t = |Im v|, a distance
+    # Re v from the contour, and level 8 no longer resolves it (errors up to
+    # 7.5e-4 relative were measured); the estimate must then cover the error.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(64)
+    for _ in range(6):
+        z = cmath.exp(1j * rng.choice((1.0, -1.0)) * rng.uniform(0.01, math.pi))
+        s = complex(rng.uniform(2.0, 4.0), rng.uniform(-1.0, 1.0))
+        v = complex(rng.uniform(0.05, 0.1), rng.choice((1.0, -1.0)) * rng.uniform(0.4, 1.0))
+        val, est = lerch_unit_circle_full(z, s, v)
+        err = abs(val - _mp_lerch(mpmath, z, s, v))
+        assert err <= max(1e-12 * abs(val), est), (z, s, v)
+
+
+def test_unit_circle_estimate_covers_error_at_level_cap():
+    # Re v -> 0: the refinement reaches the level 8 cap without converging
+    # (estimates 8.2e-8, 5.9e-9 and 2.7e-10 at caps 6, 7 and 8).
+    mpmath = pytest.importorskip("mpmath")
+    z = cmath.exp(2j * math.pi * 0.42097948679455266)
+    s = -2.184593970874359
+    v = 0.0026154932910290763 + 0.24329594840714694j
+    val, est = lerch_unit_circle_full(z, s, v)
+    assert abs(val - _mp_lerch(mpmath, z, s, v)) <= est <= 1e-9
