@@ -450,8 +450,7 @@ def _default_tensor_rules(exq, coarse: bool = False):
     n = 24 if coarse else 32
     ts = tanh_sinh(level)
     return (ts, ts) + tuple(
-        log_axis_rule(b.real, n=n, level=level)
-        for b in (exq.beta_p, exq.beta_q, exq.beta_t, exq.beta_z)
+        log_axis_rule(b.real, n=n, level=level) for b in exq.as_tuple()
     )
 
 
@@ -584,10 +583,9 @@ def _run_path(
     if path == "moment":
         return lhs_moment_expansion(ps_thm), None
     if path == "tensor":
-        exq = derive_exponents(ps_thm)
         f = Integrand6D(ps_thm)
-        fine = integrate_6d_tensor(f, _default_tensor_rules(exq))
-        coarse = integrate_6d_tensor(f, _default_tensor_rules(exq, coarse=True))
+        fine = integrate_6d_tensor(f, _default_tensor_rules(f.exq))
+        coarse = integrate_6d_tensor(f, _default_tensor_rules(f.exq, coarse=True))
         return fine, abs(fine - coarse)
     if path == "qmc":
         spec = qmc_spec or QmcSpec(count=1 << 16, shift_seed=20170)

@@ -232,7 +232,7 @@ def lerch_integral_oracle(z: complex, s: complex, v: complex, level: int = 9) ->
     )
 
     sigma = max(v.real, 0.05)
-    lag = gauss_laguerre(48, 0.0)
+    lag = gauss_laguerre(48)
     tt = 1.0 + lag.nodes / sigma
     vals = np.exp((s - 1.0) * np.log(tt) - v * tt + lag.nodes) / (1.0 - z * np.exp(-tt))
     part2 = np.sum(lag.weights * vals) / sigma

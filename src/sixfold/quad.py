@@ -1,14 +1,19 @@
 """Quadrature rules and the direct six-dimensional integration paths.
 
 One-dimensional rules: tanh-sinh on the open unit interval (double
-exponential, handles endpoint singularities) and generalized
-Gauss-Laguerre on (0, inf) with weight x^alpha e^-x.
+exponential, handles endpoint singularities), Gauss-Laguerre on (0, inf)
+with weight e^-x, and ``log_axis_rule`` for the log-power axes.
 
 The six-dimensional integrand, after substituting L = log(1/.) on the four
 log-power axes, factors as
 
     Gx(x) * Gy(y) * prod_i L_i^beta_i e^-L_i * S^k,
     S = log a + log x - log y + (log Lt + log Lz - log Lp - log Lq) / 2.
+
+Both direct paths treat the weight L^beta e^-L on L <= 1 through one
+substitution, L = T^(1/(1+beta)) (``_log_axis_head``): it folds L^beta and
+the Jacobian into the constant 1/(1+beta), and carries ln L instead of L,
+which underflows as Re beta -> -1.
 
 ``integrate_6d_tensor`` evaluates the full tensor-product quadrature sum of
 that integrand; for integer k >= 0 the sum is reorganized exactly (binomial
@@ -37,7 +42,6 @@ from .core import (
     nearest_int,
 )
 from .legendre import kernel_factor_array
-from .specialfn import gamma
 
 _MAX_LEVEL = 12
 _MAX_NODES = 512
@@ -48,13 +52,15 @@ _TS_YMAX = 345.0
 @dataclass(frozen=True)
 class Rule1D:
     """Nodes-and-weights rule; ``complement`` carries 1 - node for rules on
-    (0, 1) so endpoint-singular kernels keep full precision near 1."""
+    (0, 1) so endpoint-singular kernels keep full precision near 1, and
+    ``log_nodes`` carries ln node for the log-axis rule, whose smallest
+    nodes underflow to 0."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
     alpha: float | None = None
     complement: np.ndarray | None = None
+    log_nodes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.weights):
@@ -83,7 +89,7 @@ def _tanh_sinh_points(level: int, first: int) -> Rule1D:
     nodes = np.concatenate([lo[skip:][::-1], hi])
     comp = np.concatenate([hi[skip:][::-1], lo])
     weights = np.concatenate([w[skip:][::-1], w])
-    return Rule1D(nodes=nodes, weights=weights, kind="tanh_sinh", complement=comp)
+    return Rule1D(nodes=nodes, weights=weights, complement=comp)
 
 
 def tanh_sinh(level: int) -> Rule1D:
@@ -100,24 +106,31 @@ def tanh_sinh_refinement(level: int) -> Rule1D:
     return _tanh_sinh_points(level, 1)
 
 
-def gauss_laguerre(n: int, alpha: float = 0.0) -> Rule1D:
-    """Generalized Gauss-Laguerre rule: integrates f against x^alpha e^-x.
+def gauss_laguerre(n: int) -> Rule1D:
+    """Gauss-Laguerre rule: integrates f against e^-x on (0, inf).
 
-    Golub-Welsch on the Jacobi matrix; weights normalized so the rule
-    applied to f = 1 returns Gamma(alpha + 1).
+    Golub-Welsch on the Jacobi matrix; the weights are the squared first
+    eigenvector components, so the rule applied to f = 1 returns 1.
     """
     if not 1 <= n <= _MAX_NODES:
         raise DomainError(f"gauss_laguerre n must be in [1, {_MAX_NODES}]")
-    if alpha <= -1.0:
-        raise DomainError(f"gauss_laguerre needs alpha > -1, got {alpha}")
-    i = np.arange(n)
-    diag = 2.0 * i + alpha + 1.0
-    off = np.sqrt((i[1:]) * (i[1:] + alpha))
-    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    off = np.arange(1.0, n)
+    jac = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     evals, evecs = np.linalg.eigh(jac)
-    mass = gamma(alpha + 1.0).real
-    weights = mass * evecs[0, :] ** 2
-    return Rule1D(nodes=evals, weights=weights, kind="gauss_laguerre", alpha=float(alpha))
+    return Rule1D(nodes=evals, weights=evecs[0, :] ** 2)
+
+
+def _log_axis_head(ln_t: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The head substitution L = T^c, c = 1/(1+beta), for T in (0, 1].
+
+    Returns ln L = c ln T and the log weight ln(L^beta e^-L dL/dT) = ln c - L:
+    L^beta and the Jacobian c T^(c-1) cancel exactly, so no factor
+    underflows however close beta is to -1.  T^c overflows for T > 1, so
+    the callers apply it to the head only.
+    """
+    c = 1.0 / (1.0 + beta)
+    ln_l = c * ln_t
+    return ln_l, math.log(c) - np.exp(ln_l)
 
 
 def log_axis_rule(alpha: float, n: int = 32, level: int = 5) -> Rule1D:
@@ -126,24 +139,25 @@ def log_axis_rule(alpha: float, n: int = 32, level: int = 5) -> Rule1D:
     Plain Gauss-Laguerre is polynomially exact but converges like a low
     power of 1/n once f carries the ln^r L factors the coupling kernel
     produces (measured ~n^(-1/4) at alpha = -3/4).  This rule folds the
-    weight explicitly: a tanh-sinh panel on (0, 1] soaks up the
-    L^alpha ln^r L endpoint, and a shifted Gauss-Laguerre handles [1, inf)
-    where everything is smooth.  Weights stay positive.
+    weight explicitly: on (0, 1] a tanh-sinh panel in T, with
+    L = T^(1/(1+alpha)) (``_log_axis_head``), soaks up the L^alpha ln^r L
+    endpoint, and a shifted Gauss-Laguerre handles [1, inf) where
+    everything is smooth.  Weights stay positive.  ``log_nodes`` holds
+    ln L; as alpha -> -1 the head nodes L themselves underflow to 0, while
+    ln L and the weights keep the full mass Gamma(alpha + 1).
     """
     if alpha <= -1.0:
         raise DomainError(f"log_axis_rule needs alpha > -1, got {alpha}")
     ts = tanh_sinh(level)
-    lag = gauss_laguerre(n, 0.0)
-    nodes = np.concatenate([ts.nodes, 1.0 + lag.nodes])
+    lag = gauss_laguerre(n)
+    head_ln, head_lw = _log_axis_head(np.log(ts.nodes), alpha)
+    tail = 1.0 + lag.nodes
+    log_nodes = np.concatenate([head_ln, np.log(tail)])
     weights = np.concatenate(
-        [
-            ts.weights * ts.nodes**alpha * np.exp(-ts.nodes),
-            lag.weights * (1.0 + lag.nodes) ** alpha * math.exp(-1.0),
-        ]
+        [ts.weights * np.exp(head_lw), lag.weights * tail**alpha * math.exp(-1.0)]
     )
-    keep = weights > 0.0  # drop panel nodes whose folded weight underflowed
     return Rule1D(
-        nodes=nodes[keep], weights=weights[keep], kind="de_laguerre", alpha=float(alpha)
+        nodes=np.exp(log_nodes), weights=weights, alpha=float(alpha), log_nodes=log_nodes
     )
 
 
@@ -318,39 +332,16 @@ class Integrand6D:
             )
         return None
 
-    # -- pointwise value ---------------------------------------------------
-
-    def __call__(self, x, y, lp, lq, lt, lz) -> np.ndarray:
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        lp, lq = np.asarray(lp, dtype=float), np.asarray(lq, dtype=float)
-        lt, lz = np.asarray(lt, dtype=float), np.asarray(lz, dtype=float)
-        exq = self.exq
-        val = self.x_factor(x) * self.y_factor(y)
-        for beta, ell in ((exq.beta_p, lp), (exq.beta_q, lq), (exq.beta_t, lt), (exq.beta_z, lz)):
-            val = val * np.exp(beta * np.log(ell) - ell)
-        s_vals = (
-            cmath.log(complex(self.ps.a))
-            + np.log(x)
-            - np.log(y)
-            + 0.5 * (np.log(lt) + np.log(lz) - np.log(lp) - np.log(lq))
-        )
-        val = val * self.coupling(s_vals)
-        if not np.all(np.isfinite(val)):
-            bad = np.argwhere(~np.isfinite(np.asarray(val)))[:1]
-            raise NonFiniteSampleError(f"non-finite integrand sample at index {bad}")
-        return val
-
 
 def _check_tensor_rules(f: Integrand6D, rules) -> None:
     if len(rules) != 6:
         raise DomainError("integrate_6d_tensor needs one rule per axis (x, y, p, q, t, z)")
     for axis, rule in zip(("x", "y"), rules[:2]):
-        if rule.kind != "tanh_sinh":
+        if rule.complement is None:
             raise DomainError(f"axis {axis} must use a tanh_sinh rule")
-    betas = (f.exq.beta_p, f.exq.beta_q, f.exq.beta_t, f.exq.beta_z)
-    for name, rule, beta in zip(("p", "q", "t", "z"), rules[2:], betas):
-        if rule.kind not in ("gauss_laguerre", "de_laguerre"):
-            raise DomainError(f"axis {name} must use a gauss_laguerre or de_laguerre rule")
+    for name, rule, beta in zip(("p", "q", "t", "z"), rules[2:], f.exq.as_tuple()):
+        if rule.log_nodes is None:
+            raise DomainError(f"axis {name} must use a log_axis_rule")
         if abs(rule.alpha - beta.real) > 1e-12:
             raise DomainError(
                 f"axis {name}: rule alpha {rule.alpha} != Re(beta) {beta.real}"
@@ -376,17 +367,16 @@ def integrate_6d_tensor(f: Integrand6D, rules) -> complex:
     lnx = np.log(rx.nodes)
     lny = np.log(ry.nodes)
 
-    betas = (f.exq.beta_p, f.exq.beta_q, f.exq.beta_t, f.exq.beta_z)
     signs = (-0.5, -0.5, 0.5, 0.5)
-    # Normalized log-moments per Laguerre axis: m_hat[r] = sum w L^(i Im b)
+    # Normalized log-moments per log axis: m_hat[r] = sum w L^(i Im b)
     # (sign*ln L)^r / r!; their polynomial convolution gives the joint
     # moments of the axis sum.
     mhat = []
-    for rule, beta, sign in zip((rp, rq, rt, rz), betas, signs):
-        lam = sign * np.log(rule.nodes)
+    for rule, beta, sign in zip((rp, rq, rt, rz), f.exq.as_tuple(), signs):
+        lam = sign * rule.log_nodes
         g = rule.weights.astype(complex)
         if beta.imag != 0.0:
-            g = g * np.exp(1j * beta.imag * np.log(rule.nodes))
+            g = g * np.exp(1j * beta.imag * rule.log_nodes)
         vec = np.empty(kk + 1, dtype=complex)
         powl = np.ones_like(lam)
         fact = 1.0
@@ -424,13 +414,12 @@ def integrate_6d_brute(f: Integrand6D, rules) -> complex:
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
     ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
     lna = cmath.log(complex(f.ps.a))
-    betas = (f.exq.beta_p, f.exq.beta_q, f.exq.beta_t, f.exq.beta_z)
 
     gp, gq, gt, gz = (
-        rule.weights * np.exp(1j * beta.imag * np.log(rule.nodes))
-        for rule, beta in zip((rp, rq, rt, rz), betas)
+        rule.weights * np.exp(1j * beta.imag * rule.log_nodes)
+        for rule, beta in zip((rp, rq, rt, rz), f.exq.as_tuple())
     )
-    lp, lq, lt, lz = (np.log(r.nodes) for r in (rp, rq, rt, rz))
+    lp, lq, lt, lz = (r.log_nodes for r in (rp, rq, rt, rz))
     w4 = (
         gp[:, None, None, None]
         * gq[None, :, None, None]
@@ -456,9 +445,10 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
 
     Unit-cube mapping: the x and y samples are power-warped (x = u^(1/m),
     y = u^(1/(1-m))) so the endpoint powers x^(m-1), y^-m are absorbed by
-    the sampling density; the four log-axis variables use L = -log(u)
-    composed with a head warp L = T^(1/(1+beta)) for T <= 1 that absorbs
-    the L^beta singularity.  Without the warps the estimator has unbounded
+    the sampling density; the four log-axis variables use T = -log(u),
+    with L = T on the tail T > 1 and the head substitution
+    L = T^(1/(1+beta)) (``_log_axis_head``) for T <= 1, which absorbs the
+    L^beta singularity.  Without the warps the estimator has unbounded
     variance and its replicate scatter understates the error; with them the
     weight is bounded up to logarithms.  Strip parameters must be real
     (imaginary parts below 1e-12 are dropped): the kernels and weights run
@@ -471,16 +461,14 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
         raise UnsupportedRegimeError(reason)
     base = sobol_points(spec.count, spec.dimension)
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * spec.dimension)
-    exq = f.exq
     lna = cmath.log(complex(f.ps.a))
     if lna.imag == 0.0:
         lna = lna.real
     px = 1.0 / f.ps.m.real
     py = 1.0 / (1.0 - f.ps.m.real)
-    betas = tuple(b.real for b in (exq.beta_p, exq.beta_q, exq.beta_t, exq.beta_z))
+    betas = tuple(b.real for b in f.exq.as_tuple())
     if min(betas) <= -1.0:
         raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
-    heads = tuple(1.0 / (1.0 + b) for b in betas)
 
     rep_means: list[complex] = []
     scale = 2.0**-_SOBOL_BITS
@@ -497,21 +485,19 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
             # x^(m-1) dx and y^-m dy with their warp Jacobians are the
             # constants px and py.
             vals = (px * py) * f.x_kernel(np.exp(px * lnu_x)) * f.y_kernel(np.exp(py * lnu_y))
-            # Log of the four log-axis weights L^beta e^(-L) dL/dT e^T.  On
-            # the head L = T^c, ln L = c ln T is kept as is (L itself
-            # underflows when beta is near -1) and the Jacobian c T^(c-1)
-            # joins the exponent.
+            # Log of the four log-axis weights L^beta e^(-L) dL/dT over the
+            # sampling density e^(-T): the head weight plus T, and T^beta on
+            # the tail, where L = T.  The head substitution gets ln T <= 0
+            # only, since T^c overflows on the tail.
             log_w = np.zeros(len(u))
             ln_ell = []
-            for i, (beta, c) in enumerate(zip(betas, heads)):
+            for i, beta in enumerate(betas):
                 t_exp = -np.log(u[:, 2 + i])
                 ln_t = np.log(t_exp)
                 head = t_exp <= 1.0
-                lnl = np.where(head, c * ln_t, ln_t)
-                ell = np.where(head, np.exp(lnl), t_exp)
-                log_w += np.where(head, math.log(c) + (c - 1.0) * ln_t, 0.0)
-                log_w += beta * lnl - ell + t_exp
-                ln_ell.append(lnl)
+                head_ln, head_lw = _log_axis_head(np.minimum(ln_t, 0.0), beta)
+                ln_ell.append(np.where(head, head_ln, ln_t))
+                log_w += np.where(head, head_lw + t_exp, beta * ln_t)
             s_vals = lna + px * lnu_x - py * lnu_y + 0.5 * (
                 ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1]
             )
