@@ -71,10 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p_verify.add_argument(f"--{name}", default=None, help=f"parameter {name} (complex literal)")
     p_verify.add_argument("--n", default=None, help="second exponent for difference cases")
     p_verify.add_argument("--paths", default=None, help="comma-separated path subset")
-    p_verify.add_argument("--tol", default=None, help="relative tolerance (default 1e-8)")
-    p_verify.add_argument("--abs-tol", default=None, help="absolute tolerance (default 1e-12)")
-    p_verify.add_argument("--qmc-count", default=None, help="Sobol points per replicate (power of two)")
-    p_verify.add_argument("--seed", default=None, help="digital-shift seed")
+    p_verify.add_argument("--tol", default=None, help=f"relative tolerance (default {Tolerances.rel_tol:g})")
+    p_verify.add_argument("--abs-tol", default=None, help=f"absolute tolerance (default {Tolerances.abs_tol:g})")
+    p_verify.add_argument("--qmc-count", default=None, help=f"Sobol points per replicate (default {QmcSpec.count})")
+    p_verify.add_argument("--seed", default=None, help=f"digital-shift seed (default {QmcSpec.shift_seed})")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default=None)
     p_verify.add_argument("--output", default=None, help="write the report here instead of stdout")
     p_verify.add_argument("--config", default=None, help="key = value file mirroring the flags")
@@ -89,11 +89,19 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
         cfg = _read_config(args.config)
         for key, value in cfg.items():
+            # These never default to None, so a config value would be dropped.
+            if key in ("command", "config", "timings"):
+                raise DomainError(f"config key {key!r} can only be given on the command line")
             if not hasattr(args, key):
                 raise DomainError(f"unknown config key {key!r}")
             if getattr(args, key) is None:
                 setattr(args, key, value)
     return args
+
+
+def _given(cast, **fields) -> dict:
+    """The fields whose flag was given, cast; the others keep their defaults."""
+    return {name: cast(value) for name, value in fields.items() if value is not None}
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -171,24 +179,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             params[name] = parse_complex(str(value))
     ps = ParameterSet(**params)
     second = parse_complex(str(args.n)) if args.n is not None else None
-    rel = float(args.tol) if args.tol is not None else 1e-8
-    abs_tol = float(args.abs_tol) if args.abs_tol is not None else 1e-12
     paths = tuple(p.strip() for p in args.paths.split(",")) if args.paths else None
-    qmc_spec = None
-    if args.qmc_count is not None or args.seed is not None:
-        qmc_spec = QmcSpec(
-            count=int(args.qmc_count) if args.qmc_count is not None else 1 << 16,
-            shift_seed=int(args.seed) if args.seed is not None else 0,
-        )
+    tol = Tolerances(**_given(float, rel_tol=args.tol, abs_tol=args.abs_tol))
+    qmc_spec = QmcSpec(**_given(int, count=args.qmc_count, shift_seed=args.seed))
 
-    report = engine.verify(
-        args.case,
-        ps,
-        tol=Tolerances(abs_tol=abs_tol, rel_tol=rel),
-        paths=paths,
-        second=second,
-        qmc_spec=qmc_spec,
-    )
+    report = engine.verify(args.case, ps, tol=tol, paths=paths, second=second, qmc_spec=qmc_spec)
 
     if args.format == "json":
         text = json.dumps(

@@ -175,20 +175,20 @@ def parameter_warnings(ps: ParameterSet) -> list[str]:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Absolute/relative tolerance pair; at least one must be positive."""
+    """Absolute/relative tolerance pair; at least one must be positive.
 
-    abs_tol: float = 0.0
-    rel_tol: float = 1e-9
+    ``verify`` and the CLI use these defaults for every field the caller
+    does not set.
+    """
+
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise DomainError("tolerances must be non-negative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise DomainError("abs_tol and rel_tol cannot both be zero")
-
-    def within(self, x: complex, y: complex) -> bool:
-        scale = max(abs(x), abs(y))
-        return abs(x - y) <= self.abs_tol + self.rel_tol * scale
 
 
 def nearest_int(z: complex, tol: float) -> int | None:

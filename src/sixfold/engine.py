@@ -47,9 +47,9 @@ from .jets import (
     jet_of_reciprocal_gamma,
 )
 from .lerch import lerch_minus_one_split, lerch_phi
-from .mellin import mellin_legendre_closed
+from .mellin import log_moment, mellin_legendre_closed
 from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor, log_axis_rule, tanh_sinh
-from .specialfn import digamma, gamma, hurwitz_zeta, riemann_zeta
+from .specialfn import digamma, hurwitz_zeta, riemann_zeta
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -66,9 +66,9 @@ def _pin_int_k(ps: ParameterSet) -> int:
     return kk
 
 
-def lhs_jet(ps: ParameterSet, k: int | None = None) -> complex:
+def lhs_jet(ps: ParameterSet) -> complex:
     """k! * coefficient k of the collapsed closed-form jet."""
-    kk = _pin_int_k(ps if k is None else ps.replace(k=k))
+    kk = _pin_int_k(ps)
     jet = closed_form_jet(ps, kk)
     return math.factorial(kk) * jet[kk]
 
@@ -85,7 +85,7 @@ def _mellin_jet(s0: complex, sigma: float, u: complex, v: complex, order: int) -
     return out.scale(pref)
 
 
-def lhs_moment_expansion(ps: ParameterSet, k: int | None = None) -> complex:
+def lhs_moment_expansion(ps: ParameterSet) -> complex:
     """k! * coefficient k of the uncollapsed factor-product jet.
 
     Mathematically identical to lhs_jet; exercises the reconstructed
@@ -95,7 +95,7 @@ def lhs_moment_expansion(ps: ParameterSet, k: int | None = None) -> complex:
     lose about k*log10(1/margin) digits on this path; see
     core.parameter_warnings.
     """
-    kk = _pin_int_k(ps if k is None else ps.replace(k=k))
+    kk = _pin_int_k(ps)
     exq = derive_exponents(ps)
     order = kk
     jet = jet_exp_linear(cmath.log(ps.a), order)
@@ -136,17 +136,12 @@ def product_identity_check(ps: ParameterSet) -> tuple[complex, complex]:
     lhs = (
         mellin_legendre_closed(ps.m, ps.u, ps.v)
         * mellin_legendre_closed(1.0 - ps.m, ps.mu, ps.nu)
-        * _gamma1(exq.beta_t)
-        * _gamma1(exq.beta_z)
-        * _gamma1(exq.beta_p)
-        * _gamma1(exq.beta_q)
+        * log_moment(exq.beta_t)
+        * log_moment(exq.beta_z)
+        * log_moment(exq.beta_p)
+        * log_moment(exq.beta_q)
     )
-    rhs = math.pi**2 * principal_power(2.0, ps.mu + ps.u - 1.0) / cmath.sin(math.pi * ps.m)
-    return lhs, rhs
-
-
-def _gamma1(beta: complex) -> complex:
-    return gamma(beta + 1.0)
+    return lhs, catalog_case("degenerate").special(ps, None)
 
 
 def _catanh(z: complex) -> complex:
@@ -366,18 +361,17 @@ def rhs_example(case: IdentityCase | str, ps: ParameterSet, second: complex | No
 # Richardson limits in k
 # ----------------------------------------------------------------------
 
-_DEFAULT_EPS = (0.08, 0.04, 0.02, 0.01)
+_RICHARDSON_EPS = (0.08, 0.04, 0.02, 0.01)
 
 
-def rhs_limit_full(
-    case: IdentityCase | str,
-    ps: ParameterSet,
-    eps_sequence: tuple[float, ...] = _DEFAULT_EPS,
-) -> tuple[complex, float]:
+def rhs_limit_full(case: IdentityCase | str, ps: ParameterSet) -> tuple[complex, float]:
     """Richardson-extrapolated limit of the case's k-family at k0.
 
-    Symmetric +/- eps pairs kill the odd orders; Neville extrapolation in
-    eps^2 does the rest.  Returns (value, error_estimate).
+    The family is sampled at k0 +/- eps for each eps of the fixed
+    ``_RICHARDSON_EPS``; the symmetric pairs kill the odd orders, and
+    Neville extrapolation in eps^2 does the rest.  Returns (value,
+    error_estimate), the estimate being the change made by the last
+    extrapolation level.
     """
     if isinstance(case, str):
         case = catalog_case(case)
@@ -385,13 +379,7 @@ def rhs_limit_full(
         raise DomainError(f"case {case.tag!r} has no limit family")
     k0, family_tag = case.limit
     family = catalog_case(family_tag).special
-
-    eps = tuple(float(e) for e in eps_sequence)
-    if len(eps) < 2 or any(e < 1e-5 for e in eps) or any(
-        e2 >= e1 for e1, e2 in zip(eps, eps[1:])
-    ):
-        raise DomainError("eps sequence must be decreasing with entries >= 1e-5")
-
+    eps = _RICHARDSON_EPS
     sym = [
         (family(ps.replace(k=k0 + e), None) + family(ps.replace(k=k0 - e), None)) / 2.0
         for e in eps
@@ -457,13 +445,16 @@ def _default_tensor_rules(exq, coarse: bool = False):
 def verify(
     case: IdentityCase | str,
     ps: ParameterSet,
-    tol: Tolerances = Tolerances(abs_tol=1e-12, rel_tol=1e-8),
+    tol: Tolerances = Tolerances(),
     paths: tuple[str, ...] | None = None,
     second: complex | None = None,
     qmc_spec: QmcSpec | None = None,
-    eps_sequence: tuple[float, ...] = _DEFAULT_EPS,
 ) -> VerificationReport:
     """Run every requested path for one case and compare pairwise.
+
+    ``paths`` defaults to every path the case admits, ``tol`` to
+    ``Tolerances()``; the qmc path samples with ``qmc_spec``, or with
+    ``QmcSpec()`` when it is None.  Those two classes hold the defaults.
 
     Verdict is "pass" iff every computed pair of path values agrees within
     tolerance (plus three times the paths' own error estimates, for the
@@ -512,7 +503,7 @@ def verify(
             if reason is not None:
                 result = PathResult(status="inadmissible", detail=reason)
             else:
-                value, err = _run_path(case, path, ps_eff, ps_thm, second, qmc_spec, eps_sequence)
+                value, err = _run_path(case, path, ps_eff, ps_thm, second, qmc_spec)
                 result = PathResult(status="ok", value=value, err=err)
         except (SixfoldError, ArithmeticError) as exc:
             result = PathResult(status="error", detail=f"{type(exc).__name__}: {exc}")
@@ -576,7 +567,6 @@ def _run_path(
     ps_thm: ParameterSet,
     second: complex | None,
     qmc_spec: QmcSpec | None,
-    eps_sequence: tuple[float, ...],
 ) -> tuple[complex, float | None]:
     if path == "jet":
         return lhs_jet(ps_thm), None
@@ -588,9 +578,7 @@ def _run_path(
         coarse = integrate_6d_tensor(f, _default_tensor_rules(f.exq, coarse=True))
         return fine, abs(fine - coarse)
     if path == "qmc":
-        spec = qmc_spec or QmcSpec(count=1 << 16, shift_seed=20170)
-        value, stderr = integrate_6d_qmc(Integrand6D(ps_thm), spec)
-        return value, stderr
+        return integrate_6d_qmc(Integrand6D(ps_thm), qmc_spec or QmcSpec())
     if path == "closed":
         if case.needs_second_exponent:
             if second is None:
@@ -602,7 +590,7 @@ def _run_path(
     if path == "special":
         return rhs_example(case, ps_eff, second), None
     if path == "limit":
-        return rhs_limit_full(case, ps_eff, eps_sequence)
+        return rhs_limit_full(case, ps_eff)
     raise DomainError(f"unknown path {path!r}")
 
 

@@ -35,10 +35,6 @@ class Jet:
                 raise DomainError(f"non-finite jet coefficient {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
     def __getitem__(self, j: int) -> complex:
         return self.coeffs[j]
 

@@ -30,6 +30,8 @@ from .specialfn import digamma, hurwitz_zeta, rgamma
 _MAX_SERIES_TERMS = 200_000
 _INT_TOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
+# The tanh-sinh level the Abel-Plana evaluator refines up to.
+_ABEL_PLANA_MAX_LEVEL = 8
 
 
 def lerch_series(z: complex, s: complex, v: complex) -> complex:
@@ -104,9 +106,7 @@ def lerch_minus_one_split(s: complex, v: complex) -> complex:
 # ----------------------------------------------------------------------
 
 
-def _abel_plana_phi(
-    z: complex, s: complex, v: complex, level: int = 8
-) -> tuple[complex, float]:
+def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]:
     """Phi via Abel-Plana applied to f(x) = z^x (v+x)^(-s), with an estimate.
 
     Valid for 0 < |z| <= 1 with z not on [1, inf); requires Re(v) > 0.  The
@@ -119,14 +119,12 @@ def _abel_plana_phi(
     The two integrals are summed on tanh-sinh level 5, then refined one
     level at a time on the nodes each level adds (levels nest, so
     S_L = S_(L-1)/2 + new terms), until two successive levels agree to
-    8 u sum|terms| (u the float64 unit roundoff) or ``level`` is reached.
+    8 u sum|terms| (u the float64 unit roundoff) or level 8 is reached.
     Returns the value and |S_L - S_(L-1)| as its error estimate.
     """
-    if level < 6:
-        raise DomainError(f"Abel-Plana level cap must be at least 6, got {level}")
     theta = cmath.phase(z)
     if theta < 0.0:
-        val, est = _abel_plana_phi(z.conjugate(), s.conjugate(), v.conjugate(), level)
+        val, est = _abel_plana_phi(z.conjugate(), s.conjugate(), v.conjugate())
         return val.conjugate(), est
     rho = abs(z)
     lam = math.log(rho)
@@ -174,7 +172,7 @@ def _abel_plana_phi(
         )
 
     total, mass = terms(tanh_sinh(5))
-    for lev in range(6, level + 1):
+    for lev in range(6, _ABEL_PLANA_MAX_LEVEL + 1):
         new, new_mass = terms(tanh_sinh_refinement(lev))
         prev, total = total, 0.5 * total + new
         mass = 0.5 * mass + new_mass
@@ -183,11 +181,9 @@ def _abel_plana_phi(
     return 0.5 * principal_power(v, -s) + total, abs(total - prev)
 
 
-def lerch_unit_circle_full(
-    z: complex, s: complex, v: complex, level: int = 8
-) -> tuple[complex, float]:
+def lerch_unit_circle_full(z: complex, s: complex, v: complex) -> tuple[complex, float]:
     """Unit-circle Phi with an error estimate: the adaptive Abel-Plana
-    evaluator, refined up to tanh-sinh ``level``.
+    evaluator, refined up to tanh-sinh level 8.
 
     Preconditions: |z| = 1 within 1e-12, |z - 1| >= 1e-6, Re(v) > 0.
     About 1e-14 relative for |z - 1| >= 0.01 unless Re(v) is small (below
@@ -203,14 +199,15 @@ def lerch_unit_circle_full(
         raise DomainError("z too close to 1 for the unit-circle evaluator")
     if v.real <= 0:
         raise DomainError(f"unit-circle evaluator needs Re(v) > 0, got v={v!r}")
-    return _abel_plana_phi(z, s, v, level)
+    return _abel_plana_phi(z, s, v)
 
 
-def lerch_integral_oracle(z: complex, s: complex, v: complex, level: int = 9) -> complex:
+def lerch_integral_oracle(z: complex, s: complex, v: complex) -> complex:
     """Cross-check oracle: (1/Gamma(s)) int_0^inf t^(s-1) e^(-vt)/(1 - z e^-t) dt.
 
     Conditions: Re(v) > 0 and either |z| <= 1, z != 1, Re(s) > 0, or z = 1,
-    Re(s) > 1.  tanh-sinh on (0, 1], scaled Gauss-Laguerre on [1, inf).
+    Re(s) > 1.  tanh-sinh (level 9) on (0, 1], scaled Gauss-Laguerre on
+    [1, inf).
     """
     z, s, v = complex(z), complex(s), complex(v)
     if v.real <= 0:
@@ -223,7 +220,7 @@ def lerch_integral_oracle(z: complex, s: complex, v: complex, level: int = 9) ->
     elif not s.real > 0:
         raise DomainError("integral oracle needs Re(s) > 0 for z != 1")
 
-    ts = tanh_sinh(level)
+    ts = tanh_sinh(9)
     t = ts.nodes
     part1 = np.sum(
         ts.weights

@@ -63,13 +63,12 @@ def mellin_legendre_closed(s: complex, u: complex, v: complex) -> complex:
     return cmath.exp(expo)
 
 
-def mellin_legendre_quadrature(
-    s: complex, u: complex, v: complex, level: int = 10
-) -> complex:
-    """tanh-sinh evaluation of int_0^1 x^(s-1) (1-x^2)^(-u/2) P_v^u(x) dx."""
+def mellin_legendre_quadrature(s: complex, u: complex, v: complex) -> complex:
+    """tanh-sinh (level 10) evaluation of
+    int_0^1 x^(s-1) (1-x^2)^(-u/2) P_v^u(x) dx."""
     s, u, v = complex(s), complex(u), complex(v)
     _check_strip(s, u, v)
-    rule = tanh_sinh(level)
+    rule = tanh_sinh(10)
     x, omx = rule.nodes, rule.complement
     vals = np.exp((s - 1.0) * np.log(x)) * kernel_factor_array(v, u, x, omx)
     return complex(np.sum(rule.weights * vals))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import cmath
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -174,16 +175,16 @@ _SOBOL_PRIMITIVE = (
     (3, 2, (1, 1, 1)),
     (4, 1, (1, 1, 3, 3)),
 )
+# One per integration axis (x, y, p, q, t, z).
+_SOBOL_DIM = len(_SOBOL_PRIMITIVE) + 1
 
 
-def _direction_numbers(dim: int) -> np.ndarray:
-    """Direction numbers, shape (32, dim), as uint64 holding 32-bit values."""
-    if not 1 <= dim <= len(_SOBOL_PRIMITIVE) + 1:
-        raise DomainError(f"Sobol generator tabulated for dimensions 1..6, got {dim}")
-    v = np.zeros((_SOBOL_BITS, dim), dtype=np.uint64)
+def _direction_numbers() -> np.ndarray:
+    """Direction numbers, shape (32, 6), as uint64 holding 32-bit values."""
+    v = np.zeros((_SOBOL_BITS, _SOBOL_DIM), dtype=np.uint64)
     for j in range(_SOBOL_BITS):
         v[j, 0] = 1 << (_SOBOL_BITS - 1 - j)
-    for d in range(1, dim):
+    for d in range(1, _SOBOL_DIM):
         s, a, m = _SOBOL_PRIMITIVE[d - 1]
         vd = [0] * _SOBOL_BITS
         for j in range(_SOBOL_BITS):
@@ -199,13 +200,14 @@ def _direction_numbers(dim: int) -> np.ndarray:
     return v
 
 
-def sobol_points(count: int, dim: int = 6) -> np.ndarray:
-    """First ``count`` points of the Sobol sequence (unshifted), as uint64
-    integers in [0, 2^32); index 0 is the zero point."""
-    v = _direction_numbers(dim)
+def sobol_points(count: int) -> np.ndarray:
+    """First ``count`` points of the 6-dimensional Sobol sequence (unshifted),
+    shape (count, 6), as uint64 integers in [0, 2^32); index 0 is the zero
+    point."""
+    v = _direction_numbers()
     if count < 1:
         raise DomainError("count must be positive")
-    out = np.zeros((count, dim), dtype=np.uint64)
+    out = np.zeros((count, _SOBOL_DIM), dtype=np.uint64)
     if count == 1:
         return out
     idx = np.arange(1, count, dtype=np.uint64)
@@ -233,20 +235,17 @@ def _splitmix64_stream(seed: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class QmcSpec:
-    """Sobol sampling plan: 6 dimensions, power-of-two count, seeded shifts."""
+    """Sobol sampling plan: ``count`` points (a power of two >= 2^10) of the
+    6-dimensional sequence in each of ``replicates`` digital shifts, drawn
+    from ``shift_seed``.  ``verify`` uses ``QmcSpec()`` when given none."""
 
-    count: int
-    shift_seed: int = 0
-    dimension: int = 6
-    replicates: int = 8
+    count: int = 1 << 16
+    shift_seed: int = 20170
+    replicates: ClassVar[int] = 8
 
     def __post_init__(self) -> None:
-        if self.dimension != 6:
-            raise DomainError("QmcSpec dimension must be 6")
         if self.count < 1024 or self.count & (self.count - 1) != 0:
             raise DomainError("QmcSpec count must be a power of two >= 2^10")
-        if self.replicates < 2:
-            raise DomainError("need at least 2 replicates for a standard error")
 
 
 # ----------------------------------------------------------------------
@@ -459,8 +458,8 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     reason = f.qmc_admissible()
     if reason is not None:
         raise UnsupportedRegimeError(reason)
-    base = sobol_points(spec.count, spec.dimension)
-    shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * spec.dimension)
+    base = sobol_points(spec.count)
+    shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * _SOBOL_DIM)
     lna = cmath.log(complex(f.ps.a))
     if lna.imag == 0.0:
         lna = lna.real

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from sixfold.cli import main, parse_complex
-from sixfold.core import DomainError
+from sixfold.core import DomainError, ParameterSet, Tolerances
+from sixfold.engine import verify
 
 
 def test_parse_complex_forms():
@@ -148,6 +149,45 @@ def test_verify_config_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["case"] == "apery"
+
+
+@pytest.mark.parametrize("line", ["timings = true", "config = other.cfg"])
+def test_verify_config_rejects_flag_only_keys(tmp_path, capsys, line):
+    # Neither attribute defaults to None, so a config value for it would be
+    # dropped; it must be refused by name instead.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = apery\npaths = closed,special\nformat = json\n{line}\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(line.split()[0]) in captured.err
+
+
+def _json_report(capsys, *flags):
+    assert main(["verify", *flags, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_qmc_flags_override_only_their_field(capsys):
+    # --qmc-count alone used to fall back to seed 0 instead of the default.
+    base = ["--case", "degenerate", "--m", "0.5", "--paths", "qmc,closed"]
+    default = _json_report(capsys, *base)
+    assert _json_report(capsys, *base, "--qmc-count", "65536") == default
+    assert _json_report(capsys, *base, "--seed", "20170") == default
+
+
+def test_tolerance_flags_override_only_their_field(capsys):
+    default = Tolerances()
+    rep = verify("apery", ParameterSet(), paths=("closed", "special"))
+    assert rep.tolerances == default
+
+    def tolerances(*flags):
+        report = _json_report(capsys, "--case", "apery", "--paths", "closed,special", *flags)
+        return report["tolerances"]
+
+    assert tolerances() == {"abs": default.abs_tol, "rel": default.rel_tol}
+    assert tolerances("--tol", "1e-6") == {"abs": default.abs_tol, "rel": 1e-6}
+    assert tolerances("--abs-tol", "1e-9") == {"abs": 1e-9, "rel": default.rel_tol}
 
 
 def test_selftest_only_filter(capsys):

@@ -153,10 +153,7 @@ def test_difference_closed_path_via_lerch():
 
 
 def test_rhs_limit_validation():
-    case = engine.catalog_case("log2_limit")
     ps = ParameterSet(k=-1.0, a=1.0, m=1.0)
-    with pytest.raises(Exception):
-        engine.rhs_limit_full(case, ps, eps_sequence=(1e-7, 1e-8))
     with pytest.raises(Exception):
         engine.rhs_limit_full("degenerate", ps)
 
