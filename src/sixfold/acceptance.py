@@ -3,6 +3,9 @@
 Each criterion function returns a CriterionResult; tolerances are pinned
 here, not configurable.  Comparisons against values that can be exactly
 zero use the scale-aware form |x - y| <= tol * (1 + max(|x|, |y|)).
+
+``ALL_CRITERIA`` pairs each criterion with its wall-time budget and its
+``selftest --only`` keywords; ``run_criterion`` does all the timing.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    seconds: float
+    seconds: float = 0.0  # wall time, set by run_criterion
 
 
 def _random_valid_parameters(rng: random.Random, k: complex = 0.0, a: complex = 1.0) -> ParameterSet:
@@ -50,7 +53,6 @@ def _random_valid_parameters(rng: random.Random, k: complex = 0.0, a: complex = 
 
 
 def criterion_a1_degenerate_product() -> CriterionResult:
-    t0 = time.perf_counter()
     rng = random.Random(101)
     worst = 0.0
     for _ in range(50):
@@ -62,7 +64,6 @@ def criterion_a1_degenerate_product() -> CriterionResult:
         "A1 degenerate product identity (50 random strips, rel 1e-10)",
         ok,
         f"worst rel {worst:.3e}",
-        time.perf_counter() - t0,
     )
 
 
@@ -75,7 +76,6 @@ def _a2_grid():
 
 
 def criterion_a2_theorem_integer_k() -> CriterionResult:
-    t0 = time.perf_counter()
     worst = 0.0
     for ps in _a2_grid():
         l = engine.lhs_jet(ps)
@@ -86,12 +86,10 @@ def criterion_a2_theorem_integer_k() -> CriterionResult:
         "A2 jet vs Lerch closed form, k=0..6 grid (rel 1e-9)",
         ok,
         f"worst scaled diff {worst:.3e}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_a3_path_independence() -> CriterionResult:
-    t0 = time.perf_counter()
     worst = 0.0
     for ps in _a2_grid():
         l = engine.lhs_jet(ps)
@@ -102,12 +100,10 @@ def criterion_a3_path_independence() -> CriterionResult:
         "A3 moment-product jet vs collapsed jet (rel 1e-9)",
         ok,
         f"worst scaled diff {worst:.3e}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_a4_direct_6d() -> CriterionResult:
-    t0 = time.perf_counter()
     details = []
     ok = True
     base = ParameterSet(a=1.0, m=0.5, u=0.0, v=1.0, mu=0.0, nu=1.0)
@@ -136,12 +132,10 @@ def criterion_a4_direct_6d() -> CriterionResult:
         "A4 direct 6-D tensor (rel 1e-4) and QMC (3 stderr), k=0,1,2",
         ok,
         "; ".join(details),
-        time.perf_counter() - t0,
     )
 
 
 def criterion_a5_zeta_line() -> CriterionResult:
-    t0 = time.perf_counter()
     worst = 0.0
     for k in (0.5, 2.0, 3.0, 4.0):
         ps = ParameterSet(k=k, a=1.0, m=1.0, u=0.0, v=1.0, mu=0.0, nu=1.0)
@@ -153,12 +147,10 @@ def criterion_a5_zeta_line() -> CriterionResult:
         "A5 zeta line: Lerch path vs zeta closed form, k in {1/2,2,3,4} (rel 1e-8)",
         ok,
         f"worst scaled diff {worst:.3e}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_a6_apery() -> CriterionResult:
-    t0 = time.perf_counter()
     ps = ParameterSet(k=-3.0, a=1.0, m=1.0, u=0.0, v=1.0, mu=0.0, nu=1.0)
     closed = engine.rhs_theorem(engine.theorem_parameters(engine.catalog_case("apery"), ps))
     target = 3j * riemann_zeta(3.0).real / (32.0 * math.pi)
@@ -169,12 +161,10 @@ def criterion_a6_apery() -> CriterionResult:
         "A6 Apery point: k=-3 value 3i zeta(3)/(32 pi) (rel 1e-9)",
         ok,
         f"rel {rel:.3e}, value {closed:.10g}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_a7_log2_limit() -> CriterionResult:
-    t0 = time.perf_counter()
     ps = ParameterSet(k=-1.0, a=1.0, m=1.0, u=0.0, v=1.0, mu=0.0, nu=1.0)
     limit, est = engine.rhs_limit_full("log2_limit", ps)
     target = -1j * math.pi * math.log(2.0) / 2.0
@@ -184,12 +174,10 @@ def criterion_a7_log2_limit() -> CriterionResult:
         "A7 log(2) limit via Richardson at k -> -1 (1e-6)",
         ok,
         f"diff {diff:.3e} (estimate {est:.1e})",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_a8_harmonic_limit() -> CriterionResult:
-    t0 = time.perf_counter()
     ps = ParameterSet(k=-1.0, a=-2.0, m=0.5, u=0.0, v=1.0, mu=0.0, nu=1.0)
     case = engine.catalog_case("harmonic_limit")
     special = engine.rhs_example(case, ps)
@@ -203,12 +191,10 @@ def criterion_a8_harmonic_limit() -> CriterionResult:
         "A8 harmonic limit: Richardson (rel 1e-9) and 2^22-point QMC (3 stderr)",
         ok,
         f"limit rel {rel:.3e}; qmc diff {abs(qmc_val - special):.2e} vs 3se {3*stderr:.2e}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_a9_difference_identities() -> CriterionResult:
-    t0 = time.perf_counter()
     ps = ParameterSet(k=-1.0, a=1.0, m=0.5, u=0.0, v=1.0, mu=0.0, nu=1.0)
     val3 = engine.rhs_example("difference_arctanh", ps, second=1.0 / 3.0)
     val4 = engine.rhs_example("difference_arctanh", ps, second=0.25)
@@ -220,12 +206,10 @@ def criterion_a9_difference_identities() -> CriterionResult:
         "A9 difference identities at (1/2,1/3) and (1/2,1/4) (1e-12)",
         ok,
         f"log3 diff {d3:.2e}, arccoth diff {d4:.2e}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_a10_module_oracles() -> CriterionResult:
-    t0 = time.perf_counter()
     problems = []
 
     # Lerch regime agreement, rel 1e-8.
@@ -340,7 +324,6 @@ def criterion_a10_module_oracles() -> CriterionResult:
         "gamma 1e-11, jets 1e-6)",
         ok,
         detail,
-        time.perf_counter() - t0,
     )
 
 
@@ -366,54 +349,33 @@ def _richardson_derivative(f, order: int, h: float) -> complex:
     return complex((16.0 * r2 - r1) / 15.0)
 
 
+# (criterion, wall-time budget in seconds, extra keywords for selftest --only).
 ALL_CRITERIA = (
-    criterion_a1_degenerate_product,
-    criterion_a2_theorem_integer_k,
-    criterion_a3_path_independence,
-    criterion_a4_direct_6d,
-    criterion_a5_zeta_line,
-    criterion_a6_apery,
-    criterion_a7_log2_limit,
-    criterion_a8_harmonic_limit,
-    criterion_a9_difference_identities,
-    criterion_a10_module_oracles,
+    (criterion_a1_degenerate_product, 1.0, "product mellin csc"),
+    (criterion_a2_theorem_integer_k, 10.0, "jet lerch closed grid"),
+    (criterion_a3_path_independence, 10.0, "moment mellin jet"),
+    (criterion_a4_direct_6d, 120.0, "tensor qmc quadrature sobol"),
+    (criterion_a5_zeta_line, 5.0, "lerch zeta eta"),
+    (criterion_a6_apery, 1.0, "zeta lerch"),
+    (criterion_a7_log2_limit, 5.0, "limit richardson"),
+    (criterion_a8_harmonic_limit, 180.0, "limit richardson qmc digamma harmonic"),
+    (criterion_a9_difference_identities, 1.0, "arctanh difference"),
+    (criterion_a10_module_oracles, 60.0, "lerch legendre mellin gamma jets oracles"),
 )
 
-# Wall-time budgets per criterion, seconds.
-BUDGETS = {
-    "criterion_a1_degenerate_product": 1.0,
-    "criterion_a2_theorem_integer_k": 10.0,
-    "criterion_a3_path_independence": 10.0,
-    "criterion_a4_direct_6d": 120.0,
-    "criterion_a5_zeta_line": 5.0,
-    "criterion_a6_apery": 1.0,
-    "criterion_a7_log2_limit": 5.0,
-    "criterion_a8_harmonic_limit": 180.0,
-    "criterion_a9_difference_identities": 1.0,
-    "criterion_a10_module_oracles": 60.0,
-}
 
-# Extra searchable keywords per criterion for selftest --only filtering.
-_KEYWORDS = {
-    "criterion_a1_degenerate_product": "product mellin csc",
-    "criterion_a2_theorem_integer_k": "jet lerch closed grid",
-    "criterion_a3_path_independence": "moment mellin jet",
-    "criterion_a4_direct_6d": "tensor qmc quadrature sobol",
-    "criterion_a5_zeta_line": "lerch zeta eta",
-    "criterion_a6_apery": "zeta lerch",
-    "criterion_a7_log2_limit": "limit richardson",
-    "criterion_a8_harmonic_limit": "limit richardson qmc digamma harmonic",
-    "criterion_a9_difference_identities": "arctanh difference",
-    "criterion_a10_module_oracles": "lerch legendre mellin gamma jets oracles",
-}
+def run_criterion(criterion) -> CriterionResult:
+    """Run one criterion and record its wall time in ``seconds``."""
+    t0 = time.perf_counter()
+    result = criterion()
+    result.seconds = time.perf_counter() - t0
+    return result
 
 
 def run_suite(only: str | None = None) -> list[CriterionResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        if only:
-            haystack = f"{fn.__name__} {_KEYWORDS.get(fn.__name__, '')}".lower()
-            if only.lower() not in haystack:
-                continue
-        results.append(fn())
-    return results
+    """Run, in order, the criteria whose name or keywords contain ``only``."""
+    return [
+        run_criterion(fn)
+        for fn, _, keywords in ALL_CRITERIA
+        if not only or only.lower() in f"{fn.__name__} {keywords}".lower()
+    ]

@@ -2,7 +2,7 @@
 emit machine-readable reports, and run the acceptance self-test suite.
 
 Exit codes for ``verify``: 0 pass, 1 verdict fail, 2 parameter validation
-failure, 3 numeric-path failure.
+failure or invalid option value, 3 numeric-path failure.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import sys
 from pathlib import Path
 
 from . import acceptance, engine
-from .core import DomainError, ParameterSet, Tolerances
+from .core import PARAM_NAMES, DomainError, ParameterSet, Tolerances
 from .quad import QmcSpec
 
-_PARAM_NAMES = ("k", "a", "m", "u", "v", "mu", "nu")
 _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
@@ -67,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify one identity case")
     p_verify.add_argument("--case", required=False, default=None, help="case tag (default theorem)")
-    for name in _PARAM_NAMES:
+    for name in PARAM_NAMES:
         p_verify.add_argument(f"--{name}", default=None, help=f"parameter {name} (complex literal)")
     p_verify.add_argument("--n", default=None, help="second exponent for difference cases")
     p_verify.add_argument("--paths", default=None, help="comma-separated path subset")
@@ -99,9 +98,22 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _given(cast, **fields) -> dict:
-    """The fields whose flag was given, cast; the others keep their defaults."""
-    return {name: cast(value) for name, value in fields.items() if value is not None}
+def _given(args: argparse.Namespace, cast, **fields: str) -> dict:
+    """The fields whose option was given, cast; the others keep their defaults.
+
+    ``fields`` maps each field to its option; a value ``cast`` rejects with a
+    ValueError raises a DomainError naming the flag.
+    """
+    out = {}
+    for name, option in fields.items():
+        value = getattr(args, option)
+        if value is not None:
+            try:
+                out[name] = cast(value)
+            except ValueError:
+                flag = "--" + option.replace("_", "-")
+                raise DomainError(f"{flag}: invalid {cast.__name__} value {value!r}") from None
+    return out
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -135,7 +147,7 @@ def _render_text(report) -> str:
     ps = report.params
     lines.append(
         "params: "
-        + ", ".join(f"{n}={getattr(ps, n):.6g}" for n in _PARAM_NAMES)
+        + ", ".join(f"{n}={getattr(ps, n):.6g}" for n in PARAM_NAMES)
         + ("" if report.second_exponent is None else f", n={report.second_exponent:.6g}")
     )
     if report.violations:
@@ -172,16 +184,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.case = "theorem"
     if args.format is None:
         args.format = "text"
-    params: dict[str, complex] = {}
-    for name in _PARAM_NAMES:
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = parse_complex(str(value))
-    ps = ParameterSet(**params)
+    ps = ParameterSet(**_given(args, parse_complex, **{name: name for name in PARAM_NAMES}))
     second = parse_complex(str(args.n)) if args.n is not None else None
     paths = tuple(p.strip() for p in args.paths.split(",")) if args.paths else None
-    tol = Tolerances(**_given(float, rel_tol=args.tol, abs_tol=args.abs_tol))
-    qmc_spec = QmcSpec(**_given(int, count=args.qmc_count, shift_seed=args.seed))
+    tol = Tolerances(**_given(args, float, rel_tol="tol", abs_tol="abs_tol"))
+    qmc_spec = QmcSpec(**_given(args, int, count="qmc_count", shift_seed="seed"))
 
     report = engine.verify(args.case, ps, tol=tol, paths=paths, second=second, qmc_spec=qmc_spec)
 

@@ -8,6 +8,7 @@ together with the four log-power exponents derived from a parameter set.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,8 @@ class NonFiniteSampleError(SixfoldError):
 # Strict-inequality margin for the boundary-proximity warnings only.
 _BOUNDARY_WARN = 1e-8
 
+PARAM_NAMES = ("k", "a", "m", "u", "v", "mu", "nu")
+
 
 @dataclass(frozen=True)
 class ParameterSet:
@@ -46,6 +49,7 @@ class ParameterSet:
 
     The integral converges on a parameter strip; see
     :func:`validate_parameters` for the exact inequalities.
+    ``ps.replace(m=0.3)`` is a copy with the given fields changed.
     """
 
     k: complex = 0.0
@@ -57,13 +61,10 @@ class ParameterSet:
     nu: complex = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("k", "a", "m", "u", "v", "mu", "nu"):
+        for name in PARAM_NAMES:
             object.__setattr__(self, name, complex(getattr(self, name)))
 
-    def replace(self, **kwargs: complex) -> "ParameterSet":
-        fields = {n: getattr(self, n) for n in ("k", "a", "m", "u", "v", "mu", "nu")}
-        fields.update(kwargs)
-        return ParameterSet(**fields)
+    replace = dataclasses.replace
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,26 @@ def derive_exponents(ps: ParameterSet) -> ExponentQuad:
     )
 
 
+def _strip_margins(ps: ParameterSet) -> dict[str, float]:
+    """Every strip inequality, in reporting order, mapped to a margin that is
+    positive exactly when the inequality holds."""
+    m = ps.m.real
+    exq = derive_exponents(ps)
+    return {
+        "Re(u)<1": 1 - ps.u.real,
+        "0<Re(m)<1": min(m, 1 - m),
+        "Re(v)>0": ps.v.real,
+        "Re(m)<|Re(v)|": abs(ps.v.real) - m,
+        "Re(mu)<1": 1 - ps.mu.real,
+        "Re(nu)>0": ps.nu.real,
+        "Re(m)<|Re(nu)|": abs(ps.nu.real) - m,
+        "Re(beta_p)>-1": exq.beta_p.real + 1,
+        "Re(beta_q)>-1": exq.beta_q.real + 1,
+        "Re(beta_t)>-1": exq.beta_t.real + 1,
+        "Re(beta_z)>-1": exq.beta_z.real + 1,
+    }
+
+
 def validate_parameters(ps: ParameterSet) -> list[str]:
     """Check every strip inequality; return the names of violated ones.
 
@@ -100,62 +121,29 @@ def validate_parameters(ps: ParameterSet) -> list[str]:
     are strict with no epsilon margin; callers operating within 1e-8 of a
     boundary can consult :func:`parameter_warnings`.
     """
-    violations: list[str] = []
-    for name in ("k", "a", "m", "u", "v", "mu", "nu"):
-        val = getattr(ps, name)
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            violations.append(f"finite({name})")
+    violations = [
+        f"finite({name})" for name in PARAM_NAMES if not cmath.isfinite(getattr(ps, name))
+    ]
     if violations:
         return violations
-
     if ps.a == 0:
         violations.append("a != 0")
-    if not ps.u.real < 1:
-        violations.append("Re(u)<1")
-    if not 0 < ps.m.real < 1:
-        violations.append("0<Re(m)<1")
-    if not ps.v.real > 0:
-        violations.append("Re(v)>0")
-    if not ps.m.real < abs(ps.v.real):
-        violations.append("Re(m)<|Re(v)|")
-    if not ps.mu.real < 1:
-        violations.append("Re(mu)<1")
-    if not ps.nu.real > 0:
-        violations.append("Re(nu)>0")
-    if not ps.m.real < abs(ps.nu.real):
-        violations.append("Re(m)<|Re(nu)|")
-
-    exq = derive_exponents(ps)
-    for label, beta in zip(("beta_p", "beta_q", "beta_t", "beta_z"), exq.as_tuple()):
-        if not beta.real > -1:
-            violations.append(f"Re({label})>-1")
+    violations += [name for name, margin in _strip_margins(ps).items() if not margin > 0]
     return violations
 
 
 def parameter_warnings(ps: ParameterSet) -> list[str]:
-    """Non-fatal advisories: the stricter half-strip conditions and
-    boundary proximity (within 1e-8) of any enforced inequality."""
+    """Non-fatal advisories: the stricter half-strip conditions, boundary
+    proximity (within 1e-8) of any strip inequality, exponents near the
+    Gamma pole that degrade the moment path, and, last, m within 0.01 of
+    the csc pole at an integer."""
     warnings: list[str] = []
     if not ps.u.real < ps.m.real < 0.5:
         warnings.append("strict-strip Re(u)<Re(m)<1/2 not satisfied")
     if not ps.m.real < ps.v.real:
         warnings.append("strict-strip Re(m)<Re(v) not satisfied")
 
-    exq = derive_exponents(ps)
-    margins = {
-        "Re(u)<1": 1 - ps.u.real,
-        "0<Re(m)": ps.m.real,
-        "Re(m)<1": 1 - ps.m.real,
-        "Re(v)>0": ps.v.real,
-        "Re(m)<|Re(v)|": abs(ps.v.real) - ps.m.real,
-        "Re(mu)<1": 1 - ps.mu.real,
-        "Re(nu)>0": ps.nu.real,
-        "Re(m)<|Re(nu)|": abs(ps.nu.real) - ps.m.real,
-        "Re(beta_p)>-1": exq.beta_p.real + 1,
-        "Re(beta_q)>-1": exq.beta_q.real + 1,
-        "Re(beta_t)>-1": exq.beta_t.real + 1,
-        "Re(beta_z)>-1": exq.beta_z.real + 1,
-    }
+    margins = _strip_margins(ps)
     for name, margin in margins.items():
         if 0 < margin < _BOUNDARY_WARN:
             warnings.append(f"within 1e-8 of boundary: {name}")
@@ -163,19 +151,22 @@ def parameter_warnings(ps: ParameterSet) -> list[str]:
     # Gamma-family factors are differentiated at beta+1; near the pole at 0
     # their derivatives scale like j!/margin^j, so high-order coefficient
     # paths lose roughly j*log10(1/margin) digits.
-    for label, beta in zip(("beta_p", "beta_q", "beta_t", "beta_z"), exq.as_tuple()):
-        margin = beta.real + 1
-        if 0 < margin < 1e-2:
+    for name, margin in margins.items():
+        if name.startswith("Re(beta") and 0 < margin < 1e-2:
             warnings.append(
-                f"Re({label})+1 = {margin:.2e}: expect degraded accuracy on the "
+                f"{name.removesuffix('>-1')}+1 = {margin:.2e}: expect degraded accuracy on the "
                 "factor-product (moment) path at higher k"
             )
+
+    if 0 < margins["0<Re(m)<1"] < 0.01:
+        warnings.append("m within 0.01 of the csc pole at an integer")
     return warnings
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Absolute/relative tolerance pair; at least one must be positive.
+    """Finite, non-negative absolute/relative tolerance pair; at least one
+    must be positive.
 
     ``verify`` and the CLI use these defaults for every field the caller
     does not set.
@@ -185,6 +176,8 @@ class Tolerances:
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise DomainError("tolerances must be finite")
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise DomainError("tolerances must be non-negative")
         if self.abs_tol == 0 and self.rel_tol == 0:

@@ -28,6 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .core import (
+    PARAM_NAMES,
     DomainError,
     ParameterSet,
     PoleError,
@@ -479,8 +480,6 @@ def verify(
     ps_thm = theorem_parameters(case, ps_eff)
     violations = validate_parameters(ps_thm)
     warnings = parameter_warnings(ps_thm)
-    if 0 < ps_thm.m.real < 1 and min(ps_thm.m.real, 1.0 - ps_thm.m.real) < 0.01:
-        warnings.append("m within 0.01 of the csc pole at an integer")
 
     results: dict[str, PathResult] = {}
     if violations:
@@ -604,10 +603,7 @@ def _cpair(zz: complex) -> list[float]:
 
 
 def report_to_dict(report: VerificationReport, include_times: bool = False) -> dict:
-    params = {
-        name: _cpair(getattr(report.params, name))
-        for name in ("k", "a", "m", "u", "v", "mu", "nu")
-    }
+    params = {name: _cpair(getattr(report.params, name)) for name in PARAM_NAMES}
     if report.second_exponent is not None:
         params["n"] = _cpair(report.second_exponent)
     paths = {}

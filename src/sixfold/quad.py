@@ -264,10 +264,11 @@ def _int_power(s_vals: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Integrand6D:
-    """Transformed integrand on (0,1)^2 x (0,inf)^4.
+    """Separable pieces of the transformed integrand on (0,1)^2 x (0,inf)^4.
 
-    Callable at (x, y, Lp, Lq, Lt, Lz) where L = log(1/.) replaced the four
-    unit-interval variables; the value includes the e^-L Jacobian factors.
+    Holds a parameter set and its log-axis exponents ``exq``, the x and y
+    Legendre factors, the coupling S^k and the admissibility tests; each
+    direct path assembles its own sum from them (no pointwise evaluation).
     """
 
     ps: ParameterSet

@@ -7,13 +7,17 @@ same lines).
 
 import pytest
 
-from sixfold.acceptance import ALL_CRITERIA, BUDGETS
+from sixfold.acceptance import ALL_CRITERIA, run_criterion
 
 
-@pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda fn: fn.__name__)
-def test_criterion(criterion):
-    result = criterion()
+@pytest.mark.parametrize(
+    ("criterion", "budget"),
+    [(fn, budget) for fn, budget, _ in ALL_CRITERIA],
+    ids=[fn.__name__ for fn, _, _ in ALL_CRITERIA],
+)
+def test_criterion(criterion, budget):
+    result = run_criterion(criterion)
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status}  {result.name}  [{result.seconds:.1f}s]  {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
-    assert result.seconds < BUDGETS[criterion.__name__], "over time budget"
+    assert 0 < result.seconds < budget, "over time budget"

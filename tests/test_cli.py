@@ -247,3 +247,39 @@ def test_selftest_catches_injected_sign_flip(monkeypatch, capsys):
     result = criterion_a2_theorem_integer_k()
     assert not result.passed
     assert "A2" in result.name
+
+
+_APERY = ["verify", "--case", "apery", "--paths", "closed,special", "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--tol", "abc", "--tol: invalid float value 'abc'"),
+        ("--abs-tol", "1e-3x", "--abs-tol: invalid float value '1e-3x'"),
+        ("--qmc-count", "1e5", "--qmc-count: invalid int value '1e5'"),
+        ("--seed", "7.5", "--seed: invalid int value '7.5'"),
+        # nan failed two agreeing paths and inf passed anything; both were
+        # printed as NaN/Infinity, which is not JSON.
+        ("--tol", "nan", "tolerances must be finite"),
+        ("--abs-tol", "inf", "tolerances must be finite"),
+    ],
+)
+def test_bad_numeric_value_exit_two(capsys, tmp_path, flag, value, message):
+    assert main([*_APERY, flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # The same value from a config file is refused the same way.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    assert main([*_APERY, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("only", "expected"),
+    [("lerch", ["A2", "A5", "A6", "A10"]), ("mellin", ["A1", "A3", "A10"])],
+)
+def test_selftest_only_matches_keywords(capsys, only, expected):
+    assert main(["selftest", "--only", only]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("PASS")] == expected

@@ -105,6 +105,11 @@ def test_tolerances_validation():
         Tolerances(abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(DomainError):
         Tolerances(abs_tol=-1.0, rel_tol=1e-9)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError, match="finite"):
+            Tolerances(rel_tol=bad)
+        with pytest.raises(DomainError, match="finite"):
+            Tolerances(abs_tol=bad)
 
 
 def test_parameter_set_replace_immutable():
@@ -123,3 +128,44 @@ def test_nearest_int_edges(n, tol):
         assert got == n and type(got) is int, z
     for z in (n + 2 * tol, n - 2 * tol, complex(n, 2 * tol), complex(n, -2 * tol)):
         assert nearest_int(z, tol) is None, z
+
+
+# Per strip inequality: one parameter changed from the reference set puts it
+# within (0, 1e-8) of its boundary (inside) or just across it (outside).
+_NEAR_BOUNDARY = [
+    ("Re(u)<1", "u", 1 - 1e-9, 1 + 1e-9),
+    ("0<Re(m)<1", "m", 1e-9, -1e-9),
+    ("0<Re(m)<1", "m", 1 - 1e-9, 1 + 1e-9),
+    ("Re(v)>0", "v", 1e-9, -1e-9),
+    ("Re(m)<|Re(v)|", "v", 0.5 + 1e-9, 0.5 - 1e-9),
+    ("Re(mu)<1", "mu", 1 - 1e-9, 1 + 1e-9),
+    ("Re(nu)>0", "nu", 1e-9, -1e-9),
+    ("Re(m)<|Re(nu)|", "nu", 0.5 + 1e-9, 0.5 - 1e-9),
+    ("Re(beta_p)>-1", "mu", 0.5 - 2e-9, 0.5 + 2e-9),  # margin (1/2 - mu)/2
+    ("Re(beta_q)>-1", "nu", -2.5 + 2e-9, -2.5 - 2e-9),  # margin (5/2 + nu)/2
+    ("Re(beta_t)>-1", "u", 3.5 - 2e-9, 3.5 + 2e-9),  # margin (7/2 - u)/2
+    ("Re(beta_z)>-1", "u", 0.5 - 2e-9, 0.5 + 2e-9),  # margin (1/2 - u)/2
+]
+
+
+@pytest.mark.parametrize(
+    ("name", "param", "inside", "outside"),
+    _NEAR_BOUNDARY,
+    ids=[f"{name}@{inside}" for name, _, inside, _ in _NEAR_BOUNDARY],
+)
+def test_boundary_warning_and_violation_name_the_same_inequality(name, param, inside, outside):
+    reference = ParameterSet(k=0, a=1, m=0.5, u=0, v=1, mu=0, nu=1)
+    near = reference.replace(**{param: inside})
+    assert f"within 1e-8 of boundary: {name}" in parameter_warnings(near)
+    assert name not in validate_parameters(near)
+    assert name in validate_parameters(reference.replace(**{param: outside}))
+
+
+def test_csc_pole_advisory_is_the_last_warning():
+    advisory = "m within 0.01 of the csc pole at an integer"
+    for m in (0.005, 0.995):
+        ps = ParameterSet(k=0, a=1, m=m, u=0, v=1, mu=0, nu=1)
+        assert validate_parameters(ps) == []
+        assert parameter_warnings(ps)[-1] == advisory
+    for m in (0.02, 1.005):
+        assert advisory not in parameter_warnings(ParameterSet(m=m))
