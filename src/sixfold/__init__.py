@@ -5,6 +5,7 @@ from .core import (
     ConvergenceError,
     DomainError,
     ExponentQuad,
+    InadmissibleError,
     NonFiniteSampleError,
     ParameterSet,
     PoleError,

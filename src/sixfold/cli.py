@@ -2,7 +2,9 @@
 emit machine-readable reports, and run the acceptance self-test suite.
 
 Exit codes for ``verify``: 0 pass, 1 verdict fail, 2 parameter validation
-failure or invalid option value, 3 numeric-path failure.
+failure (the second exponent n included), invalid option value, missing n
+for a difference case, or an unreadable ``--config`` or unwritable
+``--output`` file, 3 numeric-path failure.
 """
 
 from __future__ import annotations
@@ -40,8 +42,12 @@ def parse_complex(text: str) -> complex:
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read --config {path}: {exc}") from None
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -172,8 +178,11 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
             base = os.environ.get("SIXFOLD_OUTPUT_DIR")
             if base:
                 path = Path(base) / path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write --output {path}: {exc}") from None
     else:
         print(text)
 

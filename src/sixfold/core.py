@@ -33,6 +33,11 @@ class UnsupportedRegimeError(SixfoldError):
     """Arguments fall in a regime the evaluator deliberately rejects."""
 
 
+class InadmissibleError(UnsupportedRegimeError):
+    """A path's precondition does not hold; ``verify`` reports the path as
+    "inadmissible" with the message as its detail."""
+
+
 class NonFiniteSampleError(SixfoldError):
     """An integrand sample produced NaN/Inf; coordinates are in the message."""
 

@@ -15,8 +15,10 @@ Paths through the identity family:
 * ``limit``   - Richardson extrapolation in k for the removable-point
                 cases, k -> -1 and the direct k = -3 evaluation.
 
-Every path is admissibility-checked per case; a requested inadmissible
-path is reported as such, never silently dropped.
+Each path's preconditions are checked once, by the function that computes
+the path, which raises ``InadmissibleError`` when one fails; ``verify``
+reports such a requested path as "inadmissible" with the message as its
+detail, never silently dropped.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from .core import (
     PARAM_NAMES,
     DomainError,
+    InadmissibleError,
     ParameterSet,
     PoleError,
     SixfoldError,
@@ -60,10 +63,8 @@ PATH_NAMES = ("jet", "moment", "tensor", "qmc", "closed", "special", "limit")
 
 def _pin_int_k(ps: ParameterSet) -> int:
     kk = nearest_int(ps.k, 1e-12)
-    if kk is None:
-        raise DomainError(f"integer-k path needs integer k, got {ps.k!r}")
-    if not 0 <= kk <= 10:
-        raise DomainError(f"integer-k path needs 0 <= k <= 10, got {kk}")
+    if kk is None or not 0 <= kk <= 10:
+        raise InadmissibleError("jet paths need integer k in [0, 10]")
     return kk
 
 
@@ -354,7 +355,7 @@ def rhs_example(case: IdentityCase | str, ps: ParameterSet, second: complex | No
     if isinstance(case, str):
         case = catalog_case(case)
     if case.special is None:
-        raise DomainError(f"no closed form for case {case.tag!r}")
+        raise InadmissibleError("the general case has no separate elementary form")
     return case.special(ps, second)
 
 
@@ -377,7 +378,7 @@ def rhs_limit_full(case: IdentityCase | str, ps: ParameterSet) -> tuple[complex,
     if isinstance(case, str):
         case = catalog_case(case)
     if case.limit is None:
-        raise DomainError(f"case {case.tag!r} has no limit family")
+        raise InadmissibleError("no limit family for this case")
     k0, family_tag = case.limit
     family = catalog_case(family_tag).special
     eps = _RICHARDSON_EPS
@@ -461,10 +462,14 @@ def verify(
     tolerance (plus three times the paths' own error estimates, for the
     stochastic and discretization paths); fewer than two computed values
     leave nothing to compare and the verdict passes vacuously, with the
-    per-path statuses telling the story.  Parameter-strip violations
-    short-circuit to "invalid_parameters".  A path that raises a
-    ``SixfoldError`` or an ``ArithmeticError`` gets status "error"; any
-    other exception is a bug and propagates.
+    per-path statuses telling the story.  Parameter-strip violations, and a
+    second exponent n outside 0 < Re(n) < 1, short-circuit to
+    "invalid_parameters"; a case that needs n raises DomainError without
+    one.  Each path function checks its own preconditions: a path that
+    raises ``InadmissibleError`` gets status "inadmissible" with the
+    message as its detail, one that raises any other ``SixfoldError`` or an
+    ``ArithmeticError`` gets status "error"; any other exception is a bug
+    and propagates.
     """
     if isinstance(case, str):
         case = catalog_case(case)
@@ -472,6 +477,8 @@ def verify(
     # Pinned parameters win over the caller's, the second exponent included.
     if case.second_exponent is not None:
         second = case.second_exponent
+    if case.needs_second_exponent and second is None:
+        raise DomainError("difference case needs the second exponent n")
     requested = tuple(paths) if paths is not None else case.paths
     for p in requested:
         if p not in PATH_NAMES:
@@ -479,6 +486,8 @@ def verify(
 
     ps_thm = theorem_parameters(case, ps_eff)
     violations = validate_parameters(ps_thm)
+    if second is not None and not (cmath.isfinite(second) and 0 < second.real < 1):
+        violations.append("0<Re(n)<1")
     warnings = parameter_warnings(ps_thm)
 
     results: dict[str, PathResult] = {}
@@ -498,12 +507,10 @@ def verify(
     for path in requested:
         t0 = time.perf_counter()
         try:
-            reason = _admissibility(case, path, ps_thm)
-            if reason is not None:
-                result = PathResult(status="inadmissible", detail=reason)
-            else:
-                value, err = _run_path(case, path, ps_eff, ps_thm, second, qmc_spec)
-                result = PathResult(status="ok", value=value, err=err)
+            value, err = _run_path(case, path, ps_eff, ps_thm, second, qmc_spec)
+            result = PathResult(status="ok", value=value, err=err)
+        except InadmissibleError as exc:
+            result = PathResult(status="inadmissible", detail=str(exc))
         except (SixfoldError, ArithmeticError) as exc:
             result = PathResult(status="error", detail=f"{type(exc).__name__}: {exc}")
         result.seconds = time.perf_counter() - t0
@@ -536,29 +543,6 @@ def verify(
     )
 
 
-def _admissibility(case: IdentityCase, path: str, ps_thm: ParameterSet) -> str | None:
-    kk = nearest_int(ps_thm.k, 1e-12)
-    if path in ("jet", "moment"):
-        if kk is None or not 0 <= kk <= 10:
-            return "jet paths need integer k in [0, 10]"
-        return None
-    if path == "tensor":
-        if kk is None or kk < 0:
-            return "tensor path needs integer k >= 0"
-        if not Integrand6D(ps_thm).has_real_strip():
-            return "tensor path needs real strip parameters"
-        if abs(ps_thm.a.imag) > 1e-12 or ps_thm.a.real <= 0:
-            return "tensor path needs a > 0"
-        return None
-    if path == "qmc":
-        return Integrand6D(ps_thm).qmc_admissible()
-    if path == "special" and case.special is None:
-        return "the general case has no separate elementary form"
-    if path == "limit" and case.limit is None:
-        return "no limit family for this case"
-    return None
-
-
 def _run_path(
     case: IdentityCase,
     path: str,
@@ -580,11 +564,7 @@ def _run_path(
         return integrate_6d_qmc(Integrand6D(ps_thm), qmc_spec or QmcSpec())
     if path == "closed":
         if case.needs_second_exponent:
-            if second is None:
-                raise DomainError("difference case needs the second exponent n")
-            return (
-                rhs_theorem(ps_thm.replace(m=second)) - rhs_theorem(ps_thm)
-            ), None
+            return rhs_theorem(ps_thm.replace(m=second)) - rhs_theorem(ps_thm), None
         return rhs_theorem(ps_thm), None
     if path == "special":
         return rhs_example(case, ps_eff, second), None

@@ -36,9 +36,9 @@ import numpy as np
 from .core import (
     DomainError,
     ExponentQuad,
+    InadmissibleError,
     NonFiniteSampleError,
     ParameterSet,
-    UnsupportedRegimeError,
     derive_exponents,
     nearest_int,
 )
@@ -267,8 +267,9 @@ class Integrand6D:
     """Separable pieces of the transformed integrand on (0,1)^2 x (0,inf)^4.
 
     Holds a parameter set and its log-axis exponents ``exq``, the x and y
-    Legendre factors, the coupling S^k and the admissibility tests; each
-    direct path assembles its own sum from them (no pointwise evaluation).
+    Legendre factors, the coupling S^k and the predicates behind the direct
+    paths' preconditions; each direct path checks those itself and
+    assembles its own sum from the pieces (no pointwise evaluation).
     """
 
     ps: ParameterSet
@@ -317,23 +318,14 @@ class Integrand6D:
             return _int_power(s_vals, kk)
         return np.exp(self.ps.k * np.log(s_vals.astype(complex)))
 
-    def qmc_admissible(self) -> str | None:
-        """None when the direct QMC estimator is defined; else the reason."""
-        if not self.has_real_strip():
-            return "qmc path needs real strip parameters"
-        if self.integer_k() is not None:
-            return None
-        a = self.ps.a
-        if abs(a.imag) < 1e-12 and a.real > 0:
-            return (
-                "k is not a non-negative integer and a is on the positive real "
-                "axis: the coupling log vanishes inside the domain, where S^k "
-                "has a pole or branch point without a principal-value meaning"
-            )
-        return None
 
-
-def _check_tensor_rules(f: Integrand6D, rules) -> None:
+def _tensor_k(f: Integrand6D, rules) -> int:
+    """k, once the tensor path's preconditions and the rules are checked."""
+    kk = f.integer_k()
+    if kk is None:
+        raise InadmissibleError("tensor path needs integer k >= 0")
+    if not f.has_real_strip():
+        raise InadmissibleError("tensor path needs real strip parameters")
     if len(rules) != 6:
         raise DomainError("integrate_6d_tensor needs one rule per axis (x, y, p, q, t, z)")
     for axis, rule in zip(("x", "y"), rules[:2]):
@@ -346,20 +338,20 @@ def _check_tensor_rules(f: Integrand6D, rules) -> None:
             raise DomainError(
                 f"axis {name}: rule alpha {rule.alpha} != Re(beta) {beta.real}"
             )
+    return kk
 
 
 def integrate_6d_tensor(f: Integrand6D, rules) -> complex:
     """Full tensor-product quadrature of the transformed integrand.
 
-    Requires integer k >= 0.  The tensor sum is evaluated exactly as
-    written; the only reorganization is an exact binomial regrouping of the
-    coupling power inside the finite sum, which leaves the result identical
-    to brute-force enumeration up to rounding.
+    Requires integer k >= 0 and real strip parameters (else
+    InadmissibleError), and one rule per axis as ``log_axis_rule`` and
+    ``tanh_sinh`` build them (else DomainError).  The tensor sum is
+    evaluated exactly as written; the only reorganization is an exact
+    binomial regrouping of the coupling power inside the finite sum, which
+    leaves the result identical to brute-force enumeration up to rounding.
     """
-    kk = f.integer_k()
-    if kk is None:
-        raise UnsupportedRegimeError("tensor path requires integer k >= 0")
-    _check_tensor_rules(f, rules)
+    kk = _tensor_k(f, rules)
     rx, ry, rp, rq, rt, rz = rules
 
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
@@ -406,10 +398,7 @@ def integrate_6d_brute(f: Integrand6D, rules) -> complex:
 
     O(prod n_i) work; keep the rules tiny.
     """
-    kk = f.integer_k()
-    if kk is None:
-        raise UnsupportedRegimeError("tensor path requires integer k >= 0")
-    _check_tensor_rules(f, rules)
+    kk = _tensor_k(f, rules)
     rx, ry, rp, rq, rt, rz = rules
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
     ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
@@ -452,13 +441,21 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     variance and its replicate scatter understates the error; with them the
     weight is bounded up to logarithms.  Strip parameters must be real
     (imaginary parts below 1e-12 are dropped): the kernels and weights run
-    in float64 and the coupling S^k is applied last.  The value is the mean
+    in float64 and the coupling S^k is applied last.  Unless k is a
+    non-negative integer, a must be off the positive real axis.  A breach
+    of either rule raises InadmissibleError.  The value is the mean
     of ``spec.replicates`` digitally shifted replicates, the standard error
     their scatter; bit-for-bit reproducible for a fixed spec.
     """
-    reason = f.qmc_admissible()
-    if reason is not None:
-        raise UnsupportedRegimeError(reason)
+    if not f.has_real_strip():
+        raise InadmissibleError("qmc path needs real strip parameters")
+    a = f.ps.a
+    if f.integer_k() is None and abs(a.imag) < 1e-12 and a.real > 0:
+        raise InadmissibleError(
+            "k is not a non-negative integer and a is on the positive real "
+            "axis: the coupling log vanishes inside the domain, where S^k "
+            "has a pole or branch point without a principal-value meaning"
+        )
     base = sobol_points(spec.count)
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * _SOBOL_DIM)
     lna = cmath.log(complex(f.ps.a))

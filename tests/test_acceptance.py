@@ -7,7 +7,8 @@ same lines).
 
 import pytest
 
-from sixfold.acceptance import ALL_CRITERIA, run_criterion
+import sixfold.specialfn as specialfn
+from sixfold.acceptance import ALL_CRITERIA, criterion_a10_module_oracles, run_criterion
 
 
 @pytest.mark.parametrize(
@@ -21,3 +22,13 @@ def test_criterion(criterion, budget):
     print(f"\n{status}  {result.name}  [{result.seconds:.1f}s]  {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
     assert 0 < result.seconds < budget, "over time budget"
+
+
+def test_a10_gamma_check_sees_the_lanczos_core(monkeypatch):
+    # gamma evaluates Re z < 1/2 by reflection, so a reflection check reads
+    # ~1e-15 whatever the Lanczos core returns; duplication does not.
+    core = specialfn._lanczos_log_gamma
+    monkeypatch.setattr(specialfn, "_lanczos_log_gamma", lambda z: core(z) + 1e-9)
+    result = criterion_a10_module_oracles()
+    assert not result.passed
+    assert "gamma" in result.detail, result.detail

@@ -283,3 +283,31 @@ def test_selftest_only_matches_keywords(capsys, only, expected):
     assert main(["selftest", "--only", only]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines if line.startswith("PASS")] == expected
+
+
+@pytest.mark.parametrize("n", ["0", "1", "1.5", "-0.5"])
+def test_second_exponent_outside_its_strip_exit_two(capsys, n):
+    assert main(["verify", "--case", "difference_arctanh", "--n", n]) == 2
+    assert "violations: 0<Re(n)<1" in capsys.readouterr().out
+
+
+def test_missing_second_exponent_exit_two(capsys):
+    assert main(["verify", "--case", "difference_arctanh"]) == 2
+    assert capsys.readouterr() == ("", "error: difference case needs the second exponent n\n")
+
+
+def test_unreadable_config_exit_two(capsys, tmp_path):
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(b"case = th\xe9orem\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, undecodable):
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read --config {path}: "), err
+
+
+def test_unwritable_output_exit_two(capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    for path in (tmp_path / "file" / "report.txt", tmp_path):
+        assert main([*_APERY, "--output", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write --output {path}: "), err

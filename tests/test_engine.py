@@ -7,7 +7,13 @@ import pytest
 
 from oracles import richardson_derivative
 from sixfold import engine
-from sixfold.core import DomainError, ParameterSet, Tolerances, validate_parameters
+from sixfold.core import (
+    DomainError,
+    InadmissibleError,
+    ParameterSet,
+    Tolerances,
+    validate_parameters,
+)
 from sixfold.quad import QmcSpec
 from sixfold.specialfn import harmonic, riemann_zeta
 
@@ -204,6 +210,92 @@ def test_verify_reports_inadmissible_paths():
     assert rep.paths["closed"].status == "ok"
 
 
+_QMC_ON_POSITIVE_A = (
+    "k is not a non-negative integer and a is on the positive real axis: the "
+    "coupling log vanishes inside the domain, where S^k has a pole or branch "
+    "point without a principal-value meaning"
+)
+
+
+@pytest.mark.parametrize(
+    ("case", "pins", "path", "detail"),
+    [
+        ("theorem", {"k": 0.5}, "jet", "jet paths need integer k in [0, 10]"),
+        ("theorem", {"k": 11}, "jet", "jet paths need integer k in [0, 10]"),
+        ("theorem", {"k": -1}, "moment", "jet paths need integer k in [0, 10]"),
+        ("theorem", {"k": -1, "a": -2}, "tensor", "tensor path needs integer k >= 0"),
+        ("theorem", {"m": 0.4 + 0.1j}, "tensor", "tensor path needs real strip parameters"),
+        ("theorem", {"m": 0.4 + 0.1j}, "qmc", "qmc path needs real strip parameters"),
+        ("theorem", {"k": 0.5}, "qmc", _QMC_ON_POSITIVE_A),
+        ("theorem", {}, "special", "the general case has no separate elementary form"),
+        ("degenerate", {}, "limit", "no limit family for this case"),
+    ],
+    ids=[
+        "jet-k-half",
+        "jet-k-11",
+        "moment-k-negative",
+        "tensor-k-negative",
+        "tensor-complex-strip",
+        "qmc-complex-strip",
+        "qmc-positive-a",
+        "special-general-case",
+        "limit-no-family",
+    ],
+)
+def test_inadmissible_detail(case, pins, path, detail):
+    rep = engine.verify(case, REFERENCE.replace(**pins), paths=(path, "closed"))
+    assert rep.paths[path].status == "inadmissible"
+    assert rep.paths[path].detail == detail
+    assert rep.paths["closed"].status == "ok"
+
+
+def test_path_functions_raise_inadmissible():
+    with pytest.raises(InadmissibleError, match="jet paths"):
+        engine.lhs_jet(REFERENCE.replace(k=0.5))
+    with pytest.raises(InadmissibleError, match="jet paths"):
+        engine.lhs_moment_expansion(REFERENCE.replace(k=11))
+    with pytest.raises(InadmissibleError, match="no limit family"):
+        engine.rhs_limit_full("theorem", REFERENCE)
+
+
+@pytest.mark.parametrize("a", [-2.0, 0.3 + 1.1j], ids=["negative", "complex"])
+def test_tensor_runs_off_the_positive_axis(a):
+    ps = ParameterSet(k=2, a=a, m=0.4, u=-0.3, v=1.2, mu=-0.1, nu=0.9)
+    rep = engine.verify("theorem", ps, paths=("tensor", "closed"))
+    tensor, closed = rep.paths["tensor"], rep.paths["closed"]
+    assert tensor.status == "ok", tensor.detail
+    error = abs(tensor.value - closed.value)
+    assert error <= 1e-8 * abs(closed.value)
+    assert tensor.err >= error
+    assert rep.verdict == "pass"
+
+
+def test_nested_unsupported_regime_stays_error():
+    # |e^(2 i pi m)| > 1 for Im m < 0: the Lerch evaluator's own regime
+    # limit, not a path precondition.
+    rep = engine.verify("theorem", REFERENCE.replace(k=1, m=0.4 - 0.2j), paths=("jet", "closed"))
+    assert rep.paths["jet"].status == "ok"
+    assert rep.paths["closed"].status == "error"
+    assert rep.paths["closed"].detail.startswith("UnsupportedRegimeError: |z| > 1 not supported")
+
+
+@pytest.mark.parametrize("n", [0.0, 1.0, 1.5, -0.2 + 0.1j, complex("nan"), complex("inf")])
+def test_second_exponent_outside_its_strip_is_invalid(n):
+    rep = engine.verify("difference_arctanh", ParameterSet(), second=n)
+    assert rep.verdict == "invalid_parameters"
+    assert rep.violations == ["0<Re(n)<1"]
+
+
+@pytest.mark.parametrize("n", [0.05, 0.95, 0.3 + 0.2j])
+def test_second_exponent_inside_its_strip_passes(n):
+    assert engine.verify("difference_arctanh", ParameterSet(), second=n).verdict == "pass"
+
+
+def test_difference_case_requires_second_exponent():
+    with pytest.raises(DomainError, match="second exponent n"):
+        engine.verify("difference_arctanh", ParameterSet())
+
+
 def test_verify_theorem_reference_four_paths():
     rep = engine.verify(
         "theorem",
@@ -286,7 +378,7 @@ def test_pinned_second_exponent_wins(tag):
 
 
 def test_rhs_example_general_case_has_no_elementary_form():
-    with pytest.raises(DomainError, match="no closed form"):
+    with pytest.raises(InadmissibleError, match="no separate elementary form"):
         engine.rhs_example("theorem", REFERENCE)
 
 

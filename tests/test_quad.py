@@ -6,6 +6,7 @@ import pytest
 
 from sixfold.core import (
     DomainError,
+    InadmissibleError,
     NonFiniteSampleError,
     ParameterSet,
     UnsupportedRegimeError,
@@ -222,6 +223,20 @@ def test_tensor_near_beta_minus_one():
 def test_tensor_rejects_non_integer_k():
     with pytest.raises(UnsupportedRegimeError):
         integrate_6d_tensor(Integrand6D(REFERENCE.replace(k=0.5)), _ref_rules(4, 16))
+
+
+def test_direct_paths_raise_inadmissible():
+    complex_strip = Integrand6D(REFERENCE.replace(m=0.5 + 0.1j))
+    negative_k = Integrand6D(REFERENCE.replace(k=-1, a=-2.0))
+    for integrate in (integrate_6d_tensor, integrate_6d_brute):
+        with pytest.raises(InadmissibleError, match="tensor path needs real strip parameters"):
+            integrate(complex_strip, _ref_rules(2, 4))
+        with pytest.raises(InadmissibleError, match="tensor path needs integer k >= 0"):
+            integrate(negative_k, _ref_rules(2, 4))
+    with pytest.raises(InadmissibleError, match="qmc path needs real strip parameters"):
+        integrate_6d_qmc(complex_strip, QmcSpec(count=1 << 10))
+    with pytest.raises(InadmissibleError, match="k is not a non-negative integer"):
+        integrate_6d_qmc(Integrand6D(REFERENCE.replace(k=0.5)), QmcSpec(count=1 << 10))
 
 
 def test_qmc_reproducible_bit_for_bit():
