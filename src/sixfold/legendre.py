@@ -76,6 +76,17 @@ def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarra
     every node.  That all-node test only runs once it holds at the node with
     the largest x, where the series converges slowest: the probe is a
     necessary condition, so the term count does not depend on it.
+
+    A node's value does not depend on which other nodes share its array,
+    which lets the QMC estimator run its nodes in chunks.  A sub-array
+    stops no later than the whole array, since its stop test is weaker.
+    For the real kernels, a = -v, b = v + 1, c = 1 - u > 0 with v > 0, and
+    for the order-recurrence seeds (c = 1, 2), the term ratio
+    |(a+n)(b+n) / ((c+n)(n+1))| x falls with n while n < v and is below
+    x <= 1/2 once n >= v: once the terms fall they keep falling, and they
+    fall before any term passes the stop test (while they rise from 1, each
+    is at least 1/(n+1) of the sum).  So after a node's stop every later
+    term is below 1e-17 |total|, under half an ulp, and leaves it as it is.
     """
     x = np.asarray(x)
     x = x if x.dtype == np.longdouble else x.astype(float, copy=False)

@@ -177,6 +177,10 @@ _SOBOL_PRIMITIVE = (
 )
 # One per integration axis (x, y, p, q, t, z).
 _SOBOL_DIM = len(_SOBOL_PRIMITIVE) + 1
+# QMC points per pass, whose temporaries then fit a 2 MB L2 cache, and per
+# pairwise np.sum; both powers of two, the first no larger than the second.
+_QMC_CHUNK = 1 << 14
+_QMC_BLOCK = 1 << 17
 
 
 def _direction_numbers() -> np.ndarray:
@@ -208,14 +212,22 @@ def sobol_points(count: int) -> np.ndarray:
     if count < 1:
         raise DomainError("count must be positive")
     out = np.zeros((count, _SOBOL_DIM), dtype=np.uint64)
-    if count == 1:
-        return out
     idx = np.arange(1, count, dtype=np.uint64)
     low = (idx & (~idx + np.uint64(1))).astype(np.float64)
     ctz = np.frexp(low)[1] - 1  # exact for powers of two
     steps = v[ctz, :]
     out[1:] = np.bitwise_xor.accumulate(steps, axis=0)
     return out
+
+
+def _sobol_offset(direction: np.ndarray, c0: int) -> np.ndarray:
+    """Sobol point c0: the XOR of the direction numbers over the set bits of
+    gray(c0) = c0 ^ (c0 >> 1).  For c0 a multiple of a power of two n and
+    j < n, gray(c0 + j) = gray(c0) ^ gray(j), so ``sobol_points(c0 + n)[c0:]``
+    is ``sobol_points(n)`` XOR this offset."""
+    gray = c0 ^ (c0 >> 1)
+    bits = [j for j in range(gray.bit_length()) if gray >> j & 1]
+    return np.bitwise_xor.reduce(direction[bits], axis=0)
 
 
 _M64 = (1 << 64) - 1
@@ -393,42 +405,6 @@ def integrate_6d_tensor(f: Integrand6D, rules) -> complex:
     return complex(total)
 
 
-def integrate_6d_brute(f: Integrand6D, rules) -> complex:
-    """Literal tensor-sum enumeration (for validating the fast path).
-
-    O(prod n_i) work; keep the rules tiny.
-    """
-    kk = _tensor_k(f, rules)
-    rx, ry, rp, rq, rt, rz = rules
-    ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
-    ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
-    lna = cmath.log(complex(f.ps.a))
-
-    gp, gq, gt, gz = (
-        rule.weights * np.exp(1j * beta.imag * rule.log_nodes)
-        for rule, beta in zip((rp, rq, rt, rz), f.exq.as_tuple())
-    )
-    lp, lq, lt, lz = (r.log_nodes for r in (rp, rq, rt, rz))
-    w4 = (
-        gp[:, None, None, None]
-        * gq[None, :, None, None]
-        * gt[None, None, :, None]
-        * gz[None, None, None, :]
-    )
-    t4 = 0.5 * (
-        -lp[:, None, None, None]
-        - lq[None, :, None, None]
-        + lt[None, None, :, None]
-        + lz[None, None, None, :]
-    )
-    total = 0.0 + 0.0j
-    for i, wx in enumerate(ax):
-        for j, wy in enumerate(ay):
-            s_vals = lna + np.log(rx.nodes[i]) - np.log(ry.nodes[j]) + t4
-            total += wx * wy * np.sum(w4 * s_vals**kk)
-    return complex(total)
-
-
 def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     """Digitally-shifted Sobol estimate of the transformed integral.
 
@@ -446,6 +422,12 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     of either rule raises InadmissibleError.  The value is the mean
     of ``spec.replicates`` digitally shifted replicates, the standard error
     their scatter; bit-for-bit reproducible for a fixed spec.
+
+    The points run through the pipeline in chunks of 2^14 (``_sobol_offset``),
+    so memory does not grow with ``spec.count``, and the chunk size moves no
+    bit: every per-point step is elementwise (the Gauss series too, see
+    :func:`hyp2f1_array`), each 2^17-point block is summed by one pairwise
+    ``np.sum``, and the block sums of a replicate by ``math.fsum``.
     """
     if not f.has_real_strip():
         raise InadmissibleError("qmc path needs real strip parameters")
@@ -456,27 +438,29 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
             "axis: the coupling log vanishes inside the domain, where S^k "
             "has a pole or branch point without a principal-value meaning"
         )
-    base = sobol_points(spec.count)
+    betas = tuple(b.real for b in f.exq.as_tuple())
+    if min(betas) <= -1.0:
+        raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
+    chunk, block = min(_QMC_CHUNK, spec.count), min(_QMC_BLOCK, spec.count)
+    base = sobol_points(chunk)
+    direction = _direction_numbers()
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * _SOBOL_DIM)
     lna = cmath.log(complex(f.ps.a))
     if lna.imag == 0.0:
         lna = lna.real
     px = 1.0 / f.ps.m.real
     py = 1.0 / (1.0 - f.ps.m.real)
-    betas = tuple(b.real for b in f.exq.as_tuple())
-    if min(betas) <= -1.0:
-        raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
 
     rep_means: list[complex] = []
     scale = 2.0**-_SOBOL_BITS
-    block = 1 << 17
     for r in range(spec.replicates):
         shift = np.array(
             [s >> (64 - _SOBOL_BITS) for s in shifts[r * 6 : r * 6 + 6]], dtype=np.uint64
         )
         sums: list[complex] = []
-        for start in range(0, spec.count, block):
-            pts = np.bitwise_xor(base[start : start + block], shift[None, :])
+        parts: list[np.ndarray] = []
+        for c0 in range(0, spec.count, chunk):
+            pts = np.bitwise_xor(base, shift ^ _sobol_offset(direction, c0))
             u = (pts.astype(np.float64) + 0.5) * scale
             lnu_x, lnu_y = np.log(u[:, 0]), np.log(u[:, 1])
             # x^(m-1) dx and y^-m dy with their warp Jacobians are the
@@ -500,9 +484,12 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
             )
             vals = vals * np.exp(log_w) * f.coupling(s_vals)
             if not np.all(np.isfinite(vals)):
-                bad = int(np.argwhere(~np.isfinite(vals))[0][0]) + start
+                bad = int(np.argwhere(~np.isfinite(vals))[0][0]) + c0
                 raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")
-            sums.append(complex(np.sum(vals)))
+            parts.append(vals)
+            if (c0 + chunk) % block == 0:
+                sums.append(complex(np.sum(np.concatenate(parts))))
+                parts.clear()
         rep_means.append(
             complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums))
             / spec.count

@@ -4,7 +4,8 @@ Each oracle deliberately avoids the algorithm used by the implementation it
 checks: Stirling/recurrence instead of Lanczos for gamma, partial sums with
 tail bounds instead of Euler-Maclaurin for zeta values, Abel summation for
 divergent alternating series, the Laplace integral for Legendre functions,
-central finite differences for jet coefficients.
+central finite differences for jet coefficients, literal enumeration for
+the regrouped tensor sum.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import cmath
 import math
 
 import numpy as np
+
+from sixfold.quad import _tensor_k
 
 # 50-term Stirling series coefficients B_2j / (2j (2j-1)) as exact fractions
 # of the tabulated Bernoulli numbers; generated on the fly with Fraction so
@@ -224,3 +227,40 @@ def tanh_sinh_01(f, level: int = 9) -> float:
             total += w * (f(hi, lo) + f(lo, hi))
         j += 1
     return total
+
+
+def integrate_6d_brute(f, rules) -> complex:
+    """Literal tensor-sum enumeration, the reference for
+    ``integrate_6d_tensor``'s binomial regrouping of S^k.
+
+    O(prod n_i) work; keep the rules tiny.
+    """
+    kk = _tensor_k(f, rules)
+    rx, ry, rp, rq, rt, rz = rules
+    ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
+    ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
+    lna = cmath.log(complex(f.ps.a))
+
+    gp, gq, gt, gz = (
+        rule.weights * np.exp(1j * beta.imag * rule.log_nodes)
+        for rule, beta in zip((rp, rq, rt, rz), f.exq.as_tuple())
+    )
+    lp, lq, lt, lz = (r.log_nodes for r in (rp, rq, rt, rz))
+    w4 = (
+        gp[:, None, None, None]
+        * gq[None, :, None, None]
+        * gt[None, None, :, None]
+        * gz[None, None, None, :]
+    )
+    t4 = 0.5 * (
+        -lp[:, None, None, None]
+        - lq[None, :, None, None]
+        + lt[None, None, :, None]
+        + lz[None, None, None, :]
+    )
+    total = 0.0 + 0.0j
+    for i, wx in enumerate(ax):
+        for j, wy in enumerate(ay):
+            s_vals = lna + np.log(rx.nodes[i]) - np.log(ry.nodes[j]) + t4
+            total += wx * wy * np.sum(w4 * s_vals**kk)
+    return complex(total)

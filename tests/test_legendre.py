@@ -109,6 +109,20 @@ def test_kernel_factor_array_real_dtype_both_branches():
     assert kernel_factor_array(1.7 + 0.1j, -0.6, x).dtype == np.complex128
 
 
+def test_kernel_factor_array_does_not_depend_on_array_neighbours():
+    # Sorted nodes put the x near 1, whose series stop after a few terms, in
+    # chunks of their own; each chunk must still give the whole array's bits.
+    rng = random.Random(11)
+    gen = np.random.default_rng(11)
+    orders = [(rng.uniform(0.05, 6.0), rng.uniform(-2.0, 0.95)) for _ in range(10)]
+    orders += [(rng.uniform(0.05, 6.0), 1.0), (rng.uniform(0.05, 6.0), 2.0)]
+    for v, u in orders:
+        x = np.sort(gen.random(1 << 13) ** (1.0 / rng.uniform(0.05, 0.95)))
+        whole = kernel_factor_array(v, u, x)
+        chunks = [kernel_factor_array(v, u, x[i : i + 1024]) for i in range(0, len(x), 1024)]
+        assert np.array_equal(whole, np.concatenate(chunks)), (v, u)
+
+
 def test_legendre_simple_values():
     assert abs(assoc_legendre_p(0.0, 0.0, 0.37) - 1.0) < 1e-14
     assert abs(assoc_legendre_p(1.0, 0.0, 0.37) - 0.37) < 1e-14

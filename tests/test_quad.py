@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import sixfold.quad as quad
+from oracles import integrate_6d_brute
 from sixfold.core import (
     DomainError,
     InadmissibleError,
@@ -18,7 +20,6 @@ from sixfold.quad import (
     QmcSpec,
     Rule1D,
     gauss_laguerre,
-    integrate_6d_brute,
     integrate_6d_qmc,
     integrate_6d_tensor,
     log_axis_rule,
@@ -49,6 +50,11 @@ NEARER_BETA_MINUS_ONE = ParameterSet(
     mu=-0.1570367453525392,
     nu=1.9103604788734674,
 )
+# Non-integer degrees, so no Gauss series terminates.  REAL_COUPLING has
+# integer k and a > 0, so its QMC samples stay float64; COMPLEX_COUPLING
+# has non-integer k and a off the real axis.
+REAL_COUPLING = ParameterSet(k=3, a=0.8, m=0.4, u=-0.6, v=0.9, mu=-0.3, nu=1.6)
+COMPLEX_COUPLING = ParameterSet(k=1.7, a=-1.3 + 0.4j, m=0.3, u=-0.4, v=1.35, mu=0.2, nu=0.85)
 
 # First points of the 6-dimensional Sobol sequence (cross-checked against an
 # independent generator during development).
@@ -146,6 +152,17 @@ def test_rule_parameter_validation():
 def test_sobol_first_points():
     pts = sobol_points(8).astype(np.float64) * 2.0**-32
     assert np.array_equal(pts, SOBOL_FIRST_8)
+    assert np.array_equal(sobol_points(1), np.zeros((1, 6)))
+
+
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 12, 1 << 14])
+def test_sobol_chunk_is_base_xor_offset(chunk):
+    full = sobol_points(1 << 16)
+    base = sobol_points(chunk)
+    direction = quad._direction_numbers()
+    for c0 in range(0, 1 << 16, chunk):
+        expect = np.bitwise_xor(base, quad._sobol_offset(direction, c0))
+        assert np.array_equal(full[c0 : c0 + chunk], expect), c0
 
 
 def test_qmc_spec_validation():
@@ -247,6 +264,55 @@ def test_qmc_reproducible_bit_for_bit():
     assert v1 == v2 and e1 == e2
 
 
+def test_qmc_chunk_size_leaves_value_unchanged(monkeypatch):
+    # One 2^15-point chunk is the whole block, evaluated in a single pass.
+    f = Integrand6D(COMPLEX_COUPLING)
+    spec = QmcSpec(count=1 << 15)
+    results = []
+    for chunk in (1 << 15, 1 << 14, 1 << 12, 1 << 10):
+        monkeypatch.setattr(quad, "_QMC_CHUNK", chunk)
+        results.append(integrate_6d_qmc(f, spec))
+    assert results[1:] == results[:1] * 3
+
+
+@pytest.mark.parametrize(
+    "ps, count, hexes",
+    [
+        (REAL_COUPLING, 1 << 16, ("-0x1.7f9838564a396p+7", "0x0.0p+0", "0x1.187149041c1fep+3")),
+        (
+            COMPLEX_COUPLING,
+            1 << 18,  # two 2^17-point blocks
+            ("-0x1.aba46553dfc0bp+3", "-0x1.4df9d8a09cf1ep+5", "0x1.561182b485bb6p-5"),
+        ),
+    ],
+    ids=["real_coupling", "complex_coupling"],
+)
+def test_qmc_golden_values(monkeypatch, ps, count, hexes):
+    # Recorded with the estimator that summed each block in one pass.
+    asked = []
+    points = quad.sobol_points
+    monkeypatch.setattr(quad, "sobol_points", lambda n: asked.append(n) or points(n))
+    val, se = integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=count))
+    assert (val.real.hex(), val.imag.hex(), se.hex()) == hexes
+    assert asked and max(asked) <= quad._QMC_CHUNK
+
+
+def test_qmc_non_finite_sample_names_global_index(monkeypatch):
+    calls = []
+    x_kernel = Integrand6D.x_kernel
+
+    def poisoned(self, x):
+        out = x_kernel(self, x)
+        if len(calls) == 3:  # the fourth chunk of the first replicate
+            out[5] = np.nan
+        calls.append(len(x))
+        return out
+
+    monkeypatch.setattr(Integrand6D, "x_kernel", poisoned)
+    with pytest.raises(NonFiniteSampleError, match=f"at point {3 * quad._QMC_CHUNK + 5}$"):
+        integrate_6d_qmc(Integrand6D(REAL_COUPLING), QmcSpec(count=1 << 16))
+
+
 def test_qmc_seed_changes_value():
     f = Integrand6D(REFERENCE)
     v1, _ = integrate_6d_qmc(f, QmcSpec(count=1 << 12, shift_seed=1))
@@ -298,10 +364,15 @@ def test_qmc_head_substitution_does_not_overflow():
     assert math.isfinite(se) and se > 0.0
 
 
-def test_qmc_rejects_log_axis_exponent_below_minus_one():
+def test_qmc_rejects_log_axis_exponent_below_minus_one(monkeypatch):
+    def fail(*args):
+        raise AssertionError("points or shifts generated before the check")
+
+    monkeypatch.setattr(quad, "sobol_points", fail)
+    monkeypatch.setattr(quad, "_splitmix64_stream", fail)
     ps = REFERENCE.replace(mu=-0.5, nu=2.4)  # beta_p = (0.5 - 0.5 - 2.4) / 2 = -1.2
-    with pytest.raises(DomainError):
-        integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 10))
+    with pytest.raises(DomainError, match="Re\\(beta\\) > -1"):
+        integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 22))
 
 
 @pytest.mark.parametrize("k", [-1, -3])
