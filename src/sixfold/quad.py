@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import cmath
+import os
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -247,9 +248,9 @@ def _splitmix64_stream(seed: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class QmcSpec:
-    """Sobol sampling plan: ``count`` points (a power of two >= 2^10) of the
-    6-dimensional sequence in each of ``replicates`` digital shifts, drawn
-    from ``shift_seed``.  ``verify`` uses ``QmcSpec()`` when given none."""
+    """Sobol sampling plan: ``count`` points (a power of two in [2^10, 2^32])
+    of the 6-dimensional sequence in each of ``replicates`` digital shifts,
+    drawn from ``shift_seed``.  ``verify`` uses ``QmcSpec()`` when given none."""
 
     count: int = 1 << 16
     shift_seed: int = 20170
@@ -258,6 +259,8 @@ class QmcSpec:
     def __post_init__(self) -> None:
         if self.count < 1024 or self.count & (self.count - 1) != 0:
             raise DomainError("QmcSpec count must be a power of two >= 2^10")
+        if self.count > 1 << _SOBOL_BITS:
+            raise DomainError(f"QmcSpec count must be at most 2^{_SOBOL_BITS}, the Sobol period")
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +408,131 @@ def integrate_6d_tensor(f: Integrand6D, rules) -> complex:
     return complex(total)
 
 
+def _qmc_share(
+    rs: range, f: Integrand6D, spec: QmcSpec, base: np.ndarray, direction: np.ndarray, shifts: list[int]
+) -> list:
+    """Outcomes of the replicates ``rs`` of :func:`integrate_6d_qmc`, in
+    order: each one's mean, until one raises; its exception then ends the
+    list.  Replicate r takes ``spec.count`` points digitally shifted by
+    words 6r..6r+5 of ``shifts``, in chunks of ``len(base)``.  One loop runs
+    all of ``rs``: the chunk temporaries of a replicate stay alive into the
+    next, so malloc does not hand the heap back and fault it in again."""
+    chunk, block = len(base), min(_QMC_BLOCK, spec.count)
+    betas = tuple(b.real for b in f.exq.as_tuple())
+    lna = cmath.log(complex(f.ps.a))
+    if lna.imag == 0.0:
+        lna = lna.real
+    px = 1.0 / f.ps.m.real
+    py = 1.0 / (1.0 - f.ps.m.real)
+    scale = 2.0**-_SOBOL_BITS
+    out: list = []
+    for r in rs:
+        shift = np.array(
+            [s >> (64 - _SOBOL_BITS) for s in shifts[r * 6 : r * 6 + 6]], dtype=np.uint64
+        )
+        sums: list[complex] = []
+        parts: list[np.ndarray] = []
+        try:
+            for c0 in range(0, spec.count, chunk):
+                pts = np.bitwise_xor(base, shift ^ _sobol_offset(direction, c0))
+                u = (pts.astype(np.float64) + 0.5) * scale
+                lnu_x, lnu_y = np.log(u[:, 0]), np.log(u[:, 1])
+                # x^(m-1) dx and y^-m dy with their warp Jacobians are the
+                # constants px and py.
+                vals = (px * py) * f.x_kernel(np.exp(px * lnu_x)) * f.y_kernel(np.exp(py * lnu_y))
+                # Log of the four log-axis weights L^beta e^(-L) dL/dT over
+                # the sampling density e^(-T): the head weight plus T, and
+                # T^beta on the tail, where L = T.  The head substitution
+                # gets ln T <= 0 only, since T^c overflows on the tail.
+                log_w = np.zeros(len(u))
+                ln_ell = []
+                for i, beta in enumerate(betas):
+                    t_exp = -np.log(u[:, 2 + i])
+                    ln_t = np.log(t_exp)
+                    head = t_exp <= 1.0
+                    head_ln, head_lw = _log_axis_head(np.minimum(ln_t, 0.0), beta)
+                    ln_ell.append(np.where(head, head_ln, ln_t))
+                    log_w += np.where(head, head_lw + t_exp, beta * ln_t)
+                s_vals = lna + px * lnu_x - py * lnu_y + 0.5 * (
+                    ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1]
+                )
+                vals = vals * np.exp(log_w) * f.coupling(s_vals)
+                if not np.all(np.isfinite(vals)):
+                    bad = int(np.argwhere(~np.isfinite(vals))[0][0]) + c0
+                    raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")
+                parts.append(vals)
+                if (c0 + chunk) % block == 0:
+                    sums.append(complex(np.sum(np.concatenate(parts))))
+                    parts.clear()
+        except Exception as exc:  # the caller raises it, in replicate order
+            out.append(exc)
+            break
+        out.append(
+            complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums)) / spec.count
+        )
+    return out
+
+
+def _qmc_child(conn, rs: range, args: tuple) -> None:
+    with conn:
+        conn.send(_qmc_share(rs, *args))
+
+
+def _qmc_workers(spec: QmcSpec) -> int:
+    """Processes for the replicates: one per available CPU, at most one per
+    replicate, or 1 (in-process) where a fork cannot pay or cannot run."""
+    if spec.count <= _QMC_CHUNK:  # a one-chunk replicate is cheaper than a fork
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, spec.replicates)
+    if workers < 2:
+        return 1
+    import multiprocessing  # only here: the import costs more than a small run
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if multiprocessing.current_process().daemon:  # may not have children
+        return 1
+    return workers
+
+
+def _qmc_forked(workers: int, n: int, args: tuple) -> list:
+    """Outcomes of replicates 0..n-1 of ``_qmc_share(rs, *args)``, in index
+    order, replicate r computed by worker r % workers: worker 0 is the
+    caller, each other a forked child that sends its share's outcomes
+    through a pipe.  A worker stops at its first failure, so the replicates
+    left out all come after an exception.  A child that exits without
+    sending raises RuntimeError.  No child outlives the call."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    outcomes: dict[int, object] = {}
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_qmc_child, args=(send, range(w, n, workers), args), daemon=True)
+            child.start()
+            children.append((child, recv))
+            send.close()  # so recv sees EOF once the child is gone
+        outcomes.update(zip(range(0, n, workers), _qmc_share(range(0, n, workers), *args)))
+        for w, (child, recv) in enumerate(children, 1):
+            try:
+                outcomes.update(zip(range(w, n, workers), recv.recv()))
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"QMC worker for replicates {w}::{workers} exited with code "
+                    f"{child.exitcode} without sending them"
+                ) from None
+    finally:
+        for child, recv in children:
+            recv.close()
+            child.terminate()
+            child.join()
+    return [outcomes[r] for r in sorted(outcomes)]
+
+
 def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     """Digitally-shifted Sobol estimate of the transformed integral.
 
@@ -428,6 +556,25 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     bit: every per-point step is elementwise (the Gauss series too, see
     :func:`hyp2f1_array`), each 2^17-point block is summed by one pairwise
     ``np.sum``, and the block sums of a replicate by ``math.fsum``.
+
+    The replicates are independent, so they run on up to one process per
+    available CPU (``os.sched_getaffinity``), at most ``spec.replicates``:
+    with w workers the caller computes the replicates r = 0 (mod w) and each
+    of w - 1 children, forked after the Sobol base, direction numbers and
+    shifts are built, the replicates r = i (mod w); a forked child inherits
+    them and the integrand with no pickling and no fresh interpreter.  Each
+    replicate runs the same code on the same inputs wherever it runs, and
+    the means are merged by index before the one reduction, so the value
+    and standard error are bit-for-bit those of the one-process run; so is
+    an error, the exception of the lowest-index replicate that raised.  The
+    estimator stays in-process on one CPU (``taskset -c 0`` gives a
+    one-process run), when ``spec.count`` fits one chunk (a fork costs more
+    than such a run), where the ``fork`` start method does not exist, and
+    in a daemonic process, which may not have children.  Children run only
+    elementwise numpy code, no BLAS, so the BLAS threads a fork does not
+    copy are not missed; Python >= 3.12 still warns (DeprecationWarning)
+    about forking a process that has threads.  Trace spans recorded in a
+    child stay there.
     """
     if not f.has_real_strip():
         raise InadmissibleError("qmc path needs real strip parameters")
@@ -438,62 +585,21 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
             "axis: the coupling log vanishes inside the domain, where S^k "
             "has a pole or branch point without a principal-value meaning"
         )
-    betas = tuple(b.real for b in f.exq.as_tuple())
-    if min(betas) <= -1.0:
+    if min(b.real for b in f.exq.as_tuple()) <= -1.0:
         raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
-    chunk, block = min(_QMC_CHUNK, spec.count), min(_QMC_BLOCK, spec.count)
-    base = sobol_points(chunk)
-    direction = _direction_numbers()
+    base = sobol_points(min(_QMC_CHUNK, spec.count))
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * _SOBOL_DIM)
-    lna = cmath.log(complex(f.ps.a))
-    if lna.imag == 0.0:
-        lna = lna.real
-    px = 1.0 / f.ps.m.real
-    py = 1.0 / (1.0 - f.ps.m.real)
-
-    rep_means: list[complex] = []
-    scale = 2.0**-_SOBOL_BITS
-    for r in range(spec.replicates):
-        shift = np.array(
-            [s >> (64 - _SOBOL_BITS) for s in shifts[r * 6 : r * 6 + 6]], dtype=np.uint64
-        )
-        sums: list[complex] = []
-        parts: list[np.ndarray] = []
-        for c0 in range(0, spec.count, chunk):
-            pts = np.bitwise_xor(base, shift ^ _sobol_offset(direction, c0))
-            u = (pts.astype(np.float64) + 0.5) * scale
-            lnu_x, lnu_y = np.log(u[:, 0]), np.log(u[:, 1])
-            # x^(m-1) dx and y^-m dy with their warp Jacobians are the
-            # constants px and py.
-            vals = (px * py) * f.x_kernel(np.exp(px * lnu_x)) * f.y_kernel(np.exp(py * lnu_y))
-            # Log of the four log-axis weights L^beta e^(-L) dL/dT over the
-            # sampling density e^(-T): the head weight plus T, and T^beta on
-            # the tail, where L = T.  The head substitution gets ln T <= 0
-            # only, since T^c overflows on the tail.
-            log_w = np.zeros(len(u))
-            ln_ell = []
-            for i, beta in enumerate(betas):
-                t_exp = -np.log(u[:, 2 + i])
-                ln_t = np.log(t_exp)
-                head = t_exp <= 1.0
-                head_ln, head_lw = _log_axis_head(np.minimum(ln_t, 0.0), beta)
-                ln_ell.append(np.where(head, head_ln, ln_t))
-                log_w += np.where(head, head_lw + t_exp, beta * ln_t)
-            s_vals = lna + px * lnu_x - py * lnu_y + 0.5 * (
-                ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1]
-            )
-            vals = vals * np.exp(log_w) * f.coupling(s_vals)
-            if not np.all(np.isfinite(vals)):
-                bad = int(np.argwhere(~np.isfinite(vals))[0][0]) + c0
-                raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")
-            parts.append(vals)
-            if (c0 + chunk) % block == 0:
-                sums.append(complex(np.sum(np.concatenate(parts))))
-                parts.clear()
-        rep_means.append(
-            complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums))
-            / spec.count
-        )
+    args = (f, spec, base, _direction_numbers(), shifts)
+    workers = _qmc_workers(spec)
+    if workers == 1:
+        outcomes = _qmc_share(range(spec.replicates), *args)
+    else:
+        outcomes = _qmc_forked(workers, spec.replicates, args)
+    rep_means = []
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):  # the lowest-index replicate that raised
+            raise outcome
+        rep_means.append(outcome)
 
     mean = sum(rep_means) / len(rep_means)
     var = sum(abs(m - mean) ** 2 for m in rep_means) / (len(rep_means) - 1)

@@ -258,6 +258,7 @@ _APERY = ["verify", "--case", "apery", "--paths", "closed,special", "--format", 
         ("--tol", "abc", "--tol: invalid float value 'abc'"),
         ("--abs-tol", "1e-3x", "--abs-tol: invalid float value '1e-3x'"),
         ("--qmc-count", "1e5", "--qmc-count: invalid int value '1e5'"),
+        ("--qmc-count", "8589934592", "QmcSpec count must be at most 2^32, the Sobol period"),
         ("--seed", "7.5", "--seed: invalid int value '7.5'"),
         # nan failed two agreeing paths and inf passed anything; both were
         # printed as NaN/Infinity, which is not JSON.

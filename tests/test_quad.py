@@ -1,5 +1,10 @@
 import cmath
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +175,10 @@ def test_qmc_spec_validation():
         QmcSpec(count=1000)
     with pytest.raises(DomainError):
         QmcSpec(count=3000)
+    # The direction numbers have 32 bits: point 2^32 does not exist.
+    assert QmcSpec(count=1 << 32).count == 1 << 32
+    with pytest.raises(DomainError, match="at most 2\\^32"):
+        QmcSpec(count=1 << 33)
 
 
 def test_tensor_separable_product():
@@ -275,20 +284,40 @@ def test_qmc_chunk_size_leaves_value_unchanged(monkeypatch):
     assert results[1:] == results[:1] * 3
 
 
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _pin(monkeypatch, cpus: int) -> None:
+    """Make the QMC estimator see ``cpus`` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+_GOLDEN = {
+    "real_coupling": (
+        REAL_COUPLING,
+        1 << 16,
+        ("-0x1.7f9838564a396p+7", "0x0.0p+0", "0x1.187149041c1fep+3"),
+    ),
+    "complex_coupling": (
+        COMPLEX_COUPLING,
+        1 << 18,  # two 2^17-point blocks
+        ("-0x1.aba46553dfc0bp+3", "-0x1.4df9d8a09cf1ep+5", "0x1.561182b485bb6p-5"),
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "ps, count, hexes",
-    [
-        (REAL_COUPLING, 1 << 16, ("-0x1.7f9838564a396p+7", "0x0.0p+0", "0x1.187149041c1fep+3")),
-        (
-            COMPLEX_COUPLING,
-            1 << 18,  # two 2^17-point blocks
-            ("-0x1.aba46553dfc0bp+3", "-0x1.4df9d8a09cf1ep+5", "0x1.561182b485bb6p-5"),
-        ),
-    ],
-    ids=["real_coupling", "complex_coupling"],
+    "case, one_cpu",
+    [(case, False) for case in _GOLDEN] + [(case, True) for case in _GOLDEN],
+    ids=[*_GOLDEN, *(f"{case}-one_cpu" for case in _GOLDEN)],
 )
-def test_qmc_golden_values(monkeypatch, ps, count, hexes):
-    # Recorded with the estimator that summed each block in one pass.
+def test_qmc_golden_values(monkeypatch, case, one_cpu):
+    # Recorded in one process with the estimator that summed each block in
+    # one pass; the default CPU set spreads the replicates over processes.
+    ps, count, hexes = _GOLDEN[case]
+    if one_cpu:
+        _pin(monkeypatch, 1)
     asked = []
     points = quad.sobol_points
     monkeypatch.setattr(quad, "sobol_points", lambda n: asked.append(n) or points(n))
@@ -311,6 +340,139 @@ def test_qmc_non_finite_sample_names_global_index(monkeypatch):
     monkeypatch.setattr(Integrand6D, "x_kernel", poisoned)
     with pytest.raises(NonFiniteSampleError, match=f"at point {3 * quad._QMC_CHUNK + 5}$"):
         integrate_6d_qmc(Integrand6D(REAL_COUPLING), QmcSpec(count=1 << 16))
+
+
+@pytest.mark.skipif(_available_cpus() < 2, reason="needs 2 CPUs")
+def test_qmc_replicates_split_between_processes(monkeypatch):
+    seen = []
+    share = quad._qmc_share
+    monkeypatch.setattr(quad, "_qmc_share", lambda rs, *args: seen.extend(rs) or share(rs, *args))
+    f = Integrand6D(REAL_COUPLING)
+    # A child's calls land in its own copy of ``seen``.
+    for cpus, count, ours in (
+        (2, 2 * quad._QMC_CHUNK, [0, 2, 4, 6]),
+        (1, 2 * quad._QMC_CHUNK, list(range(8))),
+        (2, quad._QMC_CHUNK, list(range(8))),  # one chunk: not worth a fork
+    ):
+        _pin(monkeypatch, cpus)
+        seen.clear()
+        integrate_6d_qmc(f, QmcSpec(count=count))
+        assert seen == ours, (cpus, count)
+
+
+# Two chunks per replicate in the fault-injection tests.
+_INJECT_COUNT = 2 * quad._QMC_CHUNK
+
+
+def _inject(monkeypatch, fault):
+    """Run ``fault(r, out)`` on every x-kernel array of replicate r, at
+    ``_INJECT_COUNT`` points: call i of a share's x kernel belongs to its
+    replicate number i // 2."""
+    share, x_kernel = quad._qmc_share, Integrand6D.x_kernel
+    state = {}
+
+    def spy(rs, *args):
+        state.update(rs=rs, calls=0)
+        return share(rs, *args)
+
+    def kernel(self, x):
+        out = x_kernel(self, x)
+        fault(state["rs"][state["calls"] // 2], out)
+        state["calls"] += 1
+        return out
+
+    monkeypatch.setattr(quad, "_qmc_share", spy)
+    monkeypatch.setattr(Integrand6D, "x_kernel", kernel)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail a test that waits longer than ``seconds`` instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_qmc_child_error_is_the_in_process_error(monkeypatch):
+    def poison(r, out):
+        if r in (1, 2):  # a child's replicate, then one of the caller's
+            out[10 + r] = np.nan
+
+    _inject(monkeypatch, poison)
+    messages = []
+    for cpus in (1, 2):
+        _pin(monkeypatch, cpus)
+        with pytest.raises(NonFiniteSampleError) as info:
+            integrate_6d_qmc(Integrand6D(REAL_COUPLING), QmcSpec(count=_INJECT_COUNT))
+        messages.append(str(info.value))
+    # Replicate 1, the lowest that raised, as the one-process loop has it.
+    assert messages == ["non-finite QMC sample at point 11"] * 2
+
+
+def test_qmc_child_programming_error_propagates_from_verify(monkeypatch):
+    def bad_operand(r, out):
+        if r == 3:
+            raise TypeError("bad operand in a child")
+
+    _inject(monkeypatch, bad_operand)
+    _pin(monkeypatch, 2)
+    with pytest.raises(TypeError, match="bad operand in a child"):
+        verify("theorem", REFERENCE, paths=("qmc", "closed"), qmc_spec=QmcSpec(count=_INJECT_COUNT))
+    assert not multiprocessing.active_children()
+
+
+def test_qmc_child_that_dies_raises_promptly(monkeypatch):
+    caller = os.getpid()
+
+    def die_in_child(r, out):
+        if os.getpid() != caller:
+            os._exit(3)
+
+    _inject(monkeypatch, die_in_child)
+    _pin(monkeypatch, 2)
+    with _deadline(60), pytest.raises(RuntimeError, match="exited with code 3 without sending"):
+        integrate_6d_qmc(Integrand6D(REAL_COUPLING), QmcSpec(count=_INJECT_COUNT))
+    assert not multiprocessing.active_children()
+
+
+class _Abort(BaseException):
+    """Stands for an interrupt: no replicate's outcome can hold it."""
+
+
+def test_qmc_children_do_not_outlive_a_failing_caller(monkeypatch):
+    caller = os.getpid()
+
+    def stall_child_abort_caller(r, out):
+        if os.getpid() != caller:
+            time.sleep(600)
+        raise _Abort
+
+    _inject(monkeypatch, stall_child_abort_caller)
+    _pin(monkeypatch, 2)
+    with _deadline(60), pytest.raises(_Abort):
+        integrate_6d_qmc(Integrand6D(REAL_COUPLING), QmcSpec(count=_INJECT_COUNT))
+    assert not multiprocessing.active_children()
+
+
+def _qmc_in_pool_worker(spec):
+    return integrate_6d_qmc(Integrand6D(REAL_COUPLING), spec)
+
+
+def test_qmc_in_pool_worker_stays_in_process(monkeypatch):
+    # Pool workers are daemonic and may not start children.
+    _pin(monkeypatch, 2)
+    spec = QmcSpec(count=1 << 15)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_qmc_in_pool_worker, (spec,)).get(timeout=60)
+    assert got == integrate_6d_qmc(Integrand6D(REAL_COUPLING), spec)
 
 
 def test_qmc_seed_changes_value():
