@@ -435,13 +435,11 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-def _default_tensor_rules(exq, coarse: bool = False):
+def _default_tensor_rules(betas, coarse: bool = False):
     level = 4 if coarse else 5
     n = 24 if coarse else 32
     ts = tanh_sinh(level)
-    return (ts, ts) + tuple(
-        log_axis_rule(b.real, n=n, level=level) for b in exq.as_tuple()
-    )
+    return (ts, ts) + tuple(log_axis_rule(b, n=n, level=level) for b in betas)
 
 
 def verify(
@@ -557,8 +555,8 @@ def _run_path(
         return lhs_moment_expansion(ps_thm), None
     if path == "tensor":
         f = Integrand6D(ps_thm)
-        fine = integrate_6d_tensor(f, _default_tensor_rules(f.exq))
-        coarse = integrate_6d_tensor(f, _default_tensor_rules(f.exq, coarse=True))
+        fine = integrate_6d_tensor(f, _default_tensor_rules(f.betas))
+        coarse = integrate_6d_tensor(f, _default_tensor_rules(f.betas, coarse=True))
         return fine, abs(fine - coarse)
     if path == "qmc":
         return integrate_6d_qmc(Integrand6D(ps_thm), qmc_spec or QmcSpec())

@@ -15,13 +15,14 @@ substitution, L = T^(1/(1+beta)) (``_log_axis_head``): it folds L^beta and
 the Jacobian into the constant 1/(1+beta), and carries ln L instead of L,
 which underflows as Re beta -> -1.
 
+Both direct paths admit only real strip parameters, whose real parts
+``Integrand6D`` takes once: the Legendre kernels and log-axis weights run in
+float64, and complex numbers enter only through log a and the coupling S^k.
 ``integrate_6d_tensor`` evaluates the full tensor-product quadrature sum of
 that integrand; for integer k >= 0 the sum is reorganized exactly (binomial
 regrouping of S^k inside the finite sum) so it runs in seconds instead of
 hours.  ``integrate_6d_qmc`` is a digitally-shifted Sobol estimator with a
-replicate-based standard error; it admits only real strip parameters, so
-its Legendre kernels and log-axis weights run in float64 and complex
-numbers enter only through log a and the coupling S^k.
+replicate-based standard error.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 
 from .core import (
     DomainError,
-    ExponentQuad,
     InadmissibleError,
     NonFiniteSampleError,
     ParameterSet,
@@ -281,35 +281,43 @@ def _int_power(s_vals: np.ndarray, n: int) -> np.ndarray:
 class Integrand6D:
     """Separable pieces of the transformed integrand on (0,1)^2 x (0,inf)^4.
 
-    Holds a parameter set and its log-axis exponents ``exq``, the x and y
-    Legendre factors, the coupling S^k and the predicates behind the direct
-    paths' preconditions; each direct path checks those itself and
-    assembles its own sum from the pieces (no pointwise evaluation).
+    The one place that knows the integrand is real: both direct paths admit
+    only a real strip (``has_real_strip``) and read the numbers taken here
+    once, Re m, the real parts ``betas`` of the log-axis exponents (p, q, t,
+    z), ``log_a`` (a float when its imaginary part is 0) and ``k_int``, k
+    as an int when within 1e-12 of one.  Each direct path checks its
+    preconditions itself and assembles its own sum from the pieces.
     """
 
     ps: ParameterSet
-    exq: ExponentQuad = field(init=False)
+    m: float = field(init=False)
+    betas: tuple[float, float, float, float] = field(init=False)
+    log_a: float | complex = field(init=False)
+    k_int: int | None = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exq", derive_exponents(self.ps))
+        ps = self.ps
+        log_a = cmath.log(ps.a)
+        object.__setattr__(self, "m", ps.m.real)
+        object.__setattr__(self, "betas", tuple(b.real for b in derive_exponents(ps).as_tuple()))
+        object.__setattr__(self, "log_a", log_a.real if log_a.imag == 0.0 else log_a)
+        object.__setattr__(self, "k_int", nearest_int(ps.k, 1e-12))
 
     # -- separable pieces -------------------------------------------------
 
     def x_factor(self, x: np.ndarray, one_minus_x: np.ndarray | None = None) -> np.ndarray:
-        ps = self.ps
-        return np.exp((ps.m - 1.0) * np.log(x)) * kernel_factor_array(ps.v, ps.u, x, one_minus_x)
+        return np.exp((self.m - 1.0) * np.log(x)) * self.x_kernel(x, one_minus_x)
 
     def y_factor(self, y: np.ndarray, one_minus_y: np.ndarray | None = None) -> np.ndarray:
-        ps = self.ps
-        return np.exp(-ps.m * np.log(y)) * kernel_factor_array(ps.nu, ps.mu, y, one_minus_y)
+        return np.exp(-self.m * np.log(y)) * self.y_kernel(y, one_minus_y)
 
-    def x_kernel(self, x: np.ndarray) -> np.ndarray:
-        """Real x factor without the x^(m-1) power (absorbed by QMC warping)."""
-        return kernel_factor_array(self.ps.v.real, self.ps.u.real, x)
+    def x_kernel(self, x: np.ndarray, one_minus_x: np.ndarray | None = None) -> np.ndarray:
+        """The real x kernel: the x factor without x^(m-1), which QMC warps away."""
+        return kernel_factor_array(self.ps.v.real, self.ps.u.real, x, one_minus_x)
 
-    def y_kernel(self, y: np.ndarray) -> np.ndarray:
-        """Real y factor without the y^-m power (absorbed by QMC warping)."""
-        return kernel_factor_array(self.ps.nu.real, self.ps.mu.real, y)
+    def y_kernel(self, y: np.ndarray, one_minus_y: np.ndarray | None = None) -> np.ndarray:
+        """The real y kernel: the y factor without y^-m, which QMC warps away."""
+        return kernel_factor_array(self.ps.nu.real, self.ps.mu.real, y, one_minus_y)
 
     def has_real_strip(self) -> bool:
         """True when m, u, v, mu and nu are real to within 1e-12."""
@@ -318,20 +326,19 @@ class Integrand6D:
 
     def integer_k(self) -> int | None:
         """k as an int when it is a non-negative integer, else None."""
-        kk = nearest_int(self.ps.k, 1e-12)
+        kk = self.k_int
         return kk if kk is not None and kk >= 0 else None
 
     def coupling(self, s_vals: np.ndarray) -> np.ndarray:
         """S^k with principal powers; plain integer powers for integer k of
         either sign."""
-        kk = nearest_int(self.ps.k, 1e-12)
-        if kk is not None and kk >= 0:
-            return _int_power(s_vals, kk)
-        if np.any(np.abs(s_vals) < 1e-300):
-            raise NonFiniteSampleError("coupling log argument hit zero")
-        if kk is not None:
-            return _int_power(s_vals, kk)
-        return np.exp(self.ps.k * np.log(s_vals.astype(complex)))
+        kk = self.k_int
+        if kk is None or kk < 0:
+            if np.any(np.abs(s_vals) < 1e-300):
+                raise NonFiniteSampleError("coupling log argument hit zero")
+            if kk is None:
+                return np.exp(self.ps.k * np.log(s_vals.astype(complex)))
+        return _int_power(s_vals, kk)
 
 
 def _tensor_k(f: Integrand6D, rules) -> int:
@@ -346,13 +353,11 @@ def _tensor_k(f: Integrand6D, rules) -> int:
     for axis, rule in zip(("x", "y"), rules[:2]):
         if rule.complement is None:
             raise DomainError(f"axis {axis} must use a tanh_sinh rule")
-    for name, rule, beta in zip(("p", "q", "t", "z"), rules[2:], f.exq.as_tuple()):
+    for name, rule, beta in zip(("p", "q", "t", "z"), rules[2:], f.betas):
         if rule.log_nodes is None:
             raise DomainError(f"axis {name} must use a log_axis_rule")
-        if abs(rule.alpha - beta.real) > 1e-12:
-            raise DomainError(
-                f"axis {name}: rule alpha {rule.alpha} != Re(beta) {beta.real}"
-            )
+        if abs(rule.alpha - beta) > 1e-12:
+            raise DomainError(f"axis {name}: rule alpha {rule.alpha} != Re(beta) {beta}")
     return kk
 
 
@@ -361,51 +366,42 @@ def integrate_6d_tensor(f: Integrand6D, rules) -> complex:
 
     Requires integer k >= 0 and real strip parameters (else
     InadmissibleError), and one rule per axis as ``log_axis_rule`` and
-    ``tanh_sinh`` build them (else DomainError).  The tensor sum is
-    evaluated exactly as written; the only reorganization is an exact
-    binomial regrouping of the coupling power inside the finite sum, which
-    leaves the result identical to brute-force enumeration up to rounding.
+    ``tanh_sinh`` build them (else DomainError).  Everything but log a
+    (``f.log_a``) is float64.  The tensor sum is evaluated exactly as
+    written; the only reorganization is an exact binomial regrouping of
+    S^k inside the finite sum, a polynomial in c0 = log a + ln x - ln y
+    summed by Horner's rule, which leaves the result identical to
+    brute-force enumeration up to rounding.
     """
     kk = _tensor_k(f, rules)
     rx, ry, rp, rq, rt, rz = rules
 
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
     ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
-    lnx = np.log(rx.nodes)
-    lny = np.log(ry.nodes)
 
     signs = (-0.5, -0.5, 0.5, 0.5)
-    # Normalized log-moments per log axis: m_hat[r] = sum w L^(i Im b)
-    # (sign*ln L)^r / r!; their polynomial convolution gives the joint
-    # moments of the axis sum.
-    mhat = []
-    for rule, beta, sign in zip((rp, rq, rt, rz), f.exq.as_tuple(), signs):
-        lam = sign * rule.log_nodes
-        g = rule.weights.astype(complex)
-        if beta.imag != 0.0:
-            g = g * np.exp(1j * beta.imag * rule.log_nodes)
-        vec = np.empty(kk + 1, dtype=complex)
-        powl = np.ones_like(lam)
-        fact = 1.0
-        for r in range(kk + 1):
-            if r > 0:
-                powl = powl * lam
-                fact *= r
-            vec[r] = np.sum(g * powl) / fact
-        mhat.append(vec)
-    joint = mhat[0]
-    for vec in mhat[1:]:
-        joint = np.convolve(joint, vec)[: kk + 1]
-    cmoments = joint * np.array([math.factorial(r) for r in range(kk + 1)])
+    # Normalized log-moments per log axis: m_hat[r] = sum w (sign*ln L)^r / r!;
+    # their polynomial convolution gives the joint moments over r! of the
+    # axis sum T, so the log-axis sum of S^k = (c0 + T)^k is
+    # sum_r k!/(k-r)! joint[r] c0^(k-r).
+    joint = [1.0]
+    for rule, sign in zip((rp, rq, rt, rz), signs):
+        term = rule.weights
+        mhat = [np.sum(term)]
+        for r in range(1, kk + 1):
+            term = term * (sign * rule.log_nodes) / r
+            mhat.append(np.sum(term))
+        joint = np.convolve(joint, mhat)[: kk + 1]
 
-    c0 = cmath.log(complex(f.ps.a)) + lnx[:, None] - lny[None, :]
-    acc = np.zeros(c0.shape, dtype=complex)
-    for r in range(kk + 1):
-        acc += math.comb(kk, r) * cmoments[r] * c0 ** (kk - r)
-    total = ax @ acc @ ay
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+    # Horner in c0: numpy's float power calls pow() per element (_int_power).
+    c0 = f.log_a + np.log(rx.nodes)[:, None] - np.log(ry.nodes)[None, :]
+    acc = np.full(c0.shape, joint[0])
+    for r in range(1, kk + 1):
+        acc = acc * c0 + math.perm(kk, r) * joint[r]
+    total = complex(ax @ acc @ ay)
+    if not cmath.isfinite(total):
         raise NonFiniteSampleError("tensor quadrature produced a non-finite value")
-    return complex(total)
+    return total
 
 
 def _qmc_share(
@@ -418,12 +414,8 @@ def _qmc_share(
     all of ``rs``: the chunk temporaries of a replicate stay alive into the
     next, so malloc does not hand the heap back and fault it in again."""
     chunk, block = len(base), min(_QMC_BLOCK, spec.count)
-    betas = tuple(b.real for b in f.exq.as_tuple())
-    lna = cmath.log(complex(f.ps.a))
-    if lna.imag == 0.0:
-        lna = lna.real
-    px = 1.0 / f.ps.m.real
-    py = 1.0 / (1.0 - f.ps.m.real)
+    px = 1.0 / f.m
+    py = 1.0 / (1.0 - f.m)
     scale = 2.0**-_SOBOL_BITS
     out: list = []
     for r in rs:
@@ -446,14 +438,14 @@ def _qmc_share(
                 # gets ln T <= 0 only, since T^c overflows on the tail.
                 log_w = np.zeros(len(u))
                 ln_ell = []
-                for i, beta in enumerate(betas):
+                for i, beta in enumerate(f.betas):
                     t_exp = -np.log(u[:, 2 + i])
                     ln_t = np.log(t_exp)
                     head = t_exp <= 1.0
                     head_ln, head_lw = _log_axis_head(np.minimum(ln_t, 0.0), beta)
                     ln_ell.append(np.where(head, head_ln, ln_t))
                     log_w += np.where(head, head_lw + t_exp, beta * ln_t)
-                s_vals = lna + px * lnu_x - py * lnu_y + 0.5 * (
+                s_vals = f.log_a + px * lnu_x - py * lnu_y + 0.5 * (
                     ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1]
                 )
                 vals = vals * np.exp(log_w) * f.coupling(s_vals)
@@ -544,8 +536,8 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     L^beta singularity.  Without the warps the estimator has unbounded
     variance and its replicate scatter understates the error; with them the
     weight is bounded up to logarithms.  Strip parameters must be real
-    (imaginary parts below 1e-12 are dropped): the kernels and weights run
-    in float64 and the coupling S^k is applied last.  Unless k is a
+    (``Integrand6D`` drops imaginary parts below 1e-12): the kernels and
+    weights run in float64 and the coupling S^k is applied last.  Unless k is a
     non-negative integer, a must be off the positive real axis.  A breach
     of either rule raises InadmissibleError.  The value is the mean
     of ``spec.replicates`` digitally shifted replicates, the standard error
@@ -585,7 +577,7 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
             "axis: the coupling log vanishes inside the domain, where S^k "
             "has a pole or branch point without a principal-value meaning"
         )
-    if min(b.real for b in f.exq.as_tuple()) <= -1.0:
+    if min(f.betas) <= -1.0:
         raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
     base = sobol_points(min(_QMC_CHUNK, spec.count))
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * _SOBOL_DIM)

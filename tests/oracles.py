@@ -239,12 +239,7 @@ def integrate_6d_brute(f, rules) -> complex:
     rx, ry, rp, rq, rt, rz = rules
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
     ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
-    lna = cmath.log(complex(f.ps.a))
-
-    gp, gq, gt, gz = (
-        rule.weights * np.exp(1j * beta.imag * rule.log_nodes)
-        for rule, beta in zip((rp, rq, rt, rz), f.exq.as_tuple())
-    )
+    gp, gq, gt, gz = (r.weights for r in (rp, rq, rt, rz))
     lp, lq, lt, lz = (r.log_nodes for r in (rp, rq, rt, rz))
     w4 = (
         gp[:, None, None, None]
@@ -261,6 +256,6 @@ def integrate_6d_brute(f, rules) -> complex:
     total = 0.0 + 0.0j
     for i, wx in enumerate(ax):
         for j, wy in enumerate(ay):
-            s_vals = lna + np.log(rx.nodes[i]) - np.log(ry.nodes[j]) + t4
+            s_vals = f.log_a + np.log(rx.nodes[i]) - np.log(ry.nodes[j]) + t4
             total += wx * wy * np.sum(w4 * s_vals**kk)
     return complex(total)

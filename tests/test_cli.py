@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -19,6 +20,21 @@ def test_parse_complex_rejects_expressions():
     for bad in ("1+2", "2i+1", "abc", "1/2", ""):
         with pytest.raises(DomainError):
             parse_complex(bad)
+
+
+def test_parse_complex_round_trips_every_finite_pair():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(finite, finite)
+    def round_trip(re, im):
+        sign = "+" if math.copysign(1.0, im) > 0 else "-"
+        z = parse_complex(f"{re!r}{sign}{abs(im)!r}i")
+        assert (z.real.hex(), z.imag.hex()) == (re.hex(), im.hex())
+
+    round_trip()
 
 
 def test_list_has_all_cases(capsys):

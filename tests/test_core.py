@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sixfold.core import (
+    PARAM_NAMES,
     DomainError,
     ParameterSet,
     Tolerances,
@@ -34,6 +35,23 @@ def test_nonfinite_reported_not_raised():
     ps = ParameterSet(k=0, a=1, m=float("nan"), u=0, v=1, mu=0, nu=1)
     violations = validate_parameters(ps)
     assert violations == ["finite(m)"]
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "any"])
+def test_validate_parameters_never_raises(finite):
+    # "any" draws NaN and inf in most sets, which end the check early, so
+    # the strip inequalities get a run on finite sets of their own.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.complex_numbers(allow_nan=not finite, allow_infinity=not finite)
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.fixed_dictionaries({name: value for name in PARAM_NAMES}))
+    def never_raises(params):
+        violations = validate_parameters(ParameterSet(**params))
+        assert all(isinstance(v, str) for v in violations)
+
+    never_raises()
 
 
 def test_zero_a_rejected():

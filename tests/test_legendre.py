@@ -109,6 +109,27 @@ def test_kernel_factor_array_real_dtype_both_branches():
     assert kernel_factor_array(1.7 + 0.1j, -0.6, x).dtype == np.complex128
 
 
+def test_kernel_factor_array_matches_mpmath():
+    # The real kernel both direct paths share, against 30-digit mpmath.  The
+    # bound is 1e-13 relative; near an interior zero of P_v^u the Gauss series
+    # around x = 1 cancels, so there the error is measured against the
+    # kernel's size away from the zero, min(1, (1-x)^-u), and bounded by 1e-15
+    # of it (over 30 seeds, the worst point reached 0.27 of that bound).
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2024)
+    orders = [(rng.uniform(0.05, 2.5), rng.uniform(-2.0, 0.95)) for _ in range(40)]
+    orders += [(rng.uniform(0.05, 2.5), float(u)) for u in (-2, -1, 0, 1) for _ in range(3)]
+    for v, u in orders:
+        ends = [10.0 ** rng.uniform(-12.0, -3.0) for _ in range(2)]
+        x = np.array([rng.uniform(0.001, 0.999) for _ in range(2)] + ends + [1.0 - d for d in ends])
+        for t, got in zip(x, kernel_factor_array(v, u, x)):
+            with mpmath.workdps(30):
+                mt = mpmath.mpf(float(t))
+                ref = float(mpmath.legenp(v, u, mt, type=2).real * (1 - mt * mt) ** (-u / 2))
+            bound = max(1e-13 * abs(ref), 1e-15 * min(1.0, (1.0 - t) ** -u))
+            assert abs(got - ref) <= bound, (v, u, t)
+
+
 def test_kernel_factor_array_does_not_depend_on_array_neighbours():
     # Sorted nodes put the x near 1, whose series stop after a few terms, in
     # chunks of their own; each chunk must still give the whole array's bits.

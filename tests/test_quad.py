@@ -210,9 +210,7 @@ def _every_sixth(rule):
 def test_tensor_matches_brute_enumeration(ps):
     f = Integrand6D(ps)
     ts = tanh_sinh(2)
-    small = (ts, ts) + tuple(
-        _every_sixth(log_axis_rule(b.real, n=4, level=1)) for b in f.exq.as_tuple()
-    )
+    small = (ts, ts) + tuple(_every_sixth(log_axis_rule(b, n=4, level=1)) for b in f.betas)
     assert small[2].nodes[0] == 0.0  # the first head node underflowed
     fast = integrate_6d_tensor(f, small)
     brute = integrate_6d_brute(f, small)
@@ -511,7 +509,7 @@ def test_qmc_negative_a_bounded_coupling_allowed():
 
 def test_qmc_head_warp_underflow_stays_finite():
     f = Integrand6D(NEAR_BETA_MINUS_ONE)
-    assert -0.993 < f.exq.beta_p.real < -0.992
+    assert -0.993 < f.betas[0] < -0.992
     val, se = integrate_6d_qmc(f, QmcSpec(count=1 << 12, shift_seed=20170))
     assert math.isfinite(val.real) and math.isfinite(val.imag)
     assert math.isfinite(se) and se > 0.0
@@ -519,7 +517,7 @@ def test_qmc_head_warp_underflow_stays_finite():
 
 def test_qmc_head_substitution_does_not_overflow():
     f = Integrand6D(NEARER_BETA_MINUS_ONE)
-    assert -0.999 < f.exq.beta_p.real < -0.998
+    assert -0.999 < f.betas[0] < -0.998
     with np.errstate(over="raise"):
         val, se = integrate_6d_qmc(f, QmcSpec(count=1 << 16, shift_seed=20170))
     assert math.isfinite(val.real) and math.isfinite(val.imag)
@@ -550,6 +548,22 @@ def test_coupling_negative_integer_power_zero_guard():
     f = Integrand6D(REFERENCE.replace(k=-1, a=-2.0))
     with pytest.raises(NonFiniteSampleError):
         f.coupling(np.array([1.0 + 0.5j, 0.0j]))
+
+
+def test_near_real_strip_gives_one_integrand():
+    # Imaginary parts below the real-strip tolerance are dropped once, in
+    # Integrand6D, so both direct paths give the exactly real strip's bits.
+    real = Integrand6D(REAL_COUPLING)
+    near = Integrand6D(REAL_COUPLING.replace(m=0.4 + 5e-13j, v=0.9 - 3e-13j))
+    assert near.has_real_strip()
+    ts = tanh_sinh(5)
+    rules = (ts, ts) + tuple(log_axis_rule(b) for b in real.betas)
+    spec = QmcSpec(count=1 << 10)
+    for got, want in (
+        (integrate_6d_tensor(near, rules), integrate_6d_tensor(real, rules)),
+        (integrate_6d_qmc(near, spec)[0], integrate_6d_qmc(real, spec)[0]),
+    ):
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_qmc_rejects_complex_strip_parameters():
