@@ -122,17 +122,22 @@ def gauss_laguerre(n: int) -> Rule1D:
     return Rule1D(nodes=evals, weights=evecs[0, :] ** 2)
 
 
-def _log_axis_head(ln_t: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _log_axis_head(
+    ln_t: np.ndarray, beta: float, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The head substitution L = T^c, c = 1/(1+beta), for T in (0, 1].
 
     Returns ln L = c ln T and the log weight ln(L^beta e^-L dL/dT) = ln c - L:
     L^beta and the Jacobian c T^(c-1) cancel exactly, so no factor
     underflows however close beta is to -1.  T^c overflows for T > 1, so
-    the callers apply it to the head only.
+    the callers apply it to the head only.  ``out`` takes the two result
+    buffers; the first may be ``ln_t`` itself.
     """
     c = 1.0 / (1.0 + beta)
-    ln_l = c * ln_t
-    return ln_l, math.log(c) - np.exp(ln_l)
+    ln_l, lw = out or (None, None)
+    ln_l = np.multiply(c, ln_t, out=ln_l)
+    lw = np.exp(ln_l, out=lw)
+    return ln_l, np.subtract(math.log(c), lw, out=lw)
 
 
 def log_axis_rule(alpha: float, n: int = 32, level: int = 5) -> Rule1D:
@@ -185,8 +190,8 @@ _QMC_BLOCK = 1 << 17
 
 
 def _direction_numbers() -> np.ndarray:
-    """Direction numbers, shape (32, 6), as uint64 holding 32-bit values."""
-    v = np.zeros((_SOBOL_BITS, _SOBOL_DIM), dtype=np.uint64)
+    """Direction numbers, shape (32, 6), as uint32."""
+    v = np.zeros((_SOBOL_BITS, _SOBOL_DIM), dtype=np.uint32)
     for j in range(_SOBOL_BITS):
         v[j, 0] = 1 << (_SOBOL_BITS - 1 - j)
     for d in range(1, _SOBOL_DIM):
@@ -410,52 +415,78 @@ def _qmc_share(
     """Outcomes of the replicates ``rs`` of :func:`integrate_6d_qmc`, in
     order: each one's mean, until one raises; its exception then ends the
     list.  Replicate r takes ``spec.count`` points digitally shifted by
-    words 6r..6r+5 of ``shifts``, in chunks of ``len(base)``.  One loop runs
-    all of ``rs``: the chunk temporaries of a replicate stay alive into the
-    next, so malloc does not hand the heap back and fault it in again."""
-    chunk, block = len(base), min(_QMC_BLOCK, spec.count)
+    words 6r..6r+5 of ``shifts``, in chunks of the axis-major uint32 Sobol
+    ``base``, shape (6, chunk).  The buffers are allocated here, sized by
+    ``base``, and reused by every chunk of every replicate: each chunk's
+    Sobol words become ln u in place, one row per axis, and its products
+    go into its slice of one block, summed when full."""
+    chunk, block = base.shape[1], min(_QMC_BLOCK, spec.count)
     px = 1.0 / f.m
     py = 1.0 / (1.0 - f.m)
-    scale = 2.0**-_SOBOL_BITS
+    words = np.empty_like(base)
+    lnu = np.empty(base.shape)
+    t, ln_head, w_head, log_w, prod = (np.empty(chunk) for _ in range(5))
+    flags = np.empty(chunk, dtype=bool)
+    # S in real arithmetic; a complex log a lends S its imaginary part, set here once.
+    if isinstance(f.log_a, complex):
+        s_vals = np.full(chunk, complex(0.0, f.log_a.imag))
+        s_re = s_vals.real
+    else:
+        s_vals = s_re = np.empty(chunk)
+    vals = np.empty(block, dtype=s_vals.dtype)
     out: list = []
     for r in rs:
         shift = np.array(
-            [s >> (64 - _SOBOL_BITS) for s in shifts[r * 6 : r * 6 + 6]], dtype=np.uint64
+            [s >> (64 - _SOBOL_BITS) for s in shifts[r * 6 : r * 6 + 6]], dtype=np.uint32
         )
         sums: list[complex] = []
-        parts: list[np.ndarray] = []
         try:
             for c0 in range(0, spec.count, chunk):
-                pts = np.bitwise_xor(base, shift ^ _sobol_offset(direction, c0))
-                u = (pts.astype(np.float64) + 0.5) * scale
-                lnu_x, lnu_y = np.log(u[:, 0]), np.log(u[:, 1])
+                np.bitwise_xor(base, (shift ^ _sobol_offset(direction, c0))[:, None], out=words)
+                np.add(words, 0.5, out=lnu)
+                lnu *= 2.0**-_SOBOL_BITS
+                np.log(lnu, out=lnu)
                 # x^(m-1) dx and y^-m dy with their warp Jacobians are the
-                # constants px and py.
-                vals = (px * py) * f.x_kernel(np.exp(px * lnu_x)) * f.y_kernel(np.exp(py * lnu_y))
+                # constants px and py; rows 0 and 1 become ln x and ln y.
+                lnu[0] *= px
+                lnu[1] *= py
+                np.multiply(f.x_kernel(np.exp(lnu[0], out=t)), px * py, out=prod)
+                prod *= f.y_kernel(np.exp(lnu[1], out=t))
                 # Log of the four log-axis weights L^beta e^(-L) dL/dT over
                 # the sampling density e^(-T): the head weight plus T, and
                 # T^beta on the tail, where L = T.  The head substitution
-                # gets ln T <= 0 only, since T^c overflows on the tail.
-                log_w = np.zeros(len(u))
-                ln_ell = []
-                for i, beta in enumerate(f.betas):
-                    t_exp = -np.log(u[:, 2 + i])
-                    ln_t = np.log(t_exp)
-                    head = t_exp <= 1.0
-                    head_ln, head_lw = _log_axis_head(np.minimum(ln_t, 0.0), beta)
-                    ln_ell.append(np.where(head, head_ln, ln_t))
-                    log_w += np.where(head, head_lw + t_exp, beta * ln_t)
-                s_vals = f.log_a + px * lnu_x - py * lnu_y + 0.5 * (
-                    ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1]
-                )
-                vals = vals * np.exp(log_w) * f.coupling(s_vals)
-                if not np.all(np.isfinite(vals)):
-                    bad = int(np.argwhere(~np.isfinite(vals))[0][0]) + c0
+                # gets ln T <= 0 only, since T^c overflows on the tail.  No
+                # select is needed: ln L = c min(ln T, 0) + max(ln T, 0), and
+                # the weight is (head weight + T) [T <= 1] + beta max(ln T, 0),
+                # the picked values up to the sign of a zero, which no sum
+                # sees.  Rows 2-5 become ln L.
+                log_w.fill(0.0)
+                for ln_t, beta in zip(lnu[2:], f.betas):
+                    np.negative(ln_t, out=t)
+                    np.less_equal(t, 1.0, out=flags)
+                    np.log(t, out=ln_t)
+                    _log_axis_head(np.minimum(ln_t, 0.0, out=ln_head), beta, out=(ln_head, w_head))
+                    w_head += t
+                    w_head *= flags
+                    np.maximum(ln_t, 0.0, out=ln_t)
+                    w_head += np.multiply(ln_t, beta, out=t)
+                    log_w += w_head
+                    ln_t += ln_head
+                np.add(lnu[4], lnu[5], out=t)
+                t -= lnu[2]
+                t -= lnu[3]
+                t *= 0.5
+                np.add(lnu[0], f.log_a.real, out=s_re)
+                s_re -= lnu[1]
+                s_re += t
+                prod *= np.exp(log_w, out=log_w)
+                dest = vals[c0 % block : c0 % block + chunk]
+                np.multiply(prod, f.coupling(s_vals), out=dest)
+                if not np.isfinite(dest, out=flags).all():
+                    bad = int(np.argmin(flags)) + c0
                     raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")
-                parts.append(vals)
                 if (c0 + chunk) % block == 0:
-                    sums.append(complex(np.sum(np.concatenate(parts))))
-                    parts.clear()
+                    sums.append(complex(np.sum(vals)))
         except Exception as exc:  # the caller raises it, in replicate order
             out.append(exc)
             break
@@ -547,7 +578,10 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     so memory does not grow with ``spec.count``, and the chunk size moves no
     bit: every per-point step is elementwise (the Gauss series too, see
     :func:`hyp2f1_array`), each 2^17-point block is summed by one pairwise
-    ``np.sum``, and the block sums of a replicate by ``math.fsum``.
+    ``np.sum``, and the block sums of a replicate by ``math.fsum``.  The
+    Sobol base is axis-major uint32, one row of 2^14 words per axis, and
+    each process allocates the chunk buffers once, sized by the base, and
+    reuses them for every chunk of its replicates (:func:`_qmc_share`).
 
     The replicates are independent, so they run on up to one process per
     available CPU (``os.sched_getaffinity``), at most ``spec.replicates``:
@@ -579,7 +613,7 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
         )
     if min(f.betas) <= -1.0:
         raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
-    base = sobol_points(min(_QMC_CHUNK, spec.count))
+    base = np.ascontiguousarray(sobol_points(min(_QMC_CHUNK, spec.count)).T, dtype=np.uint32)
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * _SOBOL_DIM)
     args = (f, spec, base, _direction_numbers(), shifts)
     workers = _qmc_workers(spec)

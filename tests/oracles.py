@@ -5,7 +5,8 @@ checks: Stirling/recurrence instead of Lanczos for gamma, partial sums with
 tail bounds instead of Euler-Maclaurin for zeta values, Abel summation for
 divergent alternating series, the Laplace integral for Legendre functions,
 central finite differences for jet coefficients, literal enumeration for
-the regrouped tensor sum.
+the regrouped tensor sum, plain unbuffered arithmetic for the buffered QMC
+pipeline.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from sixfold.quad import _tensor_k
+from sixfold.quad import _SOBOL_BITS, _splitmix64_stream, _tensor_k, sobol_points
 
 # 50-term Stirling series coefficients B_2j / (2j (2j-1)) as exact fractions
 # of the tabulated Bernoulli numbers; generated on the fly with Fraction so
@@ -259,3 +260,49 @@ def integrate_6d_brute(f, rules) -> complex:
             s_vals = f.log_a + np.log(rx.nodes[i]) - np.log(ry.nodes[j]) + t4
             total += wx * wy * np.sum(w4 * s_vals**kk)
     return complex(total)
+
+
+def qmc_reference(f, spec, chunk: int = 1 << 14, block: int = 1 << 17) -> tuple[complex, float]:
+    """The QMC estimate and standard error in plain, unbuffered arithmetic,
+    in one process: row-major uint64 Sobol words from the whole sequence,
+    the log-axis head and tail picked by ``np.where``, S in complex
+    arithmetic where log a is complex, and each block summed by one
+    ``np.sum`` over its concatenated chunks.  The reference for the
+    estimator's buffered pipeline, which must give its bits."""
+    points = sobol_points(spec.count).astype(np.uint64)
+    shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * 6)
+    chunk, block = min(chunk, spec.count), min(block, spec.count)
+    px, py = 1.0 / f.m, 1.0 / (1.0 - f.m)
+    means = []
+    for r in range(spec.replicates):
+        words = shifts[6 * r : 6 * r + 6]
+        shift = np.array([s >> (64 - _SOBOL_BITS) for s in words], dtype=np.uint64)
+        sums, parts = [], []
+        for c0 in range(0, spec.count, chunk):
+            pts = np.bitwise_xor(points[c0 : c0 + chunk], shift)
+            u = (pts.astype(np.float64) + 0.5) * 2.0**-_SOBOL_BITS
+            lnu_x, lnu_y = np.log(u[:, 0]), np.log(u[:, 1])
+            vals = (px * py) * f.x_kernel(np.exp(px * lnu_x)) * f.y_kernel(np.exp(py * lnu_y))
+            log_w = np.zeros(len(u))
+            ln_ell = []
+            for i, beta in enumerate(f.betas):
+                t_exp = -np.log(u[:, 2 + i])
+                ln_t = np.log(t_exp)
+                head = t_exp <= 1.0
+                c = 1.0 / (1.0 + beta)
+                head_ln = c * np.minimum(ln_t, 0.0)
+                head_lw = math.log(c) - np.exp(head_ln)
+                ln_ell.append(np.where(head, head_ln, ln_t))
+                log_w += np.where(head, head_lw + t_exp, beta * ln_t)
+            s_vals = f.log_a + px * lnu_x - py * lnu_y + 0.5 * (
+                ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1]
+            )
+            parts.append(vals * np.exp(log_w) * f.coupling(s_vals))
+            if (c0 + chunk) % block == 0:
+                sums.append(complex(np.sum(np.concatenate(parts))))
+                parts.clear()
+        total = complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums))
+        means.append(total / spec.count)
+    mean = sum(means) / len(means)
+    var = sum(abs(m - mean) ** 2 for m in means) / (len(means) - 1)
+    return mean, math.sqrt(var / len(means))

@@ -3,6 +3,7 @@ import contextlib
 import math
 import multiprocessing
 import os
+import random
 import signal
 import time
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import sixfold.quad as quad
-from oracles import integrate_6d_brute
+from oracles import integrate_6d_brute, qmc_reference
 from sixfold.core import (
     DomainError,
     InadmissibleError,
@@ -18,6 +19,7 @@ from sixfold.core import (
     ParameterSet,
     UnsupportedRegimeError,
     derive_exponents,
+    validate_parameters,
 )
 from sixfold.engine import rhs_theorem, verify
 from sixfold.quad import (
@@ -322,6 +324,63 @@ def test_qmc_golden_values(monkeypatch, case, one_cpu):
     val, se = integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=count))
     assert (val.real.hex(), val.imag.hex(), se.hex()) == hexes
     assert asked and max(asked) <= quad._QMC_CHUNK
+
+
+def _valid_strip(seed: int, k: complex, a: complex, m=None, beta_p=None):
+    """A seeded random valid strip with k and a given, and m or Re beta_p pinned."""
+    rng = random.Random(seed)
+    while True:
+        ps = ParameterSet(
+            k=k,
+            a=a,
+            m=rng.uniform(0.05, 0.95) if m is None else m,
+            u=rng.uniform(-2.0, 0.95),
+            v=rng.uniform(0.05, 2.5),
+            mu=rng.uniform(-2.0, 0.95),
+            nu=rng.uniform(0.05, 2.5),
+        )
+        if beta_p is not None:  # beta_p = (-mu - m - nu) / 2
+            ps = ps.replace(mu=-2.0 * beta_p - ps.m.real - ps.nu.real)
+        if not validate_parameters(ps):
+            return ps
+
+
+_REFERENCE_STRIPS = {
+    **{
+        f"a_positive_k{k}": (_valid_strip(k, k, a), count)
+        for k, a, count in (
+            (0, 0.3, 1 << 15),
+            (1, 0.8, 1 << 10),
+            (2, 1.7, 1 << 15),
+            (3, 2.9, 1 << 10),
+            (4, 4.1, 1 << 15),
+            (5, 0.55, 1 << 10),
+            (6, 1.2, 1 << 15),
+        )
+    },
+    "a_negative_k2.6": (_valid_strip(7, 2.6, -1.9), 1 << 18),  # two blocks
+    "a_complex_k3.3": (_valid_strip(8, 3.3, 0.7 - 2.1j), 1 << 15),
+    "k_minus1_m_half": (_valid_strip(9, -1, -2.3, m=0.5), 1 << 15),
+    "k_minus3_m_half": (_valid_strip(10, -3, 1.1 + 0.9j, m=0.5), 1 << 10),
+    "beta_p_near_minus1": (_valid_strip(11, 3, 1.4, beta_p=-0.9995), 1 << 15),
+}
+
+
+def _bits(result) -> tuple[str, str, str]:
+    val, se = result
+    return val.real.hex(), val.imag.hex(), se.hex()
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_STRIPS))
+def test_qmc_matches_reference_estimator(monkeypatch, case):
+    # The buffered pipeline gives the bits of the plain arithmetic, forked
+    # and in one process.
+    ps, count = _REFERENCE_STRIPS[case]
+    f, spec = Integrand6D(ps), QmcSpec(count=count)
+    want = _bits(qmc_reference(f, spec))
+    assert _bits(integrate_6d_qmc(f, spec)) == want
+    _pin(monkeypatch, 1)
+    assert _bits(integrate_6d_qmc(f, spec)) == want
 
 
 def test_qmc_non_finite_sample_names_global_index(monkeypatch):
