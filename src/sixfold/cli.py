@@ -191,8 +191,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     args = _merge_config(args)
     if args.case is None:
         args.case = "theorem"
-    if args.format is None:
-        args.format = "text"
+    args.format = args.format or "text"
+    if args.format not in ("text", "json", "csv"):  # a config value skips the parser's check
+        raise DomainError(f"--format: invalid choice {args.format!r}; use text, json or csv")
     ps = ParameterSet(**_given(args, parse_complex, **{name: name for name in PARAM_NAMES}))
     second = parse_complex(str(args.n)) if args.n is not None else None
     paths = tuple(p.strip() for p in args.paths.split(",")) if args.paths else None

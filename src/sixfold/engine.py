@@ -53,7 +53,7 @@ from .jets import (
 from .lerch import lerch_minus_one_split, lerch_phi
 from .mellin import log_moment, mellin_legendre_closed
 from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor, log_axis_rule, tanh_sinh
-from .specialfn import digamma, hurwitz_zeta, riemann_zeta
+from .specialfn import digamma, riemann_zeta
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -159,21 +159,10 @@ def _two(e: complex) -> complex:
 # ----------------------------------------------------------------------
 
 
-def _zeta_split(s: complex, v: complex) -> complex:
-    """zeta(s, v/2) - zeta(s, (v+1)/2), which equals 2^s Phi(-1, s, v).
-
-    At s = 1 both zetas have a pole; the difference is then taken from the
-    Lerch form, which is finite there.
-    """
-    if abs(s - 1.0) < 1e-12:
-        return lerch_minus_one_split(s, v) * _two(s)
-    return hurwitz_zeta(s, v / 2.0) - hurwitz_zeta(s, (v + 1.0) / 2.0)
-
-
 def _hurwitz_split_form(ps: ParameterSet, n: complex | None) -> complex:
     vv = lerch_third_argument(ps.a)
     pref = cmath.exp(ps.k * 0.5j * math.pi + (ps.k + 2.0) * _LNPI + (ps.k + ps.mu + ps.u) * _LN2)
-    return pref * _two(ps.k) * _zeta_split(-ps.k, vv)
+    return pref * lerch_minus_one_split(-ps.k, vv)
 
 
 def _harmonic_form(ps: ParameterSet, n: complex | None) -> complex:
@@ -336,10 +325,13 @@ CATALOG: tuple[IdentityCase, ...] = (
 _CATALOG_BY_TAG = {c.tag: c for c in CATALOG}
 
 
-def catalog_case(tag: str) -> IdentityCase:
-    if tag not in _CATALOG_BY_TAG:
-        raise DomainError(f"unknown case tag {tag!r}; use one of {sorted(_CATALOG_BY_TAG)}")
-    return _CATALOG_BY_TAG[tag]
+def catalog_case(case: IdentityCase | str) -> IdentityCase:
+    """The entry tagged ``case``; an ``IdentityCase`` is returned unchanged."""
+    if isinstance(case, IdentityCase):
+        return case
+    if case not in _CATALOG_BY_TAG:
+        raise DomainError(f"unknown case tag {case!r}; use one of {sorted(_CATALOG_BY_TAG)}")
+    return _CATALOG_BY_TAG[case]
 
 
 def theorem_parameters(case: IdentityCase, ps: ParameterSet) -> ParameterSet:
@@ -352,8 +344,7 @@ def theorem_parameters(case: IdentityCase, ps: ParameterSet) -> ParameterSet:
 
 def rhs_example(case: IdentityCase | str, ps: ParameterSet, second: complex | None = None) -> complex:
     """Per-case elementary closed form."""
-    if isinstance(case, str):
-        case = catalog_case(case)
+    case = catalog_case(case)
     if case.special is None:
         raise InadmissibleError("the general case has no separate elementary form")
     return case.special(ps, second)
@@ -375,8 +366,7 @@ def rhs_limit_full(case: IdentityCase | str, ps: ParameterSet) -> tuple[complex,
     error_estimate), the estimate being the change made by the last
     extrapolation level.
     """
-    if isinstance(case, str):
-        case = catalog_case(case)
+    case = catalog_case(case)
     if case.limit is None:
         raise InadmissibleError("no limit family for this case")
     k0, family_tag = case.limit
@@ -452,7 +442,8 @@ def verify(
 ) -> VerificationReport:
     """Run every requested path for one case and compare pairwise.
 
-    ``paths`` defaults to every path the case admits, ``tol`` to
+    ``paths`` defaults to every path the case admits (a path named twice
+    runs once, in first-seen order), ``tol`` to
     ``Tolerances()``; the qmc path samples with ``qmc_spec``, or with
     ``QmcSpec()`` when it is None.  Those two classes hold the defaults.
 
@@ -469,15 +460,14 @@ def verify(
     ``ArithmeticError`` gets status "error"; any other exception is a bug
     and propagates.
     """
-    if isinstance(case, str):
-        case = catalog_case(case)
+    case = catalog_case(case)
     ps_eff = ps.replace(**case.pins) if case.pins else ps
     # Pinned parameters win over the caller's, the second exponent included.
     if case.second_exponent is not None:
         second = case.second_exponent
     if case.needs_second_exponent and second is None:
         raise DomainError("difference case needs the second exponent n")
-    requested = tuple(paths) if paths is not None else case.paths
+    requested = tuple(dict.fromkeys(paths)) if paths is not None else case.paths
     for p in requested:
         if p not in PATH_NAMES:
             raise DomainError(f"unknown path {p!r}; valid: {PATH_NAMES}")
@@ -489,20 +479,10 @@ def verify(
     warnings = parameter_warnings(ps_thm)
 
     results: dict[str, PathResult] = {}
-    if violations:
-        return VerificationReport(
-            case=case.tag,
-            params=ps_eff,
-            second_exponent=second,
-            tolerances=tol,
-            paths={p: PathResult(status="error", detail="parameters invalid") for p in requested},
-            diffs={},
-            verdict="invalid_parameters",
-            violations=violations,
-            warnings=warnings,
-        )
-
     for path in requested:
+        if violations:  # no path runs on invalid parameters
+            results[path] = PathResult("error", detail="parameters invalid")
+            continue
         t0 = time.perf_counter()
         try:
             value, err = _run_path(case, path, ps_eff, ps_thm, second, qmc_spec)
@@ -535,8 +515,8 @@ def verify(
         tolerances=tol,
         paths=results,
         diffs=diffs,
-        verdict=verdict,
-        violations=[],
+        verdict="invalid_parameters" if violations else verdict,
+        violations=violations,
         warnings=warnings,
     )
 

@@ -496,14 +496,13 @@ def _qmc_share(
     return out
 
 
-def _qmc_child(conn, rs: range, args: tuple) -> None:
-    with conn:
-        conn.send(_qmc_share(rs, *args))
-
-
 def _qmc_workers(spec: QmcSpec) -> int:
-    """Processes for the replicates: one per available CPU, at most one per
-    replicate, or 1 (in-process) where a fork cannot pay or cannot run."""
+    """Processes for the replicates: one per available CPU
+    (``os.sched_getaffinity``), at most one per replicate.  It is 1, an
+    in-process run, on one CPU (``taskset -c 0``), when ``spec.count`` fits
+    one chunk (a fork costs more than such a run), where the ``fork`` start
+    method does not exist, and in a daemonic process, which may not have
+    children."""
     if spec.count <= _QMC_CHUNK:  # a one-chunk replicate is cheaper than a fork
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
@@ -519,22 +518,37 @@ def _qmc_workers(spec: QmcSpec) -> int:
     return workers
 
 
-def _qmc_forked(workers: int, n: int, args: tuple) -> list:
-    """Outcomes of replicates 0..n-1 of ``_qmc_share(rs, *args)``, in index
-    order, replicate r computed by worker r % workers: worker 0 is the
-    caller, each other a forked child that sends its share's outcomes
-    through a pipe.  A worker stops at its first failure, so the replicates
-    left out all come after an exception.  A child that exits without
-    sending raises RuntimeError.  No child outlives the call."""
-    import multiprocessing
+def _qmc_means(spec: QmcSpec, args: tuple) -> list[complex]:
+    """Means of replicates 0..R-1 of ``_qmc_share(rs, *args)``, R =
+    ``spec.replicates``, in index order.  Replicate r is computed by worker
+    r % w, w = ``_qmc_workers(spec)``: worker 0 is the caller, each other a
+    child forked after ``args`` are built, which inherits them with no
+    pickling and sends its share's outcomes through a pipe.  Each replicate
+    runs the same code on the same inputs wherever it runs, so the means
+    are bit for bit those of one process.  So is an error: the exception of
+    the lowest-index replicate that raised is raised here; a worker stops at
+    its first failure, so the replicates it leaves out all come after it.
+    A child that exits without sending raises RuntimeError.  No child
+    outlives the call.  Children run only elementwise numpy code, no BLAS,
+    so the BLAS threads a fork does not copy are not missed; Python >= 3.12
+    still warns (DeprecationWarning) about forking a process that has
+    threads.  Trace spans recorded in a child stay there."""
+    n, workers = spec.replicates, _qmc_workers(spec)
+    if workers > 1:
+        import multiprocessing
 
-    ctx = multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context("fork")
+
+    def send_share(conn, rs: range) -> None:
+        with conn:
+            conn.send(_qmc_share(rs, *args))
+
     outcomes: dict[int, object] = {}
     children = []
     try:
         for w in range(1, workers):
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_qmc_child, args=(send, range(w, n, workers), args), daemon=True)
+            child = ctx.Process(target=send_share, args=(send, range(w, n, workers)), daemon=True)
             child.start()
             children.append((child, recv))
             send.close()  # so recv sees EOF once the child is gone
@@ -553,7 +567,11 @@ def _qmc_forked(workers: int, n: int, args: tuple) -> list:
             recv.close()
             child.terminate()
             child.join()
-    return [outcomes[r] for r in sorted(outcomes)]
+    means = [outcomes[r] for r in sorted(outcomes)]
+    for outcome in means:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return means
 
 
 def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
@@ -583,24 +601,8 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     each process allocates the chunk buffers once, sized by the base, and
     reuses them for every chunk of its replicates (:func:`_qmc_share`).
 
-    The replicates are independent, so they run on up to one process per
-    available CPU (``os.sched_getaffinity``), at most ``spec.replicates``:
-    with w workers the caller computes the replicates r = 0 (mod w) and each
-    of w - 1 children, forked after the Sobol base, direction numbers and
-    shifts are built, the replicates r = i (mod w); a forked child inherits
-    them and the integrand with no pickling and no fresh interpreter.  Each
-    replicate runs the same code on the same inputs wherever it runs, and
-    the means are merged by index before the one reduction, so the value
-    and standard error are bit-for-bit those of the one-process run; so is
-    an error, the exception of the lowest-index replicate that raised.  The
-    estimator stays in-process on one CPU (``taskset -c 0`` gives a
-    one-process run), when ``spec.count`` fits one chunk (a fork costs more
-    than such a run), where the ``fork`` start method does not exist, and
-    in a daemonic process, which may not have children.  Children run only
-    elementwise numpy code, no BLAS, so the BLAS threads a fork does not
-    copy are not missed; Python >= 3.12 still warns (DeprecationWarning)
-    about forking a process that has threads.  Trace spans recorded in a
-    child stay there.
+    The replicates run on up to one process per available CPU and give the
+    bits of one process (:func:`_qmc_means`, :func:`_qmc_workers`).
     """
     if not f.has_real_strip():
         raise InadmissibleError("qmc path needs real strip parameters")
@@ -615,18 +617,7 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
         raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
     base = np.ascontiguousarray(sobol_points(min(_QMC_CHUNK, spec.count)).T, dtype=np.uint32)
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * _SOBOL_DIM)
-    args = (f, spec, base, _direction_numbers(), shifts)
-    workers = _qmc_workers(spec)
-    if workers == 1:
-        outcomes = _qmc_share(range(spec.replicates), *args)
-    else:
-        outcomes = _qmc_forked(workers, spec.replicates, args)
-    rep_means = []
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):  # the lowest-index replicate that raised
-            raise outcome
-        rep_means.append(outcome)
-
+    rep_means = _qmc_means(spec, (f, spec, base, _direction_numbers(), shifts))
     mean = sum(rep_means) / len(rep_means)
     var = sum(abs(m - mean) ** 2 for m in rep_means) / (len(rep_means) - 1)
     stderr = math.sqrt(var / len(rep_means))

@@ -179,6 +179,18 @@ def test_verify_config_rejects_flag_only_keys(tmp_path, capsys, line):
     assert repr(line.split()[0]) in captured.err
 
 
+def test_verify_config_format_outside_choices_exit_two(tmp_path, capsys):
+    # The parser checks the flag; the same value from a config file is refused too.
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--case", "apery", "--format", "xml"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = apery\npaths = closed,special\nformat = xml\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "error: --format: invalid choice 'xml'; use text, json or csv\n")
+
+
 def _json_report(capsys, *flags):
     assert main(["verify", *flags, "--format", "json"]) == 0
     return json.loads(capsys.readouterr().out)

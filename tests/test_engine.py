@@ -196,10 +196,37 @@ def test_verify_propagates_programming_errors(monkeypatch):
         engine.verify("theorem", REFERENCE, paths=("jet", "moment", "closed"))
 
 
-def test_verify_invalid_parameters():
-    rep = engine.verify("theorem", ParameterSet(k=0, m=1.2))
-    assert rep.verdict == "invalid_parameters"
-    assert "0<Re(m)<1" in rep.violations
+def _count_run_path(monkeypatch) -> list:
+    """Record the path of every ``_run_path`` call."""
+    calls, run_path = [], engine._run_path
+    monkeypatch.setattr(engine, "_run_path", lambda case, path, *a: calls.append(path) or run_path(case, path, *a))
+    return calls
+
+
+def test_verify_invalid_parameters(monkeypatch):
+    calls = _count_run_path(monkeypatch)
+    rep = engine.verify("theorem", ParameterSet(k=0, m=1.2, nu=-0.5), paths=("closed", "jet", "qmc"))
+    assert rep.verdict == "invalid_parameters" and not rep.passed
+    assert list(rep.paths) == ["closed", "jet", "qmc"]
+    for r in rep.paths.values():
+        assert (r.status, r.value, r.err, r.detail, r.seconds) == ("error", None, None, "parameters invalid", 0.0)
+    assert rep.diffs == {}
+    assert rep.violations == validate_parameters(rep.params) and "0<Re(m)<1" in rep.violations
+    assert calls == []
+
+
+def test_verify_runs_a_repeated_path_once(monkeypatch):
+    calls = _count_run_path(monkeypatch)
+    rep = engine.verify("theorem", REFERENCE, paths=("closed", "jet", "closed", "jet", "moment"))
+    assert calls == ["closed", "jet", "moment"]
+    assert list(rep.paths) == ["closed", "jet", "moment"] and rep.verdict == "pass"
+
+
+def test_catalog_case_returns_an_entry_unchanged():
+    case = engine.catalog_case("apery")
+    assert engine.catalog_case(case) is case
+    with pytest.raises(DomainError, match="unknown case tag 'nope'"):
+        engine.catalog_case("nope")
 
 
 def test_verify_reports_inadmissible_paths():

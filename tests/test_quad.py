@@ -417,6 +417,20 @@ def test_qmc_replicates_split_between_processes(monkeypatch):
         assert seen == ours, (cpus, count)
 
 
+def test_qmc_without_fork_stays_in_process(monkeypatch):
+    f, spec = Integrand6D(REAL_COUPLING), QmcSpec(count=2 * quad._QMC_CHUNK)
+    _pin(monkeypatch, 1)
+    want = _bits(integrate_6d_qmc(f, spec))
+    seen = []
+    share = quad._qmc_share
+    monkeypatch.setattr(quad, "_qmc_share", lambda rs, *args: seen.extend(rs) or share(rs, *args))
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    _pin(monkeypatch, 2)
+    assert _bits(integrate_6d_qmc(f, spec)) == want
+    assert seen == list(range(8))
+    assert not multiprocessing.active_children()
+
+
 # Two chunks per replicate in the fault-injection tests.
 _INJECT_COUNT = 2 * quad._QMC_CHUNK
 
