@@ -123,12 +123,7 @@ def _given(args: argparse.Namespace, cast, **fields: str) -> dict:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    cases = engine.CATALOG
-    if args.case:
-        cases = tuple(c for c in cases if c.tag == args.case)
-        if not cases:
-            print(f"unknown case {args.case!r}", file=sys.stderr)
-            return 2
+    cases = (engine.catalog_case(args.case),) if args.case else engine.CATALOG
     if args.format == "json":
         payload = [
             {

@@ -15,8 +15,9 @@ Paths through the identity family:
 * ``limit``   - Richardson extrapolation in k for the removable-point
                 cases, k -> -1 and the direct k = -3 evaluation.
 
-Each path's preconditions are checked once, by the function that computes
-the path, which raises ``InadmissibleError`` when one fails; ``verify``
+Each path is one entry of ``PATHS``, so adding a path is one entry there.
+Its preconditions are checked once, by the function that computes the
+path, which raises ``InadmissibleError`` when one fails; ``verify``
 reports such a requested path as "inadmissible" with the message as its
 detail, never silently dropped.
 """
@@ -57,9 +58,6 @@ from .specialfn import digamma, riemann_zeta
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
-
-PATH_NAMES = ("jet", "moment", "tensor", "qmc", "closed", "special", "limit")
-
 
 def _pin_int_k(ps: ParameterSet) -> int:
     kk = nearest_int(ps.k, 1e-12)
@@ -408,6 +406,44 @@ class PathResult:
     seconds: float = 0.0
 
 
+def _default_tensor_rules(betas, coarse: bool = False):
+    level = 4 if coarse else 5
+    n = 24 if coarse else 32
+    ts = tanh_sinh(level)
+    return (ts, ts) + tuple(log_axis_rule(b, n=n, level=level) for b in betas)
+
+
+def _tensor_path(case, ps_eff, ps_thm, second, qmc_spec) -> PathResult:
+    f = Integrand6D(ps_thm)
+    fine = integrate_6d_tensor(f, _default_tensor_rules(f.betas))
+    coarse = integrate_6d_tensor(f, _default_tensor_rules(f.betas, coarse=True))
+    return PathResult("ok", fine, abs(fine - coarse))
+
+
+def _closed_path(case, ps_eff, ps_thm, second, qmc_spec) -> PathResult:
+    value = rhs_theorem(ps_thm)
+    if case.needs_second_exponent:
+        value = rhs_theorem(ps_thm.replace(m=second)) - value
+    return PathResult("ok", value)
+
+
+# Every path, in report order: (case, ps_eff, ps_thm, second, qmc_spec) ->
+# PathResult("ok", value, err).  The entries look their callees up in this
+# module's namespace when they run, so a patched or traced callee is seen.
+PATHS: dict[str, Callable[..., PathResult]] = {
+    "jet": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", lhs_jet(ps_thm)),
+    "moment": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", lhs_moment_expansion(ps_thm)),
+    "tensor": _tensor_path,
+    "qmc": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult(
+        "ok", *integrate_6d_qmc(Integrand6D(ps_thm), qmc_spec)
+    ),
+    "closed": _closed_path,
+    "special": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", rhs_example(case, ps_eff, second)),
+    "limit": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", *rhs_limit_full(case, ps_eff)),
+}
+PATH_NAMES = tuple(PATHS)
+
+
 @dataclass
 class VerificationReport:
     case: str
@@ -425,13 +461,6 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-def _default_tensor_rules(betas, coarse: bool = False):
-    level = 4 if coarse else 5
-    n = 24 if coarse else 32
-    ts = tanh_sinh(level)
-    return (ts, ts) + tuple(log_axis_rule(b, n=n, level=level) for b in betas)
-
-
 def verify(
     case: IdentityCase | str,
     ps: ParameterSet,
@@ -442,9 +471,10 @@ def verify(
 ) -> VerificationReport:
     """Run every requested path for one case and compare pairwise.
 
-    ``paths`` defaults to every path the case admits (a path named twice
-    runs once, in first-seen order), ``tol`` to
-    ``Tolerances()``; the qmc path samples with ``qmc_spec``, or with
+    Path names are the keys of ``PATHS``, whose entries compute them, so
+    adding a path is one entry there.  ``paths`` defaults to every path the
+    case admits (a path named twice runs once, in first-seen order), ``tol``
+    to ``Tolerances()``; the qmc path samples with ``qmc_spec``, or with
     ``QmcSpec()`` when it is None.  Those two classes hold the defaults.
 
     Verdict is "pass" iff every computed pair of path values agrees within
@@ -469,9 +499,10 @@ def verify(
         raise DomainError("difference case needs the second exponent n")
     requested = tuple(dict.fromkeys(paths)) if paths is not None else case.paths
     for p in requested:
-        if p not in PATH_NAMES:
+        if p not in PATHS:
             raise DomainError(f"unknown path {p!r}; valid: {PATH_NAMES}")
 
+    qmc_spec = qmc_spec or QmcSpec()
     ps_thm = theorem_parameters(case, ps_eff)
     violations = validate_parameters(ps_thm)
     if second is not None and not (cmath.isfinite(second) and 0 < second.real < 1):
@@ -485,8 +516,7 @@ def verify(
             continue
         t0 = time.perf_counter()
         try:
-            value, err = _run_path(case, path, ps_eff, ps_thm, second, qmc_spec)
-            result = PathResult(status="ok", value=value, err=err)
+            result = PATHS[path](case, ps_eff, ps_thm, second, qmc_spec)
         except InadmissibleError as exc:
             result = PathResult(status="inadmissible", detail=str(exc))
         except (SixfoldError, ArithmeticError) as exc:
@@ -519,36 +549,6 @@ def verify(
         violations=violations,
         warnings=warnings,
     )
-
-
-def _run_path(
-    case: IdentityCase,
-    path: str,
-    ps_eff: ParameterSet,
-    ps_thm: ParameterSet,
-    second: complex | None,
-    qmc_spec: QmcSpec | None,
-) -> tuple[complex, float | None]:
-    if path == "jet":
-        return lhs_jet(ps_thm), None
-    if path == "moment":
-        return lhs_moment_expansion(ps_thm), None
-    if path == "tensor":
-        f = Integrand6D(ps_thm)
-        fine = integrate_6d_tensor(f, _default_tensor_rules(f.betas))
-        coarse = integrate_6d_tensor(f, _default_tensor_rules(f.betas, coarse=True))
-        return fine, abs(fine - coarse)
-    if path == "qmc":
-        return integrate_6d_qmc(Integrand6D(ps_thm), qmc_spec or QmcSpec())
-    if path == "closed":
-        if case.needs_second_exponent:
-            return rhs_theorem(ps_thm.replace(m=second)) - rhs_theorem(ps_thm), None
-        return rhs_theorem(ps_thm), None
-    if path == "special":
-        return rhs_example(case, ps_eff, second), None
-    if path == "limit":
-        return rhs_limit_full(case, ps_eff)
-    raise DomainError(f"unknown path {path!r}")
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from sixfold.cli import main, parse_complex
 from sixfold.core import DomainError, ParameterSet, Tolerances
-from sixfold.engine import verify
+from sixfold.engine import CATALOG, PATH_NAMES, verify
 
 
 def test_parse_complex_forms():
@@ -55,6 +55,18 @@ def test_list_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 11
     assert {entry["tag"] for entry in payload} >= {"theorem", "apery"}
+
+
+def test_unknown_case_exit_two_in_list_and_verify(capsys):
+    tags = sorted(c.tag for c in CATALOG)
+    for command in ("list", "verify"):
+        assert main([command, "--case", "nope"]) == 2
+        assert capsys.readouterr() == ("", f"error: unknown case tag 'nope'; use one of {tags}\n")
+
+
+def test_unknown_path_exit_two(capsys):
+    assert main(["verify", "--paths", "jet,nope"]) == 2
+    assert capsys.readouterr() == ("", f"error: unknown path 'nope'; valid: {PATH_NAMES}\n")
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -196,15 +196,16 @@ def test_verify_propagates_programming_errors(monkeypatch):
         engine.verify("theorem", REFERENCE, paths=("jet", "moment", "closed"))
 
 
-def _count_run_path(monkeypatch) -> list:
-    """Record the path of every ``_run_path`` call."""
-    calls, run_path = [], engine._run_path
-    monkeypatch.setattr(engine, "_run_path", lambda case, path, *a: calls.append(path) or run_path(case, path, *a))
+def _count_path_runs(monkeypatch) -> list:
+    """Record the name of every ``PATHS`` entry that runs."""
+    calls = []
+    for name, run in list(engine.PATHS.items()):
+        monkeypatch.setitem(engine.PATHS, name, lambda *a, name=name, run=run: calls.append(name) or run(*a))
     return calls
 
 
 def test_verify_invalid_parameters(monkeypatch):
-    calls = _count_run_path(monkeypatch)
+    calls = _count_path_runs(monkeypatch)
     rep = engine.verify("theorem", ParameterSet(k=0, m=1.2, nu=-0.5), paths=("closed", "jet", "qmc"))
     assert rep.verdict == "invalid_parameters" and not rep.passed
     assert list(rep.paths) == ["closed", "jet", "qmc"]
@@ -216,10 +217,29 @@ def test_verify_invalid_parameters(monkeypatch):
 
 
 def test_verify_runs_a_repeated_path_once(monkeypatch):
-    calls = _count_run_path(monkeypatch)
+    calls = _count_path_runs(monkeypatch)
     rep = engine.verify("theorem", REFERENCE, paths=("closed", "jet", "closed", "jet", "moment"))
     assert calls == ["closed", "jet", "moment"]
     assert list(rep.paths) == ["closed", "jet", "moment"] and rep.verdict == "pass"
+
+
+def test_verify_rejects_an_unknown_path_before_running_any(monkeypatch):
+    calls = _count_path_runs(monkeypatch)
+    with pytest.raises(DomainError) as excinfo:
+        engine.verify("theorem", REFERENCE, paths=("jet", "nope"))
+    valid = "('jet', 'moment', 'tensor', 'qmc', 'closed', 'special', 'limit')"
+    assert str(excinfo.value) == f"unknown path 'nope'; valid: {valid}"
+    assert calls == []
+
+
+def test_path_table_order_is_the_report_order():
+    # perfbench/run.py names its engine.path_s.* metrics from its own copy
+    # of this tuple.
+    assert engine.PATH_NAMES == ("jet", "moment", "tensor", "qmc", "closed", "special", "limit")
+    assert engine.PATH_NAMES == tuple(engine.PATHS)
+    for case in engine.CATALOG:
+        names = iter(engine.PATH_NAMES)
+        assert all(p in names for p in case.paths), case.tag
 
 
 def test_catalog_case_returns_an_entry_unchanged():
