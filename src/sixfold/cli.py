@@ -235,20 +235,16 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+_COMMANDS = {"list": _cmd_list, "verify": _cmd_verify, "selftest": _cmd_selftest}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
+        return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -29,27 +29,32 @@ def hyp2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     """Gauss series sum of 2F1(a, b; c; x) for real x in [0, 1/2].
 
     A terminating series (a or b a non-positive integer) can cancel down by
-    ~|max term| / |sum|, so it is summed exactly when a, b and c are all
-    integers (the sum is then rational in x) and otherwise by
-    :func:`hyp2f1_array` in extended precision (np.longdouble).  Every other
-    input goes through :func:`hyp2f1_array` in double precision.  c at a
-    non-positive integer raises unless the series terminates first.
+    ~|max term| / |sum|.  With a, b and c real it is summed exactly: a
+    parameter within 1e-13 of an integer is that integer, the others are
+    the binary rationals they already are.  A complex terminating series
+    goes through :func:`hyp2f1_array` in extended precision (np.longdouble),
+    every other input through it in double precision.  c at a non-positive
+    integer raises unless the series terminates first.
     """
     if not 0.0 <= x <= 0.5 + 1e-15:
         raise DomainError(f"hyp2f1 implemented for x in [0, 1/2], got {x}")
-    ints = [nearest_int(p, 1e-13) for p in (a, b, c)]
+    params = (a, b, c)
+    ints = [nearest_int(p, 1e-13) for p in params]
     terminating = any(n is not None and n <= 0 for n in ints[:2])
-    if terminating and None not in ints:
-        return _hyp2f1_exact_terminating(*ints, x)
+    if terminating and all(n is not None or p.imag == 0 for n, p in zip(ints, params)):
+        exact = [p.real if n is None else n for n, p in zip(ints, params)]
+        return _hyp2f1_exact_terminating(*exact, x)
     xs = np.full(1, x, dtype=np.longdouble if terminating else float)
     return complex(hyp2f1_array(a, b, c, xs)[0])
 
 
-def _hyp2f1_exact_terminating(a: int, b: int, c: int, x: float) -> complex:
-    """Exact rational evaluation of a terminating 2F1 with integer
-    parameters; x enters as the exact binary rational it already is."""
+def _hyp2f1_exact_terminating(a: float, b: float, c: float, x: float) -> complex:
+    """Exact rational sum of a terminating 2F1 with int or float parameters;
+    each float and x enter as the exact binary rationals they are."""
     from fractions import Fraction
 
+    # ints stay ints: integer products cost a fraction of Fraction ones
+    a, b, c = (p if isinstance(p, int) else Fraction(p) for p in (a, b, c))
     w = Fraction(x)
     total = Fraction(1)
     term = Fraction(1)
@@ -67,8 +72,8 @@ def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarra
     """Vectorized Gauss series over an array of x in [0, 1/2].
 
     The package's one series loop.  It runs in the precision of x: float64,
-    or np.longdouble when :func:`hyp2f1` sums a terminating series in
-    extended precision.  Values are real when a, b and c are real, complex
+    or np.longdouble when :func:`hyp2f1` sums a complex terminating series
+    in extended precision.  Values are real when a, b and c are real, complex
     otherwise.  Float64 input sums terminating series in float64 as well:
     exact and extended-precision sums are a contract of :func:`hyp2f1` only.
 

@@ -4,9 +4,11 @@ Each oracle deliberately avoids the algorithm used by the implementation it
 checks: Stirling/recurrence instead of Lanczos for gamma, partial sums with
 tail bounds instead of Euler-Maclaurin for zeta values, Abel summation for
 divergent alternating series, the Laplace integral for Legendre functions,
-central finite differences for jet coefficients, literal enumeration for
-the regrouped tensor sum, plain unbuffered arithmetic for the buffered QMC
-pipeline.
+literal enumeration for the regrouped tensor sum, plain unbuffered
+arithmetic for the buffered QMC pipeline.  Derivatives and jet
+coefficients are checked against Cauchy-formula Taylor coefficients,
+``sixfold.acceptance.taylor_coefficients`` (the trapezoid rule on a
+circle), rather than central differences: they need no extended precision.
 """
 
 from __future__ import annotations
@@ -149,59 +151,6 @@ def hyp2f1_array_complex(a: complex, b: complex, c: complex, x: np.ndarray) -> n
             small = 0
         total += term
     raise ArithmeticError("hyp2f1 series did not converge")
-
-
-def hyp2f1_fraction(a: int, b: float, c: float, x: float) -> float:
-    """Terminating 2F1 (a a non-positive integer) summed in exact rational
-    arithmetic from the binary values of b, c and x."""
-    b, c, w = Fraction(b), Fraction(c), Fraction(x)
-    total = term = Fraction(1)
-    for n in range(-a):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * w
-        total += term
-    return float(total)
-
-
-def central_derivative(f, order: int, h) -> complex:
-    if order == 1:
-        return (f(h) - f(-h)) / (2.0 * h)
-    if order == 2:
-        return (f(h) - 2.0 * f(0.0 * h) + f(-h)) / h**2
-    if order == 3:
-        return (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2.0 * h**3)
-    if order == 4:
-        return (f(2 * h) - 4 * f(h) + 6 * f(0.0 * h) - 4 * f(-h) + f(-2 * h)) / h**4
-    raise ValueError(order)
-
-
-def richardson_derivative(f, order: int, h: float = 1e-3) -> complex:
-    """Central differences at h, h/2, h/4 with two Richardson levels.
-
-    The step is carried as an extended-precision scalar: an ``f`` built on
-    numpy scalar functions then evaluates in extended precision too, which
-    the 3rd/4th-order stencils need to beat double-rounding noise.
-    """
-    hw = np.clongdouble(h)
-    d1 = central_derivative(f, order, hw)
-    d2 = central_derivative(f, order, hw / 2.0)
-    d3 = central_derivative(f, order, hw / 4.0)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return complex((16.0 * r2 - r1) / 15.0)
-
-
-def closed_form_scalar(ps) -> "callable":
-    """Extended-precision evaluator of the collapsed-product scalar
-    a^w pi^2 2^(mu+u-1) / sin(pi (m+w)) for real parameter sets."""
-    pi_ld = np.clongdouble(np.pi)
-    pref = pi_ld**2 * np.exp((np.clongdouble(ps.mu.real) + ps.u.real - 1.0) * np.log(np.clongdouble(2.0)))
-    ln_a = np.log(np.clongdouble(ps.a.real))
-    m_ld = np.clongdouble(ps.m.real)
-
-    def f(w):
-        return pref * np.exp(w * ln_a) / np.sin(pi_ld * (m_ld + w))
-
-    return f
 
 
 def tanh_sinh_01(f, level: int = 9) -> float:

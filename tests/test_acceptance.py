@@ -5,6 +5,7 @@ pass/fail report per criterion (the CLI ``sixfold selftest`` prints the
 same lines).
 """
 
+import numpy as np
 import pytest
 
 import sixfold.specialfn as specialfn
@@ -32,3 +33,12 @@ def test_a10_gamma_check_sees_the_lanczos_core(monkeypatch):
     result = criterion_a10_module_oracles()
     assert not result.passed
     assert "gamma" in result.detail, result.detail
+
+
+def test_a10_passes_where_long_double_is_double(monkeypatch):
+    # On Windows and macOS arm64 long double is double; A10 must not lean on
+    # extended precision for its oracles.
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    monkeypatch.setattr(np, "clongdouble", np.complex128)
+    result = criterion_a10_module_oracles()
+    assert result.passed, result.detail

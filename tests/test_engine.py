@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from oracles import richardson_derivative
 from sixfold import engine
+from sixfold.acceptance import taylor_coefficients
 from sixfold.core import (
     DomainError,
     InadmissibleError,
@@ -53,14 +53,13 @@ def test_lhs_jet_symmetric_zero():
 
 
 def test_lhs_jet_second_derivative_point():
-    # F(w) = (pi^2/2) sec(pi w); second derivative at 0 via finite
-    # differences fixes the k = 2 value.
+    # F(w) = (pi^2/2) sec(pi w); its second derivative at 0, from Cauchy's
+    # formula, fixes the k = 2 value.
     ps = REFERENCE.replace(k=2)
-    fd = richardson_derivative(
-        lambda w: math.pi**2 / 2.0 / cmath.cos(math.pi * w), 2, 1e-3
-    )
+    coeffs = taylor_coefficients(lambda w: math.pi**2 / 2.0 / cmath.cos(math.pi * w), 0.0, 0.125)
+    d2 = 2.0 * coeffs[2]
     got = engine.lhs_jet(ps)
-    assert abs(got - fd) < 1e-7 * abs(fd)
+    assert abs(got - d2) < 1e-13 * abs(d2)
     assert abs(got - math.pi**4 / 2.0) < 1e-11 * abs(got)
 
 

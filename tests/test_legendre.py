@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import hyp2f1_array_complex, hyp2f1_fraction, laplace_legendre
+from oracles import hyp2f1_array_complex, laplace_legendre
 from sixfold.core import DomainError, PoleError
 from sixfold.legendre import (
     assoc_legendre_p,
@@ -34,12 +34,28 @@ def test_hyp2f1_terminating():
     assert abs(got - (1.0 - 2.3 * 0.3 / 1.7)) < 1e-14
 
 
+def _mpmath_hyp2f1(a, b, c, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return complex(mpmath.hyp2f1(a, b, c, mpmath.mpf(x)))
+
+
 @pytest.mark.parametrize("a, b", [(-15, 16.5), (-12, 13.0)])
 def test_hyp2f1_terminating_non_integer_sums_in_extended_precision(a, b):
-    # c = 1.25 keeps the exact route out; a float64 sum of these cancelling
-    # series is off by 3e-9 and 4e-10 relative.
-    exact = hyp2f1_fraction(a, b, 1.25, 0.45)
-    assert abs(hyp2f1(a, b, 1.25, 0.45) - exact) <= 1e-11 * abs(exact)
+    # A float64 sum of these cancelling series is off by 3e-9 and 4e-10
+    # relative; their parameters are real, so hyp2f1 sums them exactly.
+    ref = _mpmath_hyp2f1(a, b, 1.25, 0.45)
+    assert abs(hyp2f1(a, b, 1.25, 0.45) - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("a, b", [(-15, 16.5), (-12, 13.0)])
+def test_hyp2f1_real_terminating_exact_where_long_double_is_double(monkeypatch, a, b):
+    # Where long double is double (Windows, macOS arm64) an extended-precision
+    # sum would be the float64 one; the exact sum does not depend on it.
+    ref = _mpmath_hyp2f1(a, b, 1.25, 0.45)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    monkeypatch.setattr(np, "clongdouble", np.complex128)
+    assert abs(hyp2f1(a, b, 1.25, 0.45) - ref) <= 1e-11 * abs(ref)
 
 
 def test_hyp2f1_c_pole():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from oracles import richardson_derivative, stirling_gamma, zeta_partial
+from oracles import stirling_gamma, zeta_partial
+from sixfold.acceptance import taylor_coefficients
 from sixfold.core import DomainError, PoleError
 from sixfold.specialfn import (
     EULER_GAMMA,
@@ -90,10 +91,10 @@ def test_polygamma_basel_point_bracketed_by_series_oracle():
     assert abs(val - math.pi**2 / 6.0) < 1e-12
 
 
-def test_polygamma_matches_finite_differences_of_digamma():
+def test_polygamma_matches_cauchy_coefficients_of_digamma():
     for z0 in (1.3, 2.7 + 0.4j):
-        fd = richardson_derivative(lambda w: digamma(z0 + w), 2, 1e-2)
-        assert abs(fd - polygamma(2, z0)) < 1e-8 * (1 + abs(fd))
+        d2 = 2.0 * taylor_coefficients(digamma, z0, 0.25)[2]
+        assert abs(d2 - polygamma(2, z0)) < 1e-13 * (1 + abs(d2))
 
 
 def test_polygamma_order_cap():
