@@ -5,7 +5,8 @@ Paths through the identity family:
 * ``jet``     - k! times coefficient k of the collapsed product jet
                 a^w pi^2 2^(mu+u-1) csc(pi(m+w))  (integer k >= 0).
 * ``moment``  - the same coefficient read off the uncollapsed product of
-                the two Mellin factors and four Gamma moments; numerically
+                the two Mellin factors and four Gamma moments, as one sum
+                of ten log-gamma jets exponentiated once; numerically
                 independent of the csc collapse.
 * ``tensor``  - direct six-dimensional tensor quadrature.
 * ``qmc``     - digitally-shifted Sobol estimate of the same integral.
@@ -44,15 +45,9 @@ from .core import (
     principal_power,
     validate_parameters,
 )
-from .jets import (
-    Jet,
-    closed_form_jet,
-    jet_exp_linear,
-    jet_of_gamma,
-    jet_of_reciprocal_gamma,
-)
+from .jets import closed_form_jet, jet_constant, jet_of_log_gamma, jet_variable
 from .lerch import lerch_minus_one_split, lerch_phi
-from .mellin import log_moment, mellin_legendre_closed
+from .mellin import log_moment, mellin_gamma_factors, mellin_legendre_closed
 from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor, log_axis_rule, tanh_sinh
 from .specialfn import digamma, riemann_zeta
 
@@ -73,23 +68,14 @@ def lhs_jet(ps: ParameterSet) -> complex:
     return math.factorial(kk) * jet[kk]
 
 
-def _mellin_jet(s0: complex, sigma: float, u: complex, v: complex, order: int) -> Jet:
-    """Jet of w -> M(s0 + sigma*w; u, v) from gamma jets."""
-    d1 = (s0 - u + v) / 2.0 + 1.0
-    d2 = (s0 - u - v + 1.0) / 2.0
-    pref = math.sqrt(math.pi) * principal_power(2.0, u - s0)
-    out = jet_exp_linear(-sigma * _LN2, order)
-    out = out * jet_of_gamma(s0, order).stretch(sigma)
-    out = out * jet_of_reciprocal_gamma(d1, order).stretch(sigma / 2.0)
-    out = out * jet_of_reciprocal_gamma(d2, order).stretch(sigma / 2.0)
-    return out.scale(pref)
-
-
 def lhs_moment_expansion(ps: ParameterSet) -> complex:
     """k! * coefficient k of the uncollapsed factor-product jet.
 
-    Mathematically identical to lhs_jet; exercises the reconstructed
-    Mellin closed form and the gamma jets instead of the csc collapse.
+    Mathematically identical to lhs_jet; exercises the Mellin Gamma factors
+    and the log-gamma jets instead of the csc collapse.  The log of the
+    product, ln pi + (u+mu-1) ln 2 + w log a plus sign * log Gamma over both
+    Mellin tables (at m + w and 1 - m - w) and the four Gamma(beta+1 +- w/2),
+    is summed as one jet and exponentiated once.
     Conditioning caveat: the gamma jets are taken at the beta+1 exponents,
     so parameter sets hugging the strip boundary (some Re(beta)+1 -> 0)
     lose about k*log10(1/margin) digits on this path; see
@@ -97,15 +83,19 @@ def lhs_moment_expansion(ps: ParameterSet) -> complex:
     """
     kk = _pin_int_k(ps)
     exq = derive_exponents(ps)
-    order = kk
-    jet = jet_exp_linear(cmath.log(ps.a), order)
-    jet = jet * _mellin_jet(ps.m, 1.0, ps.u, ps.v, order)
-    jet = jet * _mellin_jet(1.0 - ps.m, -1.0, ps.mu, ps.nu, order)
-    jet = jet * jet_of_gamma(exq.beta_t + 1.0, order).stretch(0.5)
-    jet = jet * jet_of_gamma(exq.beta_z + 1.0, order).stretch(0.5)
-    jet = jet * jet_of_gamma(exq.beta_p + 1.0, order).stretch(-0.5)
-    jet = jet * jet_of_gamma(exq.beta_q + 1.0, order).stretch(-0.5)
-    return math.factorial(kk) * jet[kk]
+    log_jet = jet_constant(_LNPI + (ps.u + ps.mu - 1.0) * _LN2, kk)
+    log_jet = log_jet + jet_variable(0.0, kk).scale(cmath.log(ps.a))
+    factors = (
+        *mellin_gamma_factors(ps.m, ps.u, ps.v),
+        *((z, -rate, sign) for z, rate, sign in mellin_gamma_factors(1.0 - ps.m, ps.mu, ps.nu)),
+        (exq.beta_t + 1.0, 0.5, 1),
+        (exq.beta_z + 1.0, 0.5, 1),
+        (exq.beta_p + 1.0, -0.5, 1),
+        (exq.beta_q + 1.0, -0.5, 1),
+    )
+    for z, rate, sign in factors:
+        log_jet = log_jet + jet_of_log_gamma(z, kk).stretch(rate).scale(sign)
+    return math.factorial(kk) * log_jet.exp()[kk]
 
 
 def lerch_third_argument(a: complex) -> complex:

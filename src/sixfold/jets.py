@@ -123,8 +123,9 @@ def jet_exp_linear(c: complex, order: int) -> Jet:
 def jet_of_gamma(z0: complex, order: int) -> Jet:
     """Taylor jet of Gamma(z0 + w) via exp of the log-gamma jet.
 
-    The log-gamma jet has coefficient j = polygamma(j-1, z0)/j! for j >= 1,
-    which caps the order at 10 (polygamma is tabulated through order 12).
+    The log-gamma jet has coefficient j = polygamma(j-1, z0)/j! for j >= 1.
+    The order is capped at 10, the largest k the jet paths admit; polygamma
+    goes on to n = 12, but its error grows with n (README, Accuracy notes).
     """
     if order > 10:
         raise DomainError("gamma jets capped at order 10")
@@ -140,13 +141,6 @@ def jet_of_log_gamma(z0: complex, order: int) -> Jet:
         fact *= j
         coeffs.append(polygamma(j - 1, z0) / fact)
     return Jet(tuple(coeffs))
-
-
-def jet_of_reciprocal_gamma(z0: complex, order: int) -> Jet:
-    """Jet of 1/Gamma(z0 + w) = exp(-log_gamma jet)."""
-    if order > 10:
-        raise DomainError("gamma jets capped at order 10")
-    return jet_of_log_gamma(z0, order).scale(-1.0).exp()
 
 
 def jet_sin(theta: Jet) -> Jet:

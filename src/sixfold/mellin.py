@@ -37,29 +37,27 @@ def _check_strip(s: complex, u: complex, v: complex) -> None:
         raise DomainError(f"Mellin strip needs Re(u) < 1, got u={u!r}")
 
 
-def mellin_legendre_closed(s: complex, u: complex, v: complex) -> complex:
-    """M(s; u, v) = sqrt(pi) 2^(u-s) Gamma(s) / [Gamma((s-u+v)/2 + 1) *
-    Gamma((s-u-v+1)/2)].
+def mellin_gamma_factors(s: complex, u: complex, v: complex) -> tuple[tuple[complex, float, int], ...]:
+    """The Gamma factors of M(s; u, v) as (argument, d argument/ds, +-1):
+    Gamma(s) over Gamma((s-u+v)/2 + 1) Gamma((s-u-v+1)/2)."""
+    return ((s, 1.0, 1), ((s - u + v) / 2.0 + 1.0, 0.5, -1), ((s - u - v + 1.0) / 2.0, 0.5, -1))
 
-    Computed from log-gamma differences so moderate parameters cannot
-    overflow.  Gamma poles of the numerator raise; denominator poles give
-    an exact zero.
+
+def mellin_legendre_closed(s: complex, u: complex, v: complex) -> complex:
+    """M(s; u, v) = sqrt(pi) 2^(u-s) times the ``mellin_gamma_factors``.
+
+    Computed from log-gamma sums so moderate parameters cannot overflow.
+    Gamma poles of the numerator raise; denominator poles give an exact
+    zero.
     """
     s, u, v = complex(s), complex(u), complex(v)
-    if (pole := nearest_int(s, _POLE_TOL)) is not None and pole <= 0:
-        raise PoleError(f"M(s;u,v) pole at s={s!r}")
-    d1 = (s - u + v) / 2.0 + 1.0
-    d2 = (s - u - v + 1.0) / 2.0
-    for d in (d1, d2):
-        if (pole := nearest_int(d, _POLE_TOL)) is not None and pole <= 0:
+    expo = 0.5 * math.log(math.pi) + (u - s) * math.log(2.0)
+    for z, _, sign in mellin_gamma_factors(s, u, v):
+        if (pole := nearest_int(z, _POLE_TOL)) is not None and pole <= 0:
+            if sign > 0:
+                raise PoleError(f"M(s;u,v) pole at s={s!r}")
             return 0.0 + 0.0j
-    expo = (
-        0.5 * math.log(math.pi)
-        + (u - s) * math.log(2.0)
-        + log_gamma(s)
-        - log_gamma(d1)
-        - log_gamma(d2)
-    )
+        expo += sign * log_gamma(z)
     return cmath.exp(expo)
 
 

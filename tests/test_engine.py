@@ -444,3 +444,27 @@ def test_hurwitz_zeta_form_consistency():
         special = engine.rhs_example(case, ps)
         closed = engine.rhs_theorem(ps)
         assert abs(special - closed) <= 1e-9 * (1.0 + abs(closed)), k
+
+
+@pytest.mark.parametrize(
+    "tag, params",
+    [
+        # analytic_sweep seed 3, call 3256: jet|moment reads 2.4e-9, under
+        # rel_tol 1e-8 only when the factor logs are summed before one exp.
+        (
+            "theorem",
+            dict(k=6, a=0.859225542189932 - 2.324051487958175j, m=0.2613105607436432,
+                 u=-0.8746574619022411, v=2.1217147623821853, mu=0.01696078856969896,
+                 nu=0.33108950044571633),
+        ),
+        # analytic_sweep seed 3, call 2884: jet|moment reads 7.2e-9.
+        (
+            "hurwitz_zeta_form",
+            dict(k=5, a=1.3862600457342664, m=0.36655500163898386, u=-1.9413397824314975,
+                 v=1.0029070974300365, mu=-0.9929366006666676, nu=2.4810993987367786),
+        ),
+    ],
+)
+def test_moment_path_sums_one_log_jet(tag, params):
+    rep = engine.verify(tag, ParameterSet(**params), paths=("jet", "moment", "closed"))
+    assert rep.verdict == "pass", rep.diffs

@@ -13,7 +13,6 @@ from sixfold.jets import (
     jet_csc,
     jet_exp_linear,
     jet_of_gamma,
-    jet_of_reciprocal_gamma,
     jet_variable,
 )
 from sixfold.specialfn import EULER_GAMMA, digamma, gamma
@@ -92,13 +91,6 @@ def test_gamma_jet_recurrence():
         rhs = jet_variable(z0, order) * jet_of_gamma(z0, order)
         scale = max(abs(c) for c in lhs.coeffs)
         assert max(abs(a - b) for a, b in zip(lhs.coeffs, rhs.coeffs)) <= 1e-11 * scale
-
-
-def test_reciprocal_gamma_jet():
-    z0 = 1.7 - 0.3j
-    prod = jet_of_gamma(z0, 4) * jet_of_reciprocal_gamma(z0, 4)
-    assert abs(prod[0] - 1.0) < 1e-13
-    assert all(abs(c) < 1e-13 for c in prod.coeffs[1:])
 
 
 def test_csc_jet_at_half():

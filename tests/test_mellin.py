@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import tanh_sinh_01
+from sixfold import acceptance, engine, mellin
 from sixfold.core import DomainError, ParameterSet, PoleError, derive_exponents, validate_parameters
 from sixfold.legendre import kernel_factor_array
 from sixfold.mellin import log_moment, mellin_legendre_closed, mellin_legendre_quadrature
@@ -129,3 +130,28 @@ def test_product_identity_sample():
         )
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
         done += 1
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_a_shifted_gamma_factor_fails_every_gate(monkeypatch, index):
+    # One Gamma argument of M(s; u, v), moved by 0.01, must reach the moment
+    # path, the product identity (A1) and the Mellin quadrature check (A10),
+    # since all three read the one table.
+    real = mellin.mellin_gamma_factors
+
+    def shifted(s, u, v):
+        factors = list(real(s, u, v))
+        z, rate, sign = factors[index]
+        factors[index] = (z + 0.01, rate, sign)
+        return tuple(factors)
+
+    monkeypatch.setattr(mellin, "mellin_gamma_factors", shifted)
+    monkeypatch.setattr(engine, "mellin_gamma_factors", shifted)
+    ps = ParameterSet(k=3, a=1.5, m=0.4, u=-0.3, v=1.2, mu=-0.1, nu=0.9)
+    rep = engine.verify("theorem", ps, paths=("jet", "moment", "closed"))
+    assert rep.verdict == "fail"
+    assert rep.diffs["jet|moment"]["rel"] > 1e-3 and rep.diffs["moment|closed"]["rel"] > 1e-3
+    assert rep.diffs["jet|closed"]["rel"] < 1e-13
+    assert not acceptance.criterion_a1_degenerate_product().passed
+    a10 = acceptance.criterion_a10_module_oracles()
+    assert not a10.passed and "mellin agreement" in a10.detail

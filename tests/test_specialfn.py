@@ -156,3 +156,54 @@ def test_eta_values():
     assert abs(dirichlet_eta(2.0) - math.pi**2 / 12.0) < 1e-13
     assert abs(dirichlet_eta(1.0) - math.log(2.0)) < 1e-14
     assert abs(riemann_zeta(2.0) - math.pi**2 / 6.0) < 1e-13
+
+
+def _oracle_points(count=400):
+    """Points with Re z in [-8, 8] and Im z in [-4, 4], at least 0.05 from
+    the poles 0, -1, ..., -8."""
+    rng = random.Random(2024)
+    out = []
+    while len(out) < count:
+        z = complex(rng.uniform(-8.0, 8.0), rng.uniform(-4.0, 4.0))
+        if min(abs(z + j) for j in range(9)) >= 0.05:
+            out.append(z)
+    return out
+
+
+ORACLE_POINTS = _oracle_points()
+# Worst relative error of polygamma(n, .) over ORACLE_POINTS against 30-digit
+# mpmath, n = 0..10, measured on x86-64: 1.31e-14, 3.79e-15, 5.76e-15,
+# 9.84e-15, 3.94e-14, 1.46e-13, 1.63e-13, 7.19e-13, 3.56e-13, 1.30e-13 and
+# 4.57e-14.  Each bound is under twice its measured value.
+POLYGAMMA_BOUNDS = (2.6e-14, 7.5e-15, 1.1e-14, 1.9e-14, 7.8e-14, 2.9e-13, 3.2e-13, 1.4e-12, 7.1e-13, 2.6e-13, 9.1e-14)
+
+
+def test_log_gamma_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(30):
+        for z in ORACLE_POINTS:
+            ref = complex(mpmath.loggamma(z))
+            worst = max(worst, abs(log_gamma(z) - ref) / max(1.0, abs(ref)))
+    assert worst < 1.9e-15  # measured 9.6e-16
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_polygamma_against_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(30):
+        for z in ORACLE_POINTS:
+            ref = complex(mpmath.polygamma(n, z))
+            worst = max(worst, abs(polygamma(n, z) - ref) / abs(ref))
+    assert worst < POLYGAMMA_BOUNDS[n]
+
+
+@pytest.mark.parametrize("z, bound", [(-2e6 + 0.5j, 3.5e-11), (-3e5 + 0.5j, 3.9e-12)])
+def test_digamma_far_left_reflects_against_mpmath(z, bound):
+    # The reflection keeps the upward recurrence from walking 10^5..10^6
+    # steps; pi cot(pi z) at |z| ~ 1e6 sets the error (1.8e-11, 2.0e-12).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = complex(mpmath.digamma(z))
+    assert abs(digamma(z) - ref) <= bound * abs(ref)
