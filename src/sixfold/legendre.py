@@ -21,7 +21,7 @@ import numpy as np
 from .core import ConvergenceError, DomainError, PoleError, nearest_int
 from .specialfn import rgamma
 
-_MAX_TERMS = 100_000
+_MAX_TERMS = 512
 _ORDER_TOL = 1e-12
 
 
@@ -32,20 +32,29 @@ def hyp2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     ~|max term| / |sum|.  With a, b and c real it is summed exactly: a
     parameter within 1e-13 of an integer is that integer, the others are
     the binary rationals they already are.  A complex terminating series
-    goes through :func:`hyp2f1_array` in extended precision (np.longdouble),
-    every other input through it in double precision.  c at a non-positive
+    is summed term by term in extended precision (np.clongdouble), every
+    other input goes through :func:`hyp2f1_array`.  c at a non-positive
     integer raises unless the series terminates first.
     """
     if not 0.0 <= x <= 0.5 + 1e-15:
         raise DomainError(f"hyp2f1 implemented for x in [0, 1/2], got {x}")
     params = (a, b, c)
     ints = [nearest_int(p, 1e-13) for p in params]
-    terminating = any(n is not None and n <= 0 for n in ints[:2])
-    if terminating and all(n is not None or p.imag == 0 for n, p in zip(ints, params)):
+    ends = [-n for n in ints[:2] if n is not None and n <= 0]
+    if not ends:
+        return complex(hyp2f1_array(a, b, c, np.full(1, x))[0])
+    if all(n is not None or p.imag == 0 for n, p in zip(ints, params)):
         exact = [p.real if n is None else n for n, p in zip(ints, params)]
         return _hyp2f1_exact_terminating(*exact, x)
-    xs = np.full(1, x, dtype=np.longdouble if terminating else float)
-    return complex(hyp2f1_array(a, b, c, xs)[0])
+    a, b, c = (np.clongdouble(p) for p in params)
+    w = np.longdouble(x)
+    total = term = np.clongdouble(1.0)
+    for n in range(min(ends)):
+        if abs(c + n) < 1e-13:
+            raise PoleError(f"hyp2f1 pole: c={complex(c)!r} hits a non-positive integer")
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * w)
+        total += term
+    return complex(total)
 
 
 def _hyp2f1_exact_terminating(a: float, b: float, c: float, x: float) -> complex:
@@ -68,80 +77,141 @@ def _hyp2f1_exact_terminating(a: float, b: float, c: float, x: float) -> complex
     return complex(float(total))
 
 
-def hyp2f1_array(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
-    """Vectorized Gauss series over an array of x in [0, 1/2].
+def gauss_taylor(a: complex, b: complex, c: complex) -> np.ndarray:
+    """Taylor coefficients c_0..c_N about w = 1/4 of H(w) = (F(w) - 1)/w,
+    F = 2F1(a, b; c; w): the polynomial :func:`hyp2f1_array` sums.  They
+    are float64 when a, b and c are real, complex128 otherwise, and depend
+    on a, b and c alone.
 
-    The package's one series loop.  It runs in the precision of x: float64,
-    or np.longdouble when :func:`hyp2f1` sums a complex terminating series
-    in extended precision.  Values are real when a, b and c are real, complex
-    otherwise.  Float64 input sums terminating series in float64 as well:
-    exact and extended-precision sums are a contract of :func:`hyp2f1` only.
+    H's Maclaurin coefficients are F's, t_n = t_(n-1) (a+n-1)(b+n-1) /
+    ((c+n-1) n) from t_0 = 1, less the first.  They run to the last
+    non-zero t_n of a terminating series (a or b a non-positive integer),
+    or else to the first n past max(|a|, |b|, |c|) at which |t_n| 2^-n
+    falls below 1e-20 of sum |t_i| 2^-i; from there on the terms fall
+    about as 2^-n at w = 1/2.  c at a non-positive integer raises
+    PoleError unless the series terminates first, and more than 512 terms
+    raise ConvergenceError.
 
-    Stops after three consecutive terms below 1e-17 of the partial sum at
-    every node.  That all-node test only runs once it holds at the node with
-    the largest x, where the series converges slowest: the probe is a
-    necessary condition, so the term count does not depend on it.
+    The Taylor shift c_j = sum_(k >= j) C(k, j) 4^(j-k) t_(k+1) re-expands
+    that polynomial about 1/4, each sum taken in order of k.  Its sums
+    cancel where the t_n alternate in sign, so the t_n and the shift run
+    in extended precision (np.longdouble, plain double on Windows and
+    macOS arm64) and the c_j are rounded to double once.  A terminating
+    series keeps every c_j, the exact polynomial up to rounding.
+    Otherwise the expansion ends at the first N with sum_(j > N) |c_j| 4^-j
+    below 1e-17 of sum_j |c_j| 4^-j, which bounds what it drops on
+    |w - 1/4| <= 1/4; F is analytic on |w| < 1, so |c_j| 4^-j falls like
+    3^-j.
 
-    A node's value does not depend on which other nodes share its array,
-    which lets the QMC estimator run its nodes in chunks.  A sub-array
-    stops no later than the whole array, since its stop test is weaker.
-    For the real kernels, a = -v, b = v + 1, c = 1 - u > 0 with v > 0, and
-    for the order-recurrence seeds (c = 1, 2), the term ratio
-    |(a+n)(b+n) / ((c+n)(n+1))| x falls with n while n < v and is below
-    x <= 1/2 once n >= v: once the terms fall they keep falling, and they
-    fall before any term passes the stop test (while they rise from 1, each
-    is at least 1/(n+1) of the sum).  So after a node's stop every later
-    term is below 1e-17 |total|, under half an ulp, and leaves it as it is.
+    The quotients in t_n are products with a reciprocal, which numpy's
+    complex division forms exactly for a real divisor, those of the shift
+    are real, and the rest takes products and sequential sums only: with
+    real parameters passed as complex numbers the real parts come out bit
+    for bit the real coefficients.
     """
-    x = np.asarray(x)
-    x = x if x.dtype == np.longdouble else x.astype(float, copy=False)
+    a, b, c = complex(a), complex(b), complex(c)
+    if a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0:
+        ext, out = np.longdouble, float
+        a, b, c = (ext(p.real) for p in (a, b, c))
+    else:
+        ext, out = np.clongdouble, complex
+        a, b, c = (ext(p) for p in (a, b, c))
+    past = max(abs(a), abs(b), abs(c))
+    size = 64
+    while True:
+        n = np.arange(size, dtype=np.longdouble)
+        zero = (a + n == 0) | (b + n == 0)
+        ends = np.flatnonzero(zero | (np.abs(c + n) < 1e-13))
+        end = int(ends[0]) if ends.size else size
+        # t_1..t_end and, past max(|a|, |b|, |c|), the first small one
+        t = np.cumprod((a + n[:end]) * (b + n[:end]) * (1.0 / ((c + n[:end]) * (n[:end] + 1.0))))
+        size_n = np.ldexp(np.abs(t), -np.arange(1, end + 1))
+        total = np.cumsum(np.concatenate(([np.longdouble(1.0)], size_n)))[1:]
+        small = np.flatnonzero((n[:end] + 1.0 > past) & (size_n < 1e-20 * total))
+        if small.size:
+            return _cut(_taylor_shift(t[: small[0] + 1]).astype(out))
+        if end < size and zero[end]:  # a or b reached a non-positive integer
+            return _taylor_shift(t).astype(out)
+        if end < size:
+            raise PoleError(f"hyp2f1 pole: c={complex(c)!r} hits a non-positive integer")
+        if size == _MAX_TERMS:
+            raise ConvergenceError(f"hyp2f1 series needs more than {_MAX_TERMS} terms")
+        size *= 2
+
+
+def _cut(coef: np.ndarray) -> np.ndarray:
+    """coef less the tail past the first N with sum_(j > N) |c_j| 4^-j below
+    1e-17 of the whole sum (:func:`gauss_taylor`)."""
+    tail = np.cumsum((np.abs(coef) * 0.25 ** np.arange(len(coef)))[::-1])[::-1]
+    below = tail < 1e-17 * tail[0]
+    return coef[: int(np.argmax(below))] if below.any() else coef
+
+
+def _taylor_shift(t: np.ndarray) -> np.ndarray:
+    """The coefficients about w = 1/4 of sum_k t[k] w^k, in the precision of
+    t: the sums of C(j+m, j) 4^-m t[j+m] over m, in order of m."""
+    if not len(t):
+        return t
+    k = np.arange(len(t))
+    jm = k[:, None] + k  # row m, column j
+    # C(j+m, j) 4^-m as a running product down the rows
+    steps = jm.astype(np.longdouble)
+    steps[1:] /= 4.0 * steps[1:, :1]
+    steps[:1] = 1.0
+    hankel = np.concatenate((t, np.zeros_like(t)))[jm]
+    return np.cumsum(np.cumprod(steps, axis=0) * hankel, axis=0)[-1]
+
+
+def hyp2f1_array(
+    a: complex, b: complex, c: complex, x: np.ndarray, coef: np.ndarray | None = None
+) -> np.ndarray:
+    """2F1(a, b; c; x) over an array of float64 x in [0, 1/2], the package's
+    one array sum of the Gauss series: real when a, b and c are real,
+    complex otherwise.
+
+    F(x) = 1 + x H(x), with H summed by Horner's rule in s = x - 1/4 from
+    its Taylor coefficients about 1/4, ``coef`` = :func:`gauss_taylor`
+    (a, b, c), which a caller that holds them passes.  |s| <= 1/4 and F's
+    nearest singularity is 3/4 away, so the terms fall like 3^-j, where a
+    Maclaurin sum at x = 1/2 falls like 2^-n: the Legendre kernels with
+    degree in (0.05, 2.5) and order in (-2, 0.95) take 21-36 terms.  The
+    factor x keeps F(0) = 1 exact.  The term count depends on a, b and c
+    alone and every step is elementwise, so a node's value does not depend
+    on which other nodes share its array: the QMC estimator may run its
+    nodes in any chunks.  A terminating series is the exact polynomial,
+    summed in float64; exact and extended-precision sums are a contract of
+    :func:`hyp2f1` only.
+    """
+    x = np.asarray(x, dtype=float)
     if x.size and (x.min() < 0.0 or x.max() > 0.5 + 1e-15):
         raise DomainError("hyp2f1_array needs x in [0, 1/2]")
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
-    if real:
-        a, b, c = a.real, b.real, c.real
-    dtype = x.dtype if real else np.result_type(x.dtype, np.complex64)
-    if x.dtype == np.longdouble:
-        # Form the step coefficients in extended precision too.  Double
-        # parameters stay Python scalars: numpy's complex division rounds
-        # differently in the last bit and would move the float64 results.
-        a, b, c = dtype.type(a), dtype.type(b), dtype.type(c)
-    total = np.ones(x.shape, dtype=dtype)
-    term = np.ones(x.shape, dtype=dtype)
-    step = np.empty(x.shape, dtype=dtype)
-    if not x.size:
-        return total
-    probe = np.unravel_index(np.argmax(x), x.shape)
-    small = 0
-    for n in range(_MAX_TERMS):
-        an, bn, cn = a + n, b + n, c + n
-        if an == 0 or bn == 0:
-            return total
-        if abs(cn) < 1e-13:
-            raise PoleError(f"hyp2f1 pole: c={complex(c)!r} hits a non-positive integer")
-        np.multiply(an * bn / (cn * (n + 1.0)), x, out=step)
-        term *= step
-        if abs(term[probe]) < 1e-17 * abs(total[probe]) + 1e-300 and np.all(
-            np.abs(term) < 1e-17 * np.abs(total) + 1e-300
-        ):
-            small += 1
-            if small >= 3:
-                return total + term
-        else:
-            small = 0
-        total += term
-    raise ConvergenceError("hyp2f1_array did not converge within 1e5 terms")
+    coef = gauss_taylor(a, b, c) if coef is None else coef
+    total = np.full(x.shape, coef[-1] if coef.size else 0.0, dtype=coef.dtype)
+    s = x - 0.25
+    for cj in coef[-2::-1]:
+        total *= s
+        total += cj
+    total *= x
+    total += 1.0
+    return total
 
 
-def _order_recurrence(series, v, mo: int, x, w, s):
+def _gauss_seeds(v: complex, u: complex):
+    """(mo, parameter triples): mo is u as an int within 1e-12 of one, else
+    None, and the triples the Gauss series behind P_v^u: 2F1(-v, v+1; 1-u)
+    unless mo >= 1, else the seeds of the order recurrence at orders 0 and
+    1, 2F1(-v, v+1; 1) and 2F1(1-v, v+2; 2)."""
+    mo = nearest_int(u, _ORDER_TOL)
+    if mo is None or mo < 1:
+        return mo, ((-v, v + 1.0, 1.0 - u),)
+    return mo, ((-v, v + 1.0, 1.0), (1.0 - v, v + 2.0, 2.0))
+
+
+def _order_recurrence(p0, f1, v, mo: int, x, s):
     """P_v^mo(x) for integer order mo >= 1: the order recurrence from the
-    hypergeometric seeds at orders 0 and 1.  series is hyp2f1 or
-    hyp2f1_array, w = (1-x)/2 and s = sqrt(1-x^2)."""
-    p0 = series(-v, v + 1.0, 1.0, w)
-    p1 = -s * (v * (v + 1.0) / 2.0) * series(1.0 - v, v + 2.0, 2.0, w)
+    hypergeometric seeds of :func:`_gauss_seeds`, p0 = P_v(x) and f1,
+    with s = sqrt(1-x^2)."""
+    p1 = -s * (v * (v + 1.0) / 2.0) * f1
     for m in range(1, mo):
         p0, p1 = p1, -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
     return p1
@@ -157,16 +227,28 @@ def assoc_legendre_p(v: complex, u: complex, x: float) -> complex:
         raise DomainError(f"assoc_legendre_p needs x in (0,1), got {x}")
     v = complex(v)
     u = complex(u)
-    mo = nearest_int(u, _ORDER_TOL)
     w = (1.0 - x) / 2.0
+    mo, seeds = _gauss_seeds(v, u)
+    f = [hyp2f1(*abc, w) for abc in seeds]
     if mo is None or mo < 1:
         pref = cmath.exp(0.5 * u * math.log((1.0 + x) / (1.0 - x)))
-        return pref * rgamma(1.0 - u) * hyp2f1(-v, v + 1.0, 1.0 - u, w)
-    return _order_recurrence(hyp2f1, v, mo, x, w, math.sqrt((1.0 - x) * (1.0 + x)))
+        return pref * rgamma(1.0 - u) * f[0]
+    return _order_recurrence(*f, v, mo, x, math.sqrt((1.0 - x) * (1.0 + x)))
+
+
+def kernel_series(v: complex, u: complex) -> tuple[np.ndarray, ...]:
+    """The :func:`gauss_taylor` coefficients of the Gauss series that
+    :func:`kernel_factor_array` sums for degree v and order u, one set or,
+    at a positive integer order, two."""
+    return tuple(gauss_taylor(*abc) for abc in _gauss_seeds(complex(v), complex(u))[1])
 
 
 def kernel_factor_array(
-    v: complex, u: complex, x: np.ndarray, one_minus_x: np.ndarray | None = None
+    v: complex,
+    u: complex,
+    x: np.ndarray,
+    one_minus_x: np.ndarray | None = None,
+    series: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """(1 - x^2)^(-u/2) * P_v^u(x) over node arrays - the form the integral
     kernel uses; float64 when v and u are real.
@@ -174,23 +256,27 @@ def kernel_factor_array(
     For non-integer order this collapses to
     (1-x)^(-u) * 2F1(-v, v+1; 1-u; (1-x)/2) / Gamma(1-u),
     which stays finite and accurate at both endpoints.  Pass one_minus_x
-    when 1-x is known to more digits than x itself.  The series always runs
-    in float64 (:func:`hyp2f1_array`), terminating ones included.
+    when 1-x is known to more digits than x itself, and ``series``,
+    :func:`kernel_series` (v, u), when the caller holds it: a path that
+    evaluates one kernel on many node arrays takes it once.  The Gauss
+    series is the float64 Horner sum about (1-x)/2 = 1/4 of
+    :func:`hyp2f1_array`, terminating ones included.
     """
     x = np.asarray(x, dtype=float)
     omx = (1.0 - x) if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
     v = complex(v)
     u = complex(u)
-    mo = nearest_int(u, _ORDER_TOL)
     real = v.imag == 0.0 and u.imag == 0.0
     if real:
         v, u = v.real, u.real
+    mo, seeds = _gauss_seeds(v, u)
+    series = kernel_series(v, u) if series is None else series
     w = omx / 2.0
+    f = [hyp2f1_array(*abc, w, coef) for abc, coef in zip(seeds, series)]
     if mo is None or mo < 1:
         rg = rgamma(1.0 - u)
-        f = hyp2f1_array(-v, v + 1.0, 1.0 - u, w)
-        return np.exp(-u * np.log(omx)) * (rg.real if real else rg) * f
-    p = _order_recurrence(hyp2f1_array, v, mo, x, w, np.sqrt(omx * (1.0 + x)))
+        return np.exp(-u * np.log(omx)) * (rg.real if real else rg) * f[0]
+    p = _order_recurrence(*f, v, mo, x, np.sqrt(omx * (1.0 + x)))
     return p * np.exp(-0.5 * u * np.log(omx * (1.0 + x)))
 
 

@@ -43,7 +43,7 @@ from .core import (
     derive_exponents,
     nearest_int,
 )
-from .legendre import kernel_factor_array
+from .legendre import kernel_factor_array, kernel_series
 
 _MAX_LEVEL = 12
 _MAX_NODES = 512
@@ -289,9 +289,11 @@ class Integrand6D:
     The one place that knows the integrand is real: both direct paths admit
     only a real strip (``has_real_strip``) and read the numbers taken here
     once, Re m, the real parts ``betas`` of the log-axis exponents (p, q, t,
-    z), ``log_a`` (a float when its imaginary part is 0) and ``k_int``, k
-    as an int when within 1e-12 of one.  Each direct path checks its
-    preconditions itself and assembles its own sum from the pieces.
+    z), ``log_a`` (a float when its imaginary part is 0), ``k_int``, k
+    as an int when within 1e-12 of one, and the Gauss-series coefficients
+    of the x and y kernels (``kernel_series``), which every node array of
+    the path reuses.  Each direct path checks its preconditions itself and
+    assembles its own sum from the pieces.
     """
 
     ps: ParameterSet
@@ -299,6 +301,8 @@ class Integrand6D:
     betas: tuple[float, float, float, float] = field(init=False)
     log_a: float | complex = field(init=False)
     k_int: int | None = field(init=False)
+    x_series: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    y_series: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ps = self.ps
@@ -307,6 +311,8 @@ class Integrand6D:
         object.__setattr__(self, "betas", tuple(b.real for b in derive_exponents(ps).as_tuple()))
         object.__setattr__(self, "log_a", log_a.real if log_a.imag == 0.0 else log_a)
         object.__setattr__(self, "k_int", nearest_int(ps.k, 1e-12))
+        object.__setattr__(self, "x_series", kernel_series(ps.v.real, ps.u.real))
+        object.__setattr__(self, "y_series", kernel_series(ps.nu.real, ps.mu.real))
 
     # -- separable pieces -------------------------------------------------
 
@@ -318,11 +324,11 @@ class Integrand6D:
 
     def x_kernel(self, x: np.ndarray, one_minus_x: np.ndarray | None = None) -> np.ndarray:
         """The real x kernel: the x factor without x^(m-1), which QMC warps away."""
-        return kernel_factor_array(self.ps.v.real, self.ps.u.real, x, one_minus_x)
+        return kernel_factor_array(self.ps.v.real, self.ps.u.real, x, one_minus_x, self.x_series)
 
     def y_kernel(self, y: np.ndarray, one_minus_y: np.ndarray | None = None) -> np.ndarray:
         """The real y kernel: the y factor without y^-m, which QMC warps away."""
-        return kernel_factor_array(self.ps.nu.real, self.ps.mu.real, y, one_minus_y)
+        return kernel_factor_array(self.ps.nu.real, self.ps.mu.real, y, one_minus_y, self.y_series)
 
     def has_real_strip(self) -> bool:
         """True when m, u, v, mu and nu are real to within 1e-12."""
@@ -342,7 +348,7 @@ class Integrand6D:
             if np.any(np.abs(s_vals) < 1e-300):
                 raise NonFiniteSampleError("coupling log argument hit zero")
             if kk is None:
-                return np.exp(self.ps.k * np.log(s_vals.astype(complex)))
+                return np.exp(self.ps.k * np.log(s_vals.astype(complex, copy=False)))
         return _int_power(s_vals, kk)
 
 
@@ -594,9 +600,11 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
 
     The points run through the pipeline in chunks of 2^14 (``_sobol_offset``),
     so memory does not grow with ``spec.count``, and the chunk size moves no
-    bit: every per-point step is elementwise (the Gauss series too, see
-    :func:`hyp2f1_array`), each 2^17-point block is summed by one pairwise
-    ``np.sum``, and the block sums of a replicate by ``math.fsum``.  The
+    bit: every per-point step is elementwise, each 2^17-point block is
+    summed by one pairwise ``np.sum``, and the block sums of a replicate by
+    ``math.fsum``.  That includes the Legendre kernels' Gauss series, a
+    Horner sum about (1-x)/2 = 1/4 (``legendre.hyp2f1_array``) whose
+    coefficients and term count ``f`` takes once, before any chunk.  The
     Sobol base is axis-major uint32, one row of 2^14 words per axis, and
     each process allocates the chunk buffers once, sized by the base, and
     reuses them for every chunk of its replicates (:func:`_qmc_share`).

@@ -35,6 +35,13 @@ _BERNOULLI = (
     8553103.0 / 6.0,
 )
 
+# Stirling-series coefficients B_j (j+n-1)! / j! of psi^(n), j = 2, 4, ..., 26,
+# one row per order n = 0..12.
+_STIRLING = tuple(
+    tuple(b * math.factorial(j + n - 1) / math.factorial(j) for j, b in zip(range(2, 28, 2), _BERNOULLI))
+    for n in range(13)
+)
+
 # Lanczos g = 607/128, 15 coefficients.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
@@ -125,8 +132,12 @@ def polygamma(n: int, z: complex) -> complex:
     if (pole := nearest_int(z, _POLE_TOL)) is not None and pole <= 0:
         raise PoleError(f"polygamma pole at z={z!r}")
     if n == 0 and z.real < 0.5:
-        return polygamma(0, 1.0 - z) - math.pi * cmath.cos(math.pi * z) / cmath.sin(math.pi * z)
+        return _polygamma(0, 1.0 - z) - math.pi * cmath.cos(math.pi * z) / cmath.sin(math.pi * z)
+    return _polygamma(n, z)
 
+
+def _polygamma(n: int, z: complex) -> complex:
+    """:func:`polygamma` past its order and pole checks and the reflection."""
     fact_n = math.factorial(n)
     sign = -1.0 if n % 2 == 0 else 1.0  # (-1)^(n-1)
     radius = 10.0 + 1.5 * n
@@ -144,9 +155,7 @@ def polygamma(n: int, z: complex) -> complex:
     total = lead + 0.5 * fact_n * zpow * zinv
     inv2 = zinv * zinv
     term = zpow * inv2
-    for idx, b in enumerate(_BERNOULLI):
-        j = 2 * (idx + 1)
-        coeff = b * math.factorial(j + n - 1) / math.factorial(j)
+    for coeff in _STIRLING[n]:
         contrib = coeff * term
         total += contrib
         if abs(contrib) <= 1e-17 * abs(total):

@@ -128,29 +128,55 @@ def laplace_legendre(v: float, x: float, n: int = 64) -> float:
 
 
 def hyp2f1_array_complex(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
-    """Gauss series over an array in complex arithmetic with the all-node
-    stop test on every term: the reference for the float64 series, whose
-    term count and real part must match it exactly."""
+    """The Gauss series as ``hyp2f1_array`` sums it, written out in complex
+    arithmetic with plain loops: the Maclaurin coefficients t_1, t_2, ...
+    to the same stop and the Taylor shift about 1/4, one coefficient at a
+    time in the same order, both in np.clongdouble; then the same tail cut
+    of the coefficients rounded to complex128 and Horner's rule for
+    F = 1 + x H(x) in s = x - 1/4.  The reference for the float64 series,
+    whose real part must match it bit for bit."""
     x = np.asarray(x, dtype=float)
-    a, b, c = complex(a), complex(b), complex(c)
-    total = np.ones(x.shape, dtype=complex)
-    term = np.ones(x.shape, dtype=complex)
-    small = 0
-    for n in range(100_000):
-        an, bn, cn = a + n, b + n, c + n
-        if an == 0 or bn == 0:
-            return total
-        if abs(cn) < 1e-13:
-            raise ZeroDivisionError(f"hyp2f1 pole: c={c!r}")
-        term *= (an * bn / (cn * (n + 1.0))) * x
-        if np.all(np.abs(term) < 1e-17 * np.abs(total) + 1e-300):
-            small += 1
-            if small >= 3:
-                return total + term
-        else:
-            small = 0
-        total += term
-    raise ArithmeticError("hyp2f1 series did not converge")
+    a, b, c = (np.clongdouble(complex(p)) for p in (a, b, c))
+    past = max(abs(a), abs(b), abs(c))
+    t = []
+    term = np.clongdouble(1.0)
+    total = np.longdouble(1.0)
+    n = 0
+    terminating = True
+    while a + n != 0 and b + n != 0:
+        if abs(c + n) < 1e-13:
+            raise ZeroDivisionError(f"hyp2f1 pole: c={complex(c)!r}")
+        term = term * ((a + n) * (b + n) * (1.0 / ((c + n) * (n + 1.0))))
+        t.append(term)
+        n += 1
+        size = np.ldexp(abs(term), -n)
+        total = total + size
+        if n > past and size < 1e-20 * total:
+            terminating = False
+            break
+        if n == 512:
+            raise ArithmeticError("hyp2f1 series needs more than 512 terms")
+    coef = []
+    for j in range(len(t)):
+        binom = np.longdouble(1.0)  # C(j+m, j) 4^-m
+        acc = np.clongdouble(0.0)
+        for m in range(len(t) - j):
+            if m:
+                binom = binom * (np.longdouble(j + m) / (4.0 * np.longdouble(m)))
+            acc = acc + binom * t[j + m]
+        coef.append(complex(acc))
+    if not terminating:
+        tail = [0.0] * len(coef)
+        run = 0.0
+        for j in reversed(range(len(coef))):
+            run = run + abs(coef[j]) * 0.25**j
+            tail[j] = run
+        coef = coef[: next((j for j, r in enumerate(tail) if r < 1e-17 * tail[0]), len(coef))]
+    out = np.full(x.shape, coef[-1] if coef else 0.0, dtype=complex)
+    s = x - 0.25
+    for cj in reversed(coef[:-1]):
+        out = out * s + cj
+    return out * x + 1.0
 
 
 def tanh_sinh_01(f, level: int = 9) -> float:
