@@ -48,7 +48,7 @@ from .core import (
 from .jets import closed_form_jet, jet_constant, jet_of_log_gamma, jet_variable
 from .lerch import lerch_minus_one_split, lerch_phi
 from .mellin import log_moment, mellin_gamma_factors, mellin_legendre_closed
-from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor, log_axis_rule, tanh_sinh
+from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor
 from .specialfn import digamma, riemann_zeta
 
 _LN2 = math.log(2.0)
@@ -396,20 +396,6 @@ class PathResult:
     seconds: float = 0.0
 
 
-def _default_tensor_rules(betas, coarse: bool = False):
-    level = 4 if coarse else 5
-    n = 24 if coarse else 32
-    ts = tanh_sinh(level)
-    return (ts, ts) + tuple(log_axis_rule(b, n=n, level=level) for b in betas)
-
-
-def _tensor_path(case, ps_eff, ps_thm, second, qmc_spec) -> PathResult:
-    f = Integrand6D(ps_thm)
-    fine = integrate_6d_tensor(f, _default_tensor_rules(f.betas))
-    coarse = integrate_6d_tensor(f, _default_tensor_rules(f.betas, coarse=True))
-    return PathResult("ok", fine, abs(fine - coarse))
-
-
 def _closed_path(case, ps_eff, ps_thm, second, qmc_spec) -> PathResult:
     value = rhs_theorem(ps_thm)
     if case.needs_second_exponent:
@@ -423,7 +409,9 @@ def _closed_path(case, ps_eff, ps_thm, second, qmc_spec) -> PathResult:
 PATHS: dict[str, Callable[..., PathResult]] = {
     "jet": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", lhs_jet(ps_thm)),
     "moment": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", lhs_moment_expansion(ps_thm)),
-    "tensor": _tensor_path,
+    "tensor": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult(
+        "ok", *integrate_6d_tensor(Integrand6D(ps_thm))
+    ),
     "qmc": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult(
         "ok", *integrate_6d_qmc(Integrand6D(ps_thm), qmc_spec)
     ),

@@ -29,12 +29,11 @@ def hyp2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     """Gauss series sum of 2F1(a, b; c; x) for real x in [0, 1/2].
 
     A terminating series (a or b a non-positive integer) can cancel down by
-    ~|max term| / |sum|.  With a, b and c real it is summed exactly: a
-    parameter within 1e-13 of an integer is that integer, the others are
-    the binary rationals they already are.  A complex terminating series
-    is summed term by term in extended precision (np.clongdouble), every
-    other input goes through :func:`hyp2f1_array`.  c at a non-positive
-    integer raises unless the series terminates first.
+    ~|max term| / |sum|, so it is summed exactly: a parameter within 1e-13
+    of an integer is that integer, the real and imaginary parts of the
+    others the binary rationals they already are.  Every other input goes
+    through :func:`hyp2f1_array`.  c at a non-positive integer raises
+    unless the series terminates first.
     """
     if not 0.0 <= x <= 0.5 + 1e-15:
         raise DomainError(f"hyp2f1 implemented for x in [0, 1/2], got {x}")
@@ -43,38 +42,41 @@ def hyp2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     ends = [-n for n in ints[:2] if n is not None and n <= 0]
     if not ends:
         return complex(hyp2f1_array(a, b, c, np.full(1, x))[0])
-    if all(n is not None or p.imag == 0 for n, p in zip(ints, params)):
-        exact = [p.real if n is None else n for n, p in zip(ints, params)]
-        return _hyp2f1_exact_terminating(*exact, x)
-    a, b, c = (np.clongdouble(p) for p in params)
-    w = np.longdouble(x)
-    total = term = np.clongdouble(1.0)
-    for n in range(min(ends)):
-        if abs(c + n) < 1e-13:
-            raise PoleError(f"hyp2f1 pole: c={complex(c)!r} hits a non-positive integer")
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * w)
-        total += term
-    return complex(total)
-
-
-def _hyp2f1_exact_terminating(a: float, b: float, c: float, x: float) -> complex:
-    """Exact rational sum of a terminating 2F1 with int or float parameters;
-    each float and x enter as the exact binary rationals they are."""
     from fractions import Fraction
 
-    # ints stay ints: integer products cost a fraction of Fraction ones
-    a, b, c = (p if isinstance(p, int) else Fraction(p) for p in (a, b, c))
+    exact = [(n, 0) if n is not None else (Fraction(p.real), Fraction(p.imag)) for n, p in zip(ints, params)]
+    return _hyp2f1_exact_terminating(*exact, x, min(ends))
+
+
+def _gauss_mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """The product of two Gaussian integers held as (real, imaginary) pairs."""
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _hyp2f1_exact_terminating(a, b, c, x: float, end: int) -> complex:
+    """The terms n <= ``end`` of 2F1(a, b; c; x), summed exactly and rounded
+    once.  Each parameter is a pair (real part, imaginary part) of ints or
+    Fractions, and x is the binary rational it is.  Scaled by their common
+    denominator, every number is a Gaussian integer, and Horner's rule from
+    the last term, 1 + r_j N/D = (Q_j D + P_j N) / (Q_j D) for the term
+    ratio r_j = P_j / Q_j, sums the series as one quotient N/D."""
+    from fractions import Fraction
+
     w = Fraction(x)
-    total = Fraction(1)
-    term = Fraction(1)
-    n = 0
-    while a + n != 0 and b + n != 0:
-        if c + n == 0:
-            raise PoleError(f"hyp2f1 pole: c={c} hits a non-positive integer")
-        term *= Fraction((a + n) * (b + n), (c + n) * (n + 1)) * w
-        total += term
-        n += 1
-    return complex(float(total))
+    s = math.lcm(*(Fraction(t).denominator for t in (*a, *b, *c, w)))
+    (ar, ai), (br, bi), (cr, ci) = ((int(re * s), int(im * s)) for re, im in (a, b, c))
+    wi = int(w * s)
+    num = den = (1, 0)
+    for j in reversed(range(end)):
+        if (cr + j * s, ci) == (0, 0):
+            raise PoleError(f"hyp2f1 pole: c={complex(*c)!r} hits a non-positive integer")
+        # r_j = (a+j)(b+j) w / ((c+j)(j+1))
+        q = (j + 1) * s * s
+        den = _gauss_mul(den, ((cr + j * s) * q, ci * q))
+        pn = _gauss_mul(_gauss_mul((ar + j * s, ai), (br + j * s, bi)), num)
+        num = (den[0] + pn[0] * wi, den[1] + pn[1] * wi)
+    norm = den[0] * den[0] + den[1] * den[1]  # int / int rounds correctly
+    return complex((num[0] * den[0] + num[1] * den[1]) / norm, (num[1] * den[0] - num[0] * den[1]) / norm)
 
 
 def gauss_taylor(a: complex, b: complex, c: complex) -> np.ndarray:
@@ -179,8 +181,7 @@ def hyp2f1_array(
     alone and every step is elementwise, so a node's value does not depend
     on which other nodes share its array: the QMC estimator may run its
     nodes in any chunks.  A terminating series is the exact polynomial,
-    summed in float64; exact and extended-precision sums are a contract of
-    :func:`hyp2f1` only.
+    summed in float64; exact sums are a contract of :func:`hyp2f1` only.
     """
     x = np.asarray(x, dtype=float)
     if x.size and (x.min() < 0.0 or x.max() > 0.5 + 1e-15):
@@ -221,7 +222,7 @@ def assoc_legendre_p(v: complex, u: complex, x: float) -> complex:
     """P_v^u(x) for complex degree/order and real x in (0, 1).
 
     Sums through the scalar :func:`hyp2f1`, so terminating series (integer
-    degree) are exact or extended precision, unlike :func:`kernel_factor_array`.
+    degree) are exact, unlike :func:`kernel_factor_array`.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"assoc_legendre_p needs x in (0,1), got {x}")

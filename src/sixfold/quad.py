@@ -2,7 +2,8 @@
 
 One-dimensional rules: tanh-sinh on the open unit interval (double
 exponential, handles endpoint singularities), Gauss-Laguerre on (0, inf)
-with weight e^-x, and ``log_axis_rule`` for the log-power axes.
+with weight e^-x, and ``log_axis_rule``, which joins the two for the
+log-power axes.
 
 The six-dimensional integrand, after substituting L = log(1/.) on the four
 log-power axes, factors as
@@ -18,10 +19,12 @@ which underflows as Re beta -> -1.
 Both direct paths admit only real strip parameters, whose real parts
 ``Integrand6D`` takes once: the Legendre kernels and log-axis weights run in
 float64, and complex numbers enter only through log a and the coupling S^k.
-``integrate_6d_tensor`` evaluates the full tensor-product quadrature sum of
-that integrand; for integer k >= 0 the sum is reorganized exactly (binomial
-regrouping of S^k inside the finite sum) so it runs in seconds instead of
-hours.  ``integrate_6d_qmc`` is a digitally-shifted Sobol estimator with a
+Both paths return (value, error estimate).  ``integrate_6d_tensor`` sums
+the full tensor-product quadrature of the integrand at the two levels of
+its plan, ``_TENSOR_PLAN``, its error |fine - coarse|; for integer k >= 0
+the sum is reorganized exactly (binomial regrouping of S^k inside the
+finite sum) so it runs in milliseconds instead of hours.
+``integrate_6d_qmc`` is a digitally-shifted Sobol estimator with a
 replicate-based standard error.
 """
 
@@ -60,7 +63,6 @@ class Rule1D:
 
     nodes: np.ndarray
     weights: np.ndarray
-    alpha: float | None = None
     complement: np.ndarray | None = None
     log_nodes: np.ndarray | None = None
 
@@ -140,32 +142,29 @@ def _log_axis_head(
     return ln_l, np.subtract(math.log(c), lw, out=lw)
 
 
-def log_axis_rule(alpha: float, n: int = 32, level: int = 5) -> Rule1D:
+def log_axis_rule(alpha: float, ts: Rule1D, lag: Rule1D) -> Rule1D:
     """Composite rule for ∫_0^inf f(L) L^alpha e^-L dL with log-singular f.
 
     Plain Gauss-Laguerre is polynomially exact but converges like a low
     power of 1/n once f carries the ln^r L factors the coupling kernel
     produces (measured ~n^(-1/4) at alpha = -3/4).  This rule folds the
-    weight explicitly: on (0, 1] a tanh-sinh panel in T, with
+    weight explicitly: on (0, 1] the tanh-sinh rule ``ts`` in T, with
     L = T^(1/(1+alpha)) (``_log_axis_head``), soaks up the L^alpha ln^r L
-    endpoint, and a shifted Gauss-Laguerre handles [1, inf) where
-    everything is smooth.  Weights stay positive.  ``log_nodes`` holds
-    ln L; as alpha -> -1 the head nodes L themselves underflow to 0, while
-    ln L and the weights keep the full mass Gamma(alpha + 1).
+    endpoint, and the Gauss-Laguerre rule ``lag``, shifted by 1, handles
+    [1, inf) where everything is smooth.  Weights stay positive.
+    ``log_nodes`` holds ln L; as alpha -> -1 the head nodes L themselves
+    underflow to 0, while ln L and the weights keep the full mass
+    Gamma(alpha + 1).
     """
     if alpha <= -1.0:
         raise DomainError(f"log_axis_rule needs alpha > -1, got {alpha}")
-    ts = tanh_sinh(level)
-    lag = gauss_laguerre(n)
     head_ln, head_lw = _log_axis_head(np.log(ts.nodes), alpha)
     tail = 1.0 + lag.nodes
     log_nodes = np.concatenate([head_ln, np.log(tail)])
     weights = np.concatenate(
         [ts.weights * np.exp(head_lw), lag.weights * tail**alpha * math.exp(-1.0)]
     )
-    return Rule1D(
-        nodes=np.exp(log_nodes), weights=weights, alpha=float(alpha), log_nodes=log_nodes
-    )
+    return Rule1D(nodes=np.exp(log_nodes), weights=weights, log_nodes=log_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -212,17 +211,16 @@ def _direction_numbers() -> np.ndarray:
 
 def sobol_points(count: int) -> np.ndarray:
     """First ``count`` points of the 6-dimensional Sobol sequence (unshifted),
-    shape (count, 6), as uint64 integers in [0, 2^32); index 0 is the zero
-    point."""
+    axis-major: shape (6, count), one row of uint32 words per axis, the
+    layout :func:`integrate_6d_qmc` reads; column 0 is the zero point."""
     v = _direction_numbers()
     if count < 1:
         raise DomainError("count must be positive")
-    out = np.zeros((count, _SOBOL_DIM), dtype=np.uint64)
+    out = np.zeros((_SOBOL_DIM, count), dtype=np.uint32)
     idx = np.arange(1, count, dtype=np.uint64)
     low = (idx & (~idx + np.uint64(1))).astype(np.float64)
     ctz = np.frexp(low)[1] - 1  # exact for powers of two
-    steps = v[ctz, :]
-    out[1:] = np.bitwise_xor.accumulate(steps, axis=0)
+    np.bitwise_xor.accumulate(v[ctz].T, axis=1, out=out[:, 1:])
     return out
 
 
@@ -352,39 +350,48 @@ class Integrand6D:
         return _int_power(s_vals, kk)
 
 
-def _tensor_k(f: Integrand6D, rules) -> int:
-    """k, once the tensor path's preconditions and the rules are checked."""
+# The tensor path's plan: (tanh-sinh level, Gauss-Laguerre nodes) of its
+# fine and its coarse rule.
+_TENSOR_PLAN = ((5, 32), (4, 24))
+
+
+def _tensor_k(f: Integrand6D) -> int:
+    """k, once the tensor path's preconditions are checked."""
     kk = f.integer_k()
     if kk is None:
         raise InadmissibleError("tensor path needs integer k >= 0")
     if not f.has_real_strip():
         raise InadmissibleError("tensor path needs real strip parameters")
-    if len(rules) != 6:
-        raise DomainError("integrate_6d_tensor needs one rule per axis (x, y, p, q, t, z)")
-    for axis, rule in zip(("x", "y"), rules[:2]):
-        if rule.complement is None:
-            raise DomainError(f"axis {axis} must use a tanh_sinh rule")
-    for name, rule, beta in zip(("p", "q", "t", "z"), rules[2:], f.betas):
-        if rule.log_nodes is None:
-            raise DomainError(f"axis {name} must use a log_axis_rule")
-        if abs(rule.alpha - beta) > 1e-12:
-            raise DomainError(f"axis {name}: rule alpha {rule.alpha} != Re(beta) {beta}")
     return kk
 
 
-def integrate_6d_tensor(f: Integrand6D, rules) -> complex:
-    """Full tensor-product quadrature of the transformed integrand.
+def integrate_6d_tensor(f: Integrand6D) -> tuple[complex, float]:
+    """Tensor-product quadrature of the transformed integrand, and its error.
 
     Requires integer k >= 0 and real strip parameters (else
-    InadmissibleError), and one rule per axis as ``log_axis_rule`` and
-    ``tanh_sinh`` build them (else DomainError).  Everything but log a
-    (``f.log_a``) is float64.  The tensor sum is evaluated exactly as
-    written; the only reorganization is an exact binomial regrouping of
-    S^k inside the finite sum, a polynomial in c0 = log a + ln x - ln y
-    summed by Horner's rule, which leaves the result identical to
-    brute-force enumeration up to rounding.
+    InadmissibleError).  Each level of ``_TENSOR_PLAN`` builds one
+    ``tanh_sinh`` rule, taken on x and y and as every log axis's head, and
+    one ``gauss_laguerre`` rule for the log axes' tails; the value is the
+    fine sum, the error |fine - coarse|.
     """
-    kk = _tensor_k(f, rules)
+    sums = []
+    for level, n in _TENSOR_PLAN:
+        ts, lag = tanh_sinh(level), gauss_laguerre(n)
+        sums.append(_tensor_sum(f, (ts, ts) + tuple(log_axis_rule(b, ts, lag) for b in f.betas)))
+    fine, coarse = sums
+    return fine, abs(fine - coarse)
+
+
+def _tensor_sum(f: Integrand6D, rules: tuple[Rule1D, ...]) -> complex:
+    """The tensor-product quadrature sum on ``rules``, one per axis (x, y,
+    p, q, t, z): tanh-sinh rules on x and y, ``log_axis_rule`` rules on the
+    log axes.  Everything but log a (``f.log_a``) is float64.  The sum is
+    evaluated exactly as written; the only reorganization is an exact
+    binomial regrouping of S^k inside the finite sum, a polynomial in
+    c0 = log a + ln x - ln y summed by Horner's rule, which leaves the
+    result identical to brute-force enumeration up to rounding.
+    """
+    kk = _tensor_k(f)
     rx, ry, rp, rq, rt, rz = rules
 
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
@@ -623,7 +630,7 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
         )
     if min(f.betas) <= -1.0:
         raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
-    base = np.ascontiguousarray(sobol_points(min(_QMC_CHUNK, spec.count)).T, dtype=np.uint32)
+    base = sobol_points(min(_QMC_CHUNK, spec.count))
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * _SOBOL_DIM)
     rep_means = _qmc_means(spec, (f, spec, base, _direction_numbers(), shifts))
     mean = sum(rep_means) / len(rep_means)

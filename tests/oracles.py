@@ -207,11 +207,11 @@ def tanh_sinh_01(f, level: int = 9) -> float:
 
 def integrate_6d_brute(f, rules) -> complex:
     """Literal tensor-sum enumeration, the reference for
-    ``integrate_6d_tensor``'s binomial regrouping of S^k.
+    the tensor sum's binomial regrouping of S^k (``quad._tensor_sum``).
 
     O(prod n_i) work; keep the rules tiny.
     """
-    kk = _tensor_k(f, rules)
+    kk = _tensor_k(f)
     rx, ry, rp, rq, rt, rz = rules
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
     ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
@@ -239,12 +239,12 @@ def integrate_6d_brute(f, rules) -> complex:
 
 def qmc_reference(f, spec, chunk: int = 1 << 14, block: int = 1 << 17) -> tuple[complex, float]:
     """The QMC estimate and standard error in plain, unbuffered arithmetic,
-    in one process: row-major uint64 Sobol words from the whole sequence,
+    in one process: point-major uint64 Sobol words from the whole sequence,
     the log-axis head and tail picked by ``np.where``, S in complex
     arithmetic where log a is complex, and each block summed by one
     ``np.sum`` over its concatenated chunks.  The reference for the
     estimator's buffered pipeline, which must give its bits."""
-    points = sobol_points(spec.count).astype(np.uint64)
+    points = sobol_points(spec.count).T.astype(np.uint64)
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * 6)
     chunk, block = min(chunk, spec.count), min(block, spec.count)
     px, py = 1.0 / f.m, 1.0 / (1.0 - f.m)

@@ -60,14 +60,15 @@ def test_hyp2f1_real_terminating_exact_where_long_double_is_double(monkeypatch, 
 
 @pytest.mark.parametrize("long_double_is_double", [False, True])
 def test_hyp2f1_complex_terminating_matches_mpmath(monkeypatch, long_double_is_double):
-    # Integer degree with complex order: the scalar sums the terms in
-    # extended precision.  Worst |err| / max(1, |F|) on these 60 draws:
-    # 6.1e-11, and 1.3e-7 where long double is double.
+    # Integer degree with complex order: the scalar sums the series exactly
+    # and rounds once, so long double plays no part.  Worst
+    # |err| / max(1, |F|) on these 60 draws: 0 either way; the bound allows
+    # one rounding of the reference.
     mpmath = pytest.importorskip("mpmath")
     if long_double_is_double:
         monkeypatch.setattr(np, "longdouble", np.float64)
         monkeypatch.setattr(np, "clongdouble", np.complex128)
-    bound = 3e-10 if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps else 5e-7
+    bound = 2.3e-16
     rng = random.Random(34)
     for _ in range(60):
         n = rng.randint(1, 20)

@@ -26,6 +26,7 @@ from sixfold.quad import (
     Integrand6D,
     QmcSpec,
     Rule1D,
+    _tensor_sum,
     gauss_laguerre,
     integrate_6d_qmc,
     integrate_6d_tensor,
@@ -79,10 +80,14 @@ SOBOL_FIRST_8 = np.array(
 )
 
 
+def _rules(betas, level=5, n=32):
+    """Explicit tensor rules: tanh-sinh on x and y, log-axis rules on p, q, t, z."""
+    ts, lag = tanh_sinh(level), gauss_laguerre(n)
+    return (ts, ts) + tuple(log_axis_rule(b, ts, lag) for b in betas)
+
+
 def _ref_rules(level=5, n=32):
-    exq = derive_exponents(REFERENCE)
-    ts = tanh_sinh(level)
-    return (ts, ts) + tuple(log_axis_rule(b.real, n=n, level=level) for b in exq.as_tuple())
+    return _rules([b.real for b in derive_exponents(REFERENCE).as_tuple()], level, n)
 
 
 def test_gauss_laguerre_unit_mass():
@@ -107,7 +112,7 @@ def test_log_axis_rule_moments():
     # power moments and the log moments Gamma'(b+1), Gamma''(b+1); at
     # alpha = -0.99 the smallest nodes underflow and only ln L carries them
     for alpha in (-0.99, -0.75, 0.75):
-        rule = log_axis_rule(alpha, n=32, level=5)
+        rule = log_axis_rule(alpha, tanh_sinh(5), gauss_laguerre(32))
         assert np.all(rule.weights > 0)
         for j in range(0, 6):
             got = np.sum(rule.weights * rule.nodes**j)
@@ -153,13 +158,14 @@ def test_rule_parameter_validation():
     with pytest.raises(DomainError):
         gauss_laguerre(600)
     with pytest.raises(DomainError):
-        log_axis_rule(-1.5)
+        log_axis_rule(-1.5, tanh_sinh(5), gauss_laguerre(32))
 
 
 def test_sobol_first_points():
-    pts = sobol_points(8).astype(np.float64) * 2.0**-32
-    assert np.array_equal(pts, SOBOL_FIRST_8)
-    assert np.array_equal(sobol_points(1), np.zeros((1, 6)))
+    pts = sobol_points(8)
+    assert pts.dtype == np.uint32 and pts.shape == (6, 8)
+    assert np.array_equal(pts.T.astype(np.float64) * 2.0**-32, SOBOL_FIRST_8)
+    assert np.array_equal(sobol_points(1), np.zeros((6, 1)))
 
 
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 12, 1 << 14])
@@ -168,8 +174,8 @@ def test_sobol_chunk_is_base_xor_offset(chunk):
     base = sobol_points(chunk)
     direction = quad._direction_numbers()
     for c0 in range(0, 1 << 16, chunk):
-        expect = np.bitwise_xor(base, quad._sobol_offset(direction, c0))
-        assert np.array_equal(full[c0 : c0 + chunk], expect), c0
+        expect = np.bitwise_xor(base, quad._sobol_offset(direction, c0)[:, None])
+        assert np.array_equal(full[:, c0 : c0 + chunk], expect), c0
 
 
 def test_qmc_spec_validation():
@@ -187,7 +193,7 @@ def test_tensor_separable_product():
     # k = 0: the tensor value equals the product of 1-D applications
     rules = _ref_rules(level=4, n=16)
     f = Integrand6D(REFERENCE)
-    val = integrate_6d_tensor(f, rules)
+    val = _tensor_sum(f, rules)
     x_mass = np.sum(rules[0].weights * f.x_factor(rules[0].nodes, rules[0].complement))
     y_mass = np.sum(rules[1].weights * f.y_factor(rules[1].nodes, rules[1].complement))
     masses = [np.sum(r.weights) for r in rules[2:]]
@@ -201,7 +207,6 @@ def _every_sixth(rule):
     return Rule1D(
         nodes=rule.nodes[::6],
         weights=rule.weights[::6],
-        alpha=rule.alpha,
         log_nodes=rule.log_nodes[::6],
     )
 
@@ -212,9 +217,10 @@ def _every_sixth(rule):
 def test_tensor_matches_brute_enumeration(ps):
     f = Integrand6D(ps)
     ts = tanh_sinh(2)
-    small = (ts, ts) + tuple(_every_sixth(log_axis_rule(b, n=4, level=1)) for b in f.betas)
+    head, tail = tanh_sinh(1), gauss_laguerre(4)
+    small = (ts, ts) + tuple(_every_sixth(log_axis_rule(b, head, tail)) for b in f.betas)
     assert small[2].nodes[0] == 0.0  # the first head node underflowed
-    fast = integrate_6d_tensor(f, small)
+    fast = _tensor_sum(f, small)
     brute = integrate_6d_brute(f, small)
     assert abs(fast - brute) <= 1e-13 * abs(brute)
 
@@ -222,19 +228,12 @@ def test_tensor_matches_brute_enumeration(ps):
 def test_tensor_reference_values():
     rules = _ref_rules()
     target = math.pi**2 / 2.0
-    val0 = integrate_6d_tensor(Integrand6D(REFERENCE), rules)
+    val0 = _tensor_sum(Integrand6D(REFERENCE), rules)
     assert abs(val0 - target) <= 1e-8 * target
-    val1 = integrate_6d_tensor(Integrand6D(REFERENCE.replace(k=1)), rules)
+    val1 = _tensor_sum(Integrand6D(REFERENCE.replace(k=1)), rules)
     assert abs(val1) < 1e-10
-    val2 = integrate_6d_tensor(Integrand6D(REFERENCE.replace(k=2)), rules)
+    val2 = _tensor_sum(Integrand6D(REFERENCE.replace(k=2)), rules)
     assert abs(val2 - math.pi**4 / 2.0) <= 1e-4 * (1.0 + math.pi**4 / 2.0)
-
-
-def test_tensor_requires_matching_alphas():
-    ts = tanh_sinh(3)
-    for rule in (log_axis_rule(0.0, n=8, level=3), gauss_laguerre(8)):
-        with pytest.raises(DomainError):
-            integrate_6d_tensor(Integrand6D(REFERENCE), (ts, ts) + (rule,) * 4)
 
 
 def test_tensor_near_beta_minus_one():
@@ -246,19 +245,48 @@ def test_tensor_near_beta_minus_one():
     assert tensor.err >= error
 
 
+# (value.real, value.imag, err) of the tensor path in hex, recorded before
+# integrate_6d_tensor built its own rules: the same rules feed the same
+# sums, so no bit may move.  Integer degrees terminate the Gauss series;
+# order u = -1 makes c = 1 - u an integer (positive integer orders break
+# the strip condition Re(u) < 1).
+_TENSOR_GOLDEN = {
+    "integer_degree": (
+        ParameterSet(k=3, a=1.5, m=0.4, u=-0.4, v=1.0, mu=-0.6, nu=1.0),
+        ("-0x1.ba9c4cdf32988p+6", "0x0.0p+0", "0x1.c4f4d20000000p-23"),
+    ),
+    "integer_order": (
+        ParameterSet(k=4, a=2.3, m=0.35, u=-1.0, v=1.7, mu=0.0, nu=0.6),
+        ("0x1.71415121e3e96p+11", "0x0.0p+0", "0x1.ca7a340000000p-18"),
+    ),
+    "near_beta_minus_one": (
+        NEAR_BETA_MINUS_ONE,
+        ("0x1.41b271c7b0800p+23", "0x0.0p+0", "0x1.4e20000000000p-7"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_TENSOR_GOLDEN))
+def test_tensor_golden_values(case):
+    ps, hexes = _TENSOR_GOLDEN[case]
+    tensor = verify("theorem", ps, paths=("tensor",)).paths["tensor"]
+    assert (tensor.value.real.hex(), tensor.value.imag.hex(), tensor.err.hex()) == hexes
+
+
 def test_tensor_rejects_non_integer_k():
     with pytest.raises(UnsupportedRegimeError):
-        integrate_6d_tensor(Integrand6D(REFERENCE.replace(k=0.5)), _ref_rules(4, 16))
+        integrate_6d_tensor(Integrand6D(REFERENCE.replace(k=0.5)))
 
 
 def test_direct_paths_raise_inadmissible():
     complex_strip = Integrand6D(REFERENCE.replace(m=0.5 + 0.1j))
     negative_k = Integrand6D(REFERENCE.replace(k=-1, a=-2.0))
-    for integrate in (integrate_6d_tensor, integrate_6d_brute):
+    for integrate in (integrate_6d_tensor, _tensor_sum, integrate_6d_brute):
+        args = () if integrate is integrate_6d_tensor else (_ref_rules(2, 4),)
         with pytest.raises(InadmissibleError, match="tensor path needs real strip parameters"):
-            integrate(complex_strip, _ref_rules(2, 4))
+            integrate(complex_strip, *args)
         with pytest.raises(InadmissibleError, match="tensor path needs integer k >= 0"):
-            integrate(negative_k, _ref_rules(2, 4))
+            integrate(negative_k, *args)
     with pytest.raises(InadmissibleError, match="qmc path needs real strip parameters"):
         integrate_6d_qmc(complex_strip, QmcSpec(count=1 << 10))
     with pytest.raises(InadmissibleError, match="k is not a non-negative integer"):
@@ -559,8 +587,7 @@ def test_qmc_seed_changes_value():
 
 def test_qmc_coverage_on_reference():
     # 3-sigma bracket of the tensor value in at least 95 of 100 replications
-    rules = _ref_rules()
-    target = integrate_6d_tensor(Integrand6D(REFERENCE), rules)
+    target = _tensor_sum(Integrand6D(REFERENCE), _ref_rules())
     f = Integrand6D(REFERENCE)
     hits = 0
     for seed in range(100):
@@ -633,11 +660,10 @@ def test_near_real_strip_gives_one_integrand():
     real = Integrand6D(REAL_COUPLING)
     near = Integrand6D(REAL_COUPLING.replace(m=0.4 + 5e-13j, v=0.9 - 3e-13j))
     assert near.has_real_strip()
-    ts = tanh_sinh(5)
-    rules = (ts, ts) + tuple(log_axis_rule(b) for b in real.betas)
+    rules = _rules(real.betas)
     spec = QmcSpec(count=1 << 10)
     for got, want in (
-        (integrate_6d_tensor(near, rules), integrate_6d_tensor(real, rules)),
+        (_tensor_sum(near, rules), _tensor_sum(real, rules)),
         (integrate_6d_qmc(near, spec)[0], integrate_6d_qmc(real, spec)[0]),
     ):
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
