@@ -57,7 +57,6 @@ from .quad import (
 from .specialfn import (
     EULER_GAMMA,
     digamma,
-    dirichlet_eta,
     gamma,
     harmonic,
     hurwitz_zeta,

@@ -267,11 +267,3 @@ def hurwitz_zeta(s: complex, v: complex) -> complex:
 
 def riemann_zeta(s: complex) -> complex:
     return hurwitz_zeta(s, 1.0)
-
-
-def dirichlet_eta(s: complex) -> complex:
-    """eta(s) = (1 - 2^(1-s)) zeta(s); the s=1 removable point returns ln 2."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        return complex(math.log(2.0))
-    return (1.0 - cmath.exp((1.0 - s) * math.log(2.0))) * riemann_zeta(s)

@@ -8,6 +8,7 @@ same lines).
 import numpy as np
 import pytest
 
+import sixfold.lerch as lerch
 import sixfold.specialfn as specialfn
 from sixfold.acceptance import ALL_CRITERIA, criterion_a10_module_oracles, run_criterion
 
@@ -33,6 +34,21 @@ def test_a10_gamma_check_sees_the_lanczos_core(monkeypatch):
     result = criterion_a10_module_oracles()
     assert not result.passed
     assert "gamma" in result.detail, result.detail
+
+
+def test_a10_lerch_check_sees_the_evaluator(monkeypatch):
+    # Every Lerch trial compares an Abel-Plana value with an independent
+    # oracle, so a relative defect of 1e-10 in that evaluator must show.
+    real = lerch._abel_plana_phi
+
+    def scaled(z, s, v):
+        val, est = real(z, s, v)
+        return val * (1.0 + 1e-10), est
+
+    monkeypatch.setattr(lerch, "_abel_plana_phi", scaled)
+    result = criterion_a10_module_oracles()
+    assert not result.passed
+    assert "lerch" in result.detail, result.detail
 
 
 def test_a10_passes_where_long_double_is_double(monkeypatch):

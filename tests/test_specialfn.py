@@ -7,10 +7,10 @@ import pytest
 from oracles import stirling_gamma, zeta_partial
 from sixfold.acceptance import taylor_coefficients
 from sixfold.core import DomainError, PoleError
+from sixfold.lerch import lerch_minus_one_split
 from sixfold.specialfn import (
     EULER_GAMMA,
     digamma,
-    dirichlet_eta,
     gamma,
     harmonic,
     hurwitz_zeta,
@@ -153,8 +153,10 @@ def test_hurwitz_domain_and_pole_errors():
 
 
 def test_eta_values():
-    assert abs(dirichlet_eta(2.0) - math.pi**2 / 12.0) < 1e-13
-    assert abs(dirichlet_eta(1.0) - math.log(2.0)) < 1e-14
+    # Dirichlet eta(s) = Phi(-1, s, 1), which the package forms from the
+    # Hurwitz zeta function, and from digamma at s = 1.
+    assert abs(lerch_minus_one_split(2.0, 1.0) - math.pi**2 / 12.0) < 1e-13
+    assert abs(lerch_minus_one_split(1.0, 1.0) - math.log(2.0)) < 1e-14
     assert abs(riemann_zeta(2.0) - math.pi**2 / 6.0) < 1e-13
 
 
