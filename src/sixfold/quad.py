@@ -18,7 +18,8 @@ which underflows as Re beta -> -1.
 
 Both direct paths admit only real strip parameters, whose real parts
 ``Integrand6D`` takes once: the Legendre kernels and log-axis weights run in
-float64, and complex numbers enter only through log a and the coupling S^k.
+float64, and complex numbers enter only through log a and the coupling S^k,
+which QMC too forms in float64, as real and imaginary parts.
 Both paths return (value, error estimate).  ``integrate_6d_tensor`` sums
 the full tensor-product quadrature of the integrand at the two levels of
 its plan, ``_TENSOR_PLAN``, its error |fine - coarse|; for integer k >= 0
@@ -272,12 +273,13 @@ class QmcSpec:
 
 
 def _int_power(s_vals: np.ndarray, n: int) -> np.ndarray:
-    """s^n by repeated multiplication: numpy's float power calls pow() per
-    element, which is several times slower for the small |n| used here."""
+    """s^n for n >= 0 by repeated multiplication: numpy's float power calls
+    pow() per element, which is several times slower for the small n used
+    here."""
     out = np.ones_like(s_vals)
-    for _ in range(abs(n)):
+    for _ in range(n):
         out *= s_vals
-    return 1.0 / out if n < 0 else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -338,16 +340,82 @@ class Integrand6D:
         kk = self.k_int
         return kk if kk is not None and kk >= 0 else None
 
-    def coupling(self, s_vals: np.ndarray) -> np.ndarray:
-        """S^k with principal powers; plain integer powers for integer k of
-        either sign."""
-        kk = self.k_int
-        if kk is None or kk < 0:
-            if np.any(np.abs(s_vals) < 1e-300):
-                raise NonFiniteSampleError("coupling log argument hit zero")
-            if kk is None:
-                return np.exp(self.ps.k * np.log(s_vals.astype(complex, copy=False)))
-        return _int_power(s_vals, kk)
+    def coupling(
+        self,
+        s_re: np.ndarray,
+        log_w: np.ndarray,
+        prod: np.ndarray,
+        re: np.ndarray,
+        im: np.ndarray | None,
+    ) -> None:
+        """Re and Im of prod e^(log_w) S^k, S = s_re + ic with c = Im log a,
+        in principal powers, written to ``re`` and ``im``; ``im`` is None,
+        and S real, when log a is real.  Real arithmetic throughout, which
+        costs a fraction of numpy's complex log and exp, per-element calls
+        of the C library's clog and cexp:
+
+        * real S, integer k >= 0: (prod e^(log_w)) s_re^k, the product
+          repeated;
+        * complex S, integer k: prod e^(log_w) (s_re + ic)^|k| by repeated
+          real-pair products, for k < 0 with 1/S = (s_re - ic)/(s_re^2 + c^2),
+          its denominator divided out of prod first;
+        * other k: ln|S| = log(s_re^2 + c^2)/2 and arg S = atan2(c, s_re).
+          Re(k log S) joins log_w before its one exp, and the phase
+          theta = Im(k log S) gives cos and sin through h = tan(theta/2),
+          cos = (1 - h^2)/(1 + h^2), sin = 2h/(1 + h^2): numpy's float64
+          cos and sin call the C library per element, while its tan is
+          vectorized (x86-64 with AVX-512).
+
+        Unless k is a non-negative integer, S must stay off 0.  Since
+        |S| >= |c| at every point, one scalar check does it: |c| < 1e-300,
+        real S included, raises NonFiniteSampleError.  ``s_re``, ``log_w``
+        and ``prod`` are overwritten."""
+        kk, c = self.k_int, self.log_a.imag
+        if (kk is None or kk < 0) and abs(c) < 1e-300:
+            raise NonFiniteSampleError("coupling log argument can hit zero: |Im log a| < 1e-300")
+        if kk is None:
+            k = complex(self.ps.k)
+            np.multiply(s_re, s_re, out=re)
+            re += c * c
+            np.log(re, out=re)  # ln |S|^2
+            np.arctan2(c, s_re, out=im)  # arg S
+            log_w += np.multiply(re, 0.5 * k.real, out=s_re)
+            half = np.multiply(im, 0.5 * k.real, out=s_re)  # theta / 2
+            if k.imag:
+                log_w -= np.multiply(im, k.imag, out=im)
+                half += np.multiply(re, 0.25 * k.imag, out=re)
+            prod *= np.exp(log_w, out=log_w)
+            h = np.tan(half, out=half)
+            np.multiply(h, h, out=re)
+            prod /= np.add(re, 1.0, out=log_w)
+            np.multiply(h, prod, out=im)
+            im *= 2.0
+            np.subtract(1.0, re, out=re)
+            re *= prod
+            return
+        prod *= np.exp(log_w, out=log_w)
+        if im is None:
+            np.multiply(prod, _int_power(s_re, kk), out=re)
+            return
+        if kk < 0:
+            q = np.multiply(s_re, s_re, out=log_w)
+            q += c * c
+            for _ in range(-kk):
+                prod /= q
+            c = -c
+        if kk == 0:
+            np.copyto(re, prod)
+            im.fill(0.0)
+            return
+        np.multiply(prod, s_re, out=re)
+        np.multiply(prod, c, out=im)
+        for _ in range(abs(kk) - 1):  # (re + i im) (s_re + ic)
+            np.multiply(im, c, out=log_w)
+            np.multiply(re, c, out=prod)
+            re *= s_re
+            re -= log_w
+            im *= s_re
+            im += prod
 
 
 # The tensor path's plan: (tanh-sinh level, Gauss-Laguerre nodes) of its
@@ -431,22 +499,20 @@ def _qmc_share(
     words 6r..6r+5 of ``shifts``, in chunks of the axis-major uint32 Sobol
     ``base``, shape (6, chunk).  The buffers are allocated here, sized by
     ``base``, and reused by every chunk of every replicate: each chunk's
-    Sobol words become ln u in place, one row per axis, and its products
-    go into its slice of one block, summed when full."""
+    Sobol words become ln u in place, one row per axis, and its samples
+    go into its slice of one block, summed when full.  Everything is real:
+    S enters as its real part ``s_re``, and ``f.coupling`` writes the Re
+    and, where log a is complex, the Im of each sample into two real rows
+    of the block, each summed by its own pairwise ``np.sum``."""
     chunk, block = base.shape[1], min(_QMC_BLOCK, spec.count)
     px = 1.0 / f.m
     py = 1.0 / (1.0 - f.m)
     words = np.empty_like(base)
     lnu = np.empty(base.shape)
-    t, ln_head, w_head, log_w, prod = (np.empty(chunk) for _ in range(5))
+    t, ln_head, w_head, log_w, prod, s_re = (np.empty(chunk) for _ in range(6))
     flags = np.empty(chunk, dtype=bool)
-    # S in real arithmetic; a complex log a lends S its imaginary part, set here once.
-    if isinstance(f.log_a, complex):
-        s_vals = np.full(chunk, complex(0.0, f.log_a.imag))
-        s_re = s_vals.real
-    else:
-        s_vals = s_re = np.empty(chunk)
-    vals = np.empty(block, dtype=s_vals.dtype)
+    # Re and, where log a is complex, Im of the samples: one row each.
+    vals = np.empty((2 if isinstance(f.log_a, complex) else 1, block))
     out: list = []
     for r in rs:
         shift = np.array(
@@ -492,14 +558,13 @@ def _qmc_share(
                 np.add(lnu[0], f.log_a.real, out=s_re)
                 s_re -= lnu[1]
                 s_re += t
-                prod *= np.exp(log_w, out=log_w)
-                dest = vals[c0 % block : c0 % block + chunk]
-                np.multiply(prod, f.coupling(s_vals), out=dest)
-                if not np.isfinite(dest, out=flags).all():
-                    bad = int(np.argmin(flags)) + c0
+                dest = vals[:, c0 % block : c0 % block + chunk]
+                f.coupling(s_re, log_w, prod, dest[0], dest[1] if len(dest) > 1 else None)
+                if not all(np.isfinite(row, out=flags).all() for row in dest):
+                    bad = int(np.argmin(np.isfinite(dest).all(axis=0))) + c0
                     raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")
                 if (c0 + chunk) % block == 0:
-                    sums.append(complex(np.sum(vals)))
+                    sums.append(complex(*(np.sum(row) for row in vals)))
         except Exception as exc:  # the caller raises it, in replicate order
             out.append(exc)
             break
@@ -598,10 +663,11 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     L^beta singularity.  Without the warps the estimator has unbounded
     variance and its replicate scatter understates the error; with them the
     weight is bounded up to logarithms.  Strip parameters must be real
-    (``Integrand6D`` drops imaginary parts below 1e-12): the kernels and
-    weights run in float64 and the coupling S^k is applied last.  Unless k is a
-    non-negative integer, a must be off the positive real axis.  A breach
-    of either rule raises InadmissibleError.  The value is the mean
+    (``Integrand6D`` drops imaginary parts below 1e-12): the kernels,
+    weights and the coupling S^k run in float64, S^k last
+    (``Integrand6D.coupling``), with no complex array anywhere.  Unless k
+    is a non-negative integer, a must be off the positive real axis.  A
+    breach of either rule raises InadmissibleError.  The value is the mean
     of ``spec.replicates`` digitally shifted replicates, the standard error
     their scatter; bit-for-bit reproducible for a fixed spec.
 
