@@ -118,9 +118,8 @@ def lerch_minus_one_split(s: complex, v: complex) -> complex:
 
 def _log(x: np.ndarray | float, y: np.ndarray | float) -> np.ndarray:
     """Principal log(x + iy) from real parts, log(x^2 + y^2)/2 + i atan2(y, x),
-    for x > 0 (no cut to straddle) and x^2 + y^2 within the float64 range:
-    several times cheaper than numpy's complex log, a per-element call of
-    the C library's clog."""
+    for x^2 + y^2 within the float64 range: several times cheaper than
+    numpy's complex log, a per-element call of the C library's clog."""
     out = np.empty(np.broadcast(x, y).shape, dtype=complex)
     out.real = np.log(np.add(np.square(x), np.square(y)))
     out.real *= 0.5
