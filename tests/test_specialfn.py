@@ -223,8 +223,8 @@ def _far_left_points():
 
 
 def test_polygamma_far_left_reflects_against_mpmath():
-    # n >= 1 reflects at Re z < -5 instead of walking the upward recurrence
-    # (which gave up past |z| = 1e6).  Worst measured relative error: 4.0e-15
+    # n >= 1 reflects at Re z < -5, where the upward recurrence would take
+    # one step per unit of Re z.  Worst measured relative error: 4.0e-15
     # over these 60 points, 5.3e-16 at the farthest six.
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
