@@ -5,10 +5,11 @@ representation
 
     P_v^u(x) = ((1+x)/(1-x))^(u/2) / Gamma(1-u) * 2F1(-v, v+1; 1-u; (1-x)/2)
 
-with principal powers of the positive base (1+x)/(1-x).  Positive integer
-orders, where 1/Gamma(1-u) vanishes against a pole of the series, go
-through an order recurrence instead; its seeds carry the Condon-Shortley
-phase, consistent with the hypergeometric limit.
+with principal powers of the positive base (1+x)/(1-x).  Only the scalar
+:func:`assoc_legendre_p` takes positive integer orders, where
+1/Gamma(1-u) vanishes against a pole of the series: it runs an order
+recurrence whose seeds carry the Condon-Shortley phase, consistent with
+the hypergeometric limit.  The integral's kernel needs Re u < 1.
 """
 
 from __future__ import annotations
@@ -197,51 +198,41 @@ def hyp2f1_array(
     return total
 
 
-def _gauss_seeds(v: complex, u: complex):
-    """(mo, parameter triples): mo is u as an int within 1e-12 of one, else
-    None, and the triples the Gauss series behind P_v^u: 2F1(-v, v+1; 1-u)
-    unless mo >= 1, else the seeds of the order recurrence at orders 0 and
-    1, 2F1(-v, v+1; 1) and 2F1(1-v, v+2; 2)."""
-    mo = nearest_int(u, _ORDER_TOL)
-    if mo is None or mo < 1:
-        return mo, ((-v, v + 1.0, 1.0 - u),)
-    return mo, ((-v, v + 1.0, 1.0), (1.0 - v, v + 2.0, 2.0))
-
-
-def _order_recurrence(p0, f1, v, mo: int, x, s):
-    """P_v^mo(x) for integer order mo >= 1: the order recurrence from the
-    hypergeometric seeds of :func:`_gauss_seeds`, p0 = P_v(x) and f1,
-    with s = sqrt(1-x^2)."""
-    p1 = -s * (v * (v + 1.0) / 2.0) * f1
-    for m in range(1, mo):
-        p0, p1 = p1, -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
-    return p1
-
-
 def assoc_legendre_p(v: complex, u: complex, x: float) -> complex:
     """P_v^u(x) for complex degree/order and real x in (0, 1).
 
     Sums through the scalar :func:`hyp2f1`, so terminating series (integer
-    degree) are exact, unlike :func:`kernel_factor_array`.
+    degree) are exact, unlike :func:`kernel_factor_array`.  A positive
+    integer order runs the order recurrence (DLMF 14.10.1) from the seeds
+    2F1(-v, v+1; 1; w) = P_v(x) and 2F1(1-v, v+2; 2; w), w = (1-x)/2.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"assoc_legendre_p needs x in (0,1), got {x}")
     v = complex(v)
     u = complex(u)
     w = (1.0 - x) / 2.0
-    mo, seeds = _gauss_seeds(v, u)
-    f = [hyp2f1(*abc, w) for abc in seeds]
+    mo = nearest_int(u, _ORDER_TOL)
     if mo is None or mo < 1:
         pref = cmath.exp(0.5 * u * math.log((1.0 + x) / (1.0 - x)))
-        return pref * rgamma(1.0 - u) * f[0]
-    return _order_recurrence(*f, v, mo, x, math.sqrt((1.0 - x) * (1.0 + x)))
+        return pref * rgamma(1.0 - u) * hyp2f1(-v, v + 1.0, 1.0 - u, w)
+    p0 = hyp2f1(-v, v + 1.0, 1.0, w)
+    s = math.sqrt((1.0 - x) * (1.0 + x))
+    p1 = -s * (v * (v + 1.0) / 2.0) * hyp2f1(1.0 - v, v + 2.0, 2.0, w)
+    for m in range(1, mo):
+        p0, p1 = p1, -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
+    return p1
 
 
-def kernel_series(v: complex, u: complex) -> tuple[np.ndarray, ...]:
-    """The :func:`gauss_taylor` coefficients of the Gauss series that
-    :func:`kernel_factor_array` sums for degree v and order u, one set or,
-    at a positive integer order, two."""
-    return tuple(gauss_taylor(*abc) for abc in _gauss_seeds(complex(v), complex(u))[1])
+def kernel_series(v: complex, u: complex) -> np.ndarray:
+    """The :func:`gauss_taylor` coefficients of 2F1(-v, v+1; 1-u), the Gauss
+    series :func:`kernel_factor_array` sums for degree v and order u.  An
+    order within 1e-12 of a positive integer raises DomainError: the
+    kernel's strip needs Re u < 1."""
+    v, u = complex(v), complex(u)
+    mo = nearest_int(u, _ORDER_TOL)
+    if mo is not None and mo >= 1:
+        raise DomainError(f"Legendre kernel needs Re u < 1 (the strip); u={u!r} is a positive integer")
+    return gauss_taylor(-v, v + 1.0, 1.0 - u)
 
 
 def kernel_factor_array(
@@ -249,36 +240,31 @@ def kernel_factor_array(
     u: complex,
     x: np.ndarray,
     one_minus_x: np.ndarray | None = None,
-    series: tuple[np.ndarray, ...] | None = None,
+    series: np.ndarray | None = None,
 ) -> np.ndarray:
     """(1 - x^2)^(-u/2) * P_v^u(x) over node arrays - the form the integral
     kernel uses; float64 when v and u are real.
 
-    For non-integer order this collapses to
+    On the strip Re u < 1 this collapses to
     (1-x)^(-u) * 2F1(-v, v+1; 1-u; (1-x)/2) / Gamma(1-u),
-    which stays finite and accurate at both endpoints.  Pass one_minus_x
+    which stays finite and accurate at both endpoints; a positive integer
+    order raises DomainError (:func:`kernel_series`).  Pass one_minus_x
     when 1-x is known to more digits than x itself, and ``series``,
     :func:`kernel_series` (v, u), when the caller holds it: a path that
     evaluates one kernel on many node arrays takes it once.  The Gauss
     series is the float64 Horner sum about (1-x)/2 = 1/4 of
     :func:`hyp2f1_array`, terminating ones included.
     """
-    x = np.asarray(x, dtype=float)
-    omx = (1.0 - x) if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
+    omx = 1.0 - np.asarray(x, dtype=float) if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
     v = complex(v)
     u = complex(u)
     real = v.imag == 0.0 and u.imag == 0.0
     if real:
         v, u = v.real, u.real
-    mo, seeds = _gauss_seeds(v, u)
     series = kernel_series(v, u) if series is None else series
-    w = omx / 2.0
-    f = [hyp2f1_array(*abc, w, coef) for abc, coef in zip(seeds, series)]
-    if mo is None or mo < 1:
-        rg = rgamma(1.0 - u)
-        return np.exp(-u * np.log(omx)) * (rg.real if real else rg) * f[0]
-    p = _order_recurrence(*f, v, mo, x, np.sqrt(omx * (1.0 + x)))
-    return p * np.exp(-0.5 * u * np.log(omx * (1.0 + x)))
+    f = hyp2f1_array(-v, v + 1.0, 1.0 - u, omx / 2.0, series)
+    rg = rgamma(1.0 - u)
+    return np.exp(-u * np.log(omx)) * (rg.real if real else rg) * f
 
 
 def legendre_recurrence(nmax: int, mo: int, x: float) -> list[float]:

@@ -165,13 +165,16 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
     sneg = max(0.0, -s.real)
 
     big = 45.0 + 2.0 * abs(s.imag)
-    upper = big / r_decay
-    for _ in range(3):
-        upper = (big + sneg * math.log1p(upper / abs(v))) / r_decay
-    kappa = 2.0 * math.pi - theta
-    tmax = big / kappa
-    for _ in range(3):
-        tmax = (big + sneg * math.log1p(tmax / abs(v))) / kappa
+
+    def cutoff(rate):
+        """Where e^(-rate x) (1 + x/|v|)^(-Re s) falls to about e^-big."""
+        x = big / rate
+        for _ in range(3):
+            x = (big + sneg * math.log1p(x / abs(v))) / rate
+        return x
+
+    upper = cutoff(r_decay)
+    tmax = cutoff(2.0 * math.pi - theta)
 
     def terms(*rules):
         """Sum and absolute sum of both integrals' weighted terms at each
@@ -215,7 +218,7 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
         mass = 0.5 * mass + new_mass
         if abs(total - prev) <= 8.0 * _UNIT_ROUNDOFF * mass:
             break
-    return 0.5 * principal_power(v, -s) + total, abs(total - prev)
+    return complex(0.5 * principal_power(v, -s) + total), float(abs(total - prev))
 
 
 def lerch_unit_circle_full(z: complex, s: complex, v: complex) -> tuple[complex, float]:
@@ -276,7 +279,7 @@ def lerch_integral_oracle(z: complex, s: complex, v: complex) -> complex:
     t = np.concatenate([ts.nodes, 1.0 + span * ts.nodes])
     w = np.concatenate([ts.weights, span * ts.weights])
     vals = np.exp((s - 1.0) * np.log(t) - v * t) / (1.0 - z * np.exp(-t))
-    return rgamma(s) * np.sum(w * vals)
+    return complex(rgamma(s) * np.sum(w * vals))
 
 
 def lerch_phi(z: complex, s: complex, v: complex) -> complex:

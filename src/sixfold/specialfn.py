@@ -1,7 +1,7 @@
 """Scalar special functions on the complex plane.
 
 Gamma family (log-gamma, gamma, digamma, polygamma, harmonic numbers) and
-zeta family (Hurwitz zeta, Riemann zeta, Dirichlet eta).  Everything is
+zeta family (Hurwitz zeta, Riemann zeta).  Everything is
 double precision, principal branch, and pure: no caches, no globals.
 
 Methods: Lanczos approximation for log-gamma (shifted by recurrence on the
@@ -257,9 +257,18 @@ def hurwitz_zeta(s: complex, v: complex) -> complex:
 
     Non-positive integer s uses the exact Bernoulli-polynomial form.  The
     shift count adapts to |s|; Bernoulli corrections run through B_26.
-    Relative accuracy ~1e-13 for |s| <= 20 on Re(s) >= -1/2; for non-integer
-    s deeper in the left half-plane the inherent cancellation of the direct
-    sum limits accuracy to roughly 1e-15 * (5 + |v|)^(1+|Re s|).
+    Left of Re(s) = -1/2 the direct terms cancel against the tail, so
+    accuracy falls with Re(s) and rises with v.  Relative error against
+    30-digit mpmath, median / worst of 100 points per cell (real v, Im s
+    0 or U(-1, 1), |s - 1| >= 0.05):
+
+    Re(s)        v in (0.1, 1)      v in (1, 3)        v in (3, 10)
+    [-0.5, 20]   2.0e-16 / 3.3e-15  2.2e-16 / 1.8e-14  2.2e-16 / 1.5e-15
+    [-2, -0.5]   1.2e-13 / 2.4e-11  4.7e-15 / 9.4e-13  2.8e-16 / 3.5e-15
+    [-4, -2]     9.3e-12 / 2.5e-8   1.1e-13 / 3.3e-10  5.3e-16 / 2.9e-14
+    [-6, -4]     5.6e-10 / 1.9e-8   5.6e-13 / 3.2e-9   8.0e-16 / 9.4e-14
+    [-8, -6]     2.3e-8 / 2.9e-5    8.0e-11 / 5.1e-7   2.2e-15 / 1.2e-12
+    [-10, -8]    2.9e-7 / 7.4e-6    2.5e-9 / 4.6e-6    2.0e-15 / 3.8e-12
     """
     s = complex(s)
     v = complex(v)

@@ -170,6 +170,20 @@ def test_verify_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     assert "apery" in text and "closed" in text
 
 
+def test_verify_csv_values_are_plain_numbers(capsys):
+    # The closed path of this case runs the Abel-Plana Lerch evaluator,
+    # whose numpy scalars once printed as np.float64(...) in the CSV.
+    assert main("verify --case difference_arctanh --m 0.3 --v 0.9 --n 0.4 --format csv".split()) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    columns = header.split(",")
+    assert rows and all(row.split(",")[2] == "ok" for row in rows)
+    for row in rows:
+        fields = dict(zip(columns, row.split(",")))
+        for name in ("value_re", "value_im"):
+            float(fields[name])
+        assert fields["err"] == "" or float(fields["err"]) >= 0.0
+
+
 def test_verify_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = apery\npaths = closed,special\nformat = json\n")

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from oracles import hyp2f1_array_complex, laplace_legendre
-from sixfold.core import DomainError, PoleError
+from sixfold.core import DomainError, ParameterSet, PoleError
 from sixfold.legendre import (
     assoc_legendre_p,
     hyp2f1,
     hyp2f1_array,
     kernel_factor_array,
+    kernel_series,
     legendre_recurrence,
 )
+from sixfold.quad import Integrand6D
 from sixfold.specialfn import rgamma
 
 # Fixed by the 64-point Gauss-Legendre Laplace-integral oracle.
@@ -189,9 +191,9 @@ def test_hyp2f1_array_matches_mpmath(monkeypatch, long_double_is_double):
             assert abs(g - r) <= bound * max(1.0, abs(r)), (a, b, c, t)
 
 
-def test_kernel_factor_array_real_dtype_both_branches():
+def test_kernel_factor_array_real_dtype_at_non_integer_and_integer_orders():
     x = np.array([0.05, 0.3, 0.7, 0.95])
-    for v, u in ((1.7, -0.6), (2.4, 1.0), (3.0, 2.0)):
+    for v, u in ((1.7, -0.6), (2.4, 0.0), (3.0, -2.0)):
         got = kernel_factor_array(v, u, x)
         assert got.dtype == np.float64
         for t, g in zip(x, got):
@@ -205,11 +207,11 @@ def test_kernel_factor_array_matches_mpmath():
     # bound is 1e-13 relative; near an interior zero of P_v^u the Gauss series
     # around x = 1 cancels, so there the error is measured against the
     # kernel's size away from the zero, min(1, (1-x)^-u), and bounded by 1e-15
-    # of it (over 30 seeds, the worst point reached 0.74 of that bound).
+    # of it (over 30 seeds, the worst point reached 0.37 of that bound).
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(2024)
     orders = [(rng.uniform(0.05, 2.5), rng.uniform(-2.0, 0.95)) for _ in range(40)]
-    orders += [(rng.uniform(0.05, 2.5), float(u)) for u in (-2, -1, 0, 1) for _ in range(3)]
+    orders += [(rng.uniform(0.05, 2.5), float(u)) for u in (-2, -1, 0) for _ in range(3)]
     for v, u in orders:
         ends = [10.0 ** rng.uniform(-12.0, -3.0) for _ in range(2)]
         x = np.array([rng.uniform(0.001, 0.999) for _ in range(2)] + ends + [1.0 - d for d in ends])
@@ -221,13 +223,37 @@ def test_kernel_factor_array_matches_mpmath():
             assert abs(got - ref) <= bound, (v, u, t)
 
 
+def test_assoc_legendre_p_positive_integer_orders_match_mpmath():
+    # Positive integer orders at non-integer degree, which only the scalar
+    # function takes: the order recurrence from P_v and P_v^1, against
+    # 30-digit mpmath.  Each step of the recurrence cancels two terms of
+    # size ~ P_v^(m-1) / sqrt(1-x^2) near x = 1, so order mo loses digits
+    # like (1-x)^(1-mo) there: the bound is 1e-13 relative or
+    # 1e-14 (1-x^2)^(mo/2) (1-x)^(1-mo), the size of P_v^mo times that
+    # loss.  Over the draws of seeds 0-39 and 2025 the worst point reached
+    # 0.20 of the bound (mo = 3, x = 1 - 1.3e-9); the largest relative
+    # errors were 1.8e9 at mo = 3 and 2.4e-3 at mo = 2, 4.9e-14 at mo = 1.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2025)
+    for mo in (1, 2, 3):
+        for _ in range(4):
+            v = rng.uniform(0.05, 2.5)
+            ends = [10.0 ** rng.uniform(-12.0, -3.0) for _ in range(2)]
+            for t in [rng.uniform(0.001, 0.999) for _ in range(3)] + ends + [1.0 - d for d in ends]:
+                got = assoc_legendre_p(v, float(mo), t)
+                with mpmath.workdps(30):
+                    ref = complex(mpmath.legenp(v, mo, mpmath.mpf(t), type=2))
+                loss = (1.0 - t) ** (1 - mo)
+                bound = max(1e-13 * abs(ref), 1e-14 * ((1.0 - t) * (1.0 + t)) ** (mo / 2) * loss)
+                assert abs(got - ref) <= bound, (v, mo, t)
+
+
 def test_kernel_factor_array_does_not_depend_on_array_neighbours():
     # Sorted nodes put the x near 1, whose series stop after a few terms, in
     # chunks of their own; each chunk must still give the whole array's bits.
     rng = random.Random(11)
     gen = np.random.default_rng(11)
     orders = [(rng.uniform(0.05, 6.0), rng.uniform(-2.0, 0.95)) for _ in range(10)]
-    orders += [(rng.uniform(0.05, 6.0), 1.0), (rng.uniform(0.05, 6.0), 2.0)]
     for v, u in orders:
         x = np.sort(gen.random(1 << 13) ** (1.0 / rng.uniform(0.05, 0.95)))
         whole = kernel_factor_array(v, u, x)
@@ -299,13 +325,19 @@ def test_kernel_factor_two_evaluation_orders():
         assert abs(direct - via_p) <= 1e-11 * (1.0 + abs(direct))
 
 
-def test_kernel_factor_integer_order_path():
+@pytest.mark.parametrize("u", [1.0, 2.0])
+def test_kernel_rejects_positive_integer_orders(u):
+    # The kernel lives on the strip Re u < 1, so it sums one Gauss series
+    # and a positive integer order, where that series has a pole, raises.
     x = np.array([0.2, 0.5, 0.8])
-    got = kernel_factor_array(3.0, 2.0, x)
-    expect = np.array(
-        [assoc_legendre_p(3.0, 2.0, float(t)) * (1 - t * t) ** -1.0 for t in x]
-    )
-    assert np.max(np.abs(got - expect)) < 1e-11 * np.max(np.abs(expect))
+    with pytest.raises(DomainError, match="Re u < 1"):
+        kernel_series(1.3, u)
+    with pytest.raises(DomainError, match="Re u < 1"):
+        kernel_factor_array(1.3, u, x)
+    ps = ParameterSet(k=2, a=1.5, m=0.4, u=-0.4, v=1.3, mu=-0.6, nu=0.7)
+    for bad in (ps.replace(u=u), ps.replace(mu=u)):
+        with pytest.raises(DomainError, match="Re u < 1"):
+            Integrand6D(bad)
 
 
 def test_negative_integer_order_consistency():

@@ -108,6 +108,21 @@ def test_integral_oracle_values():
     assert abs(lerch_integral_oracle(0.0, 2.0, 1.0) - 1.0) < 1e-10
     assert abs(lerch_integral_oracle(0.5, 1.0, 1.0) - 2.0 * math.log(2.0)) < 1e-10
     assert abs(lerch_integral_oracle(-1.0, 3.0, 1.0) - 0.75 * ZETA3) < 1e-10
+    assert type(lerch_integral_oracle(0.5j, 1.5, 0.7)) is complex
+
+
+@pytest.mark.parametrize(
+    "z, s",
+    [(cmath.exp(1j), 0.5), (0.5j, 1.5), (0.01 + 0.01j, 1.5), (-1.0, 1.5), (0.3 + 0.4j, -3.0)],
+    ids=["circle", "disk", "disk_peel", "minus_one_split", "apostol"],
+)
+def test_phi_returns_python_complex_on_every_route(z, s):
+    # Reports and their CSV rows print plain numbers only when no route
+    # hands back a numpy scalar.
+    assert type(lerch_phi(z, s, 0.7)) is complex
+    if abs(abs(z) - 1.0) < 1e-12:
+        val, est = lerch_unit_circle_full(z, s, 0.7)
+        assert (type(val), type(est)) == (complex, float)
 
 
 def test_integral_oracle_domain():
