@@ -5,11 +5,11 @@ representation
 
     P_v^u(x) = ((1+x)/(1-x))^(u/2) / Gamma(1-u) * 2F1(-v, v+1; 1-u; (1-x)/2)
 
-with principal powers of the positive base (1+x)/(1-x).  Only the scalar
-:func:`assoc_legendre_p` takes positive integer orders, where
-1/Gamma(1-u) vanishes against a pole of the series: it runs an order
-recurrence whose seeds carry the Condon-Shortley phase, consistent with
-the hypergeometric limit.  The integral's kernel needs Re u < 1.
+with principal powers of the positive base (1+x)/(1-x) (DLMF 14.3.1).  Only
+the scalar :func:`assoc_legendre_p` takes positive integer orders m, where
+1/Gamma(1-u) meets a pole of the series; the limit (DLMF 15.2.3_5) is one
+series with the Condon-Shortley phase, (-v)_m (v+1)_m / (2^m m!)
+(1-x^2)^(m/2) 2F1(m-v, m+v+1; m+1; (1-x)/2).  The kernel needs Re u < 1.
 """
 
 from __future__ import annotations
@@ -201,10 +201,10 @@ def hyp2f1_array(
 def assoc_legendre_p(v: complex, u: complex, x: float) -> complex:
     """P_v^u(x) for complex degree/order and real x in (0, 1).
 
-    Sums through the scalar :func:`hyp2f1`, so terminating series (integer
-    degree) are exact, unlike :func:`kernel_factor_array`.  A positive
-    integer order runs the order recurrence (DLMF 14.10.1) from the seeds
-    2F1(-v, v+1; 1; w) = P_v(x) and 2F1(1-v, v+2; 2; w), w = (1-x)/2.
+    Sums one Gauss series through the scalar :func:`hyp2f1`, so terminating
+    series (integer degree) are exact, unlike :func:`kernel_factor_array`:
+    at a positive integer order m, (-v)_m (v+1)_m / (2^m m!) (1-x^2)^(m/2)
+    2F1(m-v, m+v+1; m+1; (1-x)/2) (DLMF 14.3.1, 15.2.3_5).
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"assoc_legendre_p needs x in (0,1), got {x}")
@@ -215,12 +215,8 @@ def assoc_legendre_p(v: complex, u: complex, x: float) -> complex:
     if mo is None or mo < 1:
         pref = cmath.exp(0.5 * u * math.log((1.0 + x) / (1.0 - x)))
         return pref * rgamma(1.0 - u) * hyp2f1(-v, v + 1.0, 1.0 - u, w)
-    p0 = hyp2f1(-v, v + 1.0, 1.0, w)
-    s = math.sqrt((1.0 - x) * (1.0 + x))
-    p1 = -s * (v * (v + 1.0) / 2.0) * hyp2f1(1.0 - v, v + 2.0, 2.0, w)
-    for m in range(1, mo):
-        p0, p1 = p1, -2.0 * m * x / s * p1 - (v + m) * (v - m + 1.0) * p0
-    return p1
+    pref = math.prod((j - v) * (v + 1.0 + j) / (2.0 * (j + 1)) for j in range(mo))
+    return pref * ((1.0 - x) * (1.0 + x)) ** (mo / 2) * hyp2f1(mo - v, mo + v + 1.0, mo + 1.0, w)
 
 
 def kernel_series(v: complex, u: complex) -> np.ndarray:

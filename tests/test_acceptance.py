@@ -8,6 +8,7 @@ same lines).
 import numpy as np
 import pytest
 
+import sixfold.legendre as legendre
 import sixfold.lerch as lerch
 import sixfold.specialfn as specialfn
 from sixfold.acceptance import ALL_CRITERIA, criterion_a10_module_oracles, run_criterion
@@ -49,6 +50,16 @@ def test_a10_lerch_check_sees_the_evaluator(monkeypatch):
     result = criterion_a10_module_oracles()
     assert not result.passed
     assert "lerch" in result.detail, result.detail
+
+
+def test_a10_legendre_check_sees_the_evaluator(monkeypatch):
+    # The Legendre grid compares assoc_legendre_p with the degree
+    # recurrence, so a relative defect of 1e-11 in the evaluator must show.
+    real = legendre.assoc_legendre_p
+    monkeypatch.setattr(legendre, "assoc_legendre_p", lambda v, u, x: real(v, u, x) * (1.0 + 1e-11))
+    result = criterion_a10_module_oracles()
+    assert not result.passed
+    assert "legendre" in result.detail, result.detail
 
 
 def test_a10_passes_where_long_double_is_double(monkeypatch):
