@@ -41,12 +41,38 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, im_part)
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _typed(cast, flag: str):
+    """A ``type=`` hook: ``cast``, its ValueError raised as a DomainError naming ``flag``."""
+
+    def convert(text: str):
+        try:
+            return cast(text)
+        except ValueError:
+            raise DomainError(f"{flag}: invalid {cast.__name__} value {text!r}") from None
+
+    return convert
+
+
+def _join_literals(argv: list[str]) -> list[str]:
+    """Join each complex literal onto a ``--flag`` before it written without
+    ``=``: ``--a -2+1i`` becomes ``--a=-2+1i``, which argparse would
+    otherwise take for an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _COMPLEX_RE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _config_args(path: str) -> list[str]:
+    """The ``key = value`` lines of a config file as ``--key=value`` arguments."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read --config {path}: {exc}") from None
-    out: dict[str, str] = {}
+    out = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -54,7 +80,10 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise DomainError(f"config line not of the form key = value: {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("_", "-")
+        if key == "config":
+            raise DomainError(f"config key {key!r} can only be given on the command line")
+        out.append(f"--{key}={value.strip()}")
     return out
 
 
@@ -71,55 +100,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="verify one identity case")
-    p_verify.add_argument("--case", required=False, default=None, help="case tag (default theorem)")
+    p_verify.add_argument("--case", default="theorem", help="case tag (default %(default)s)")
     for name in PARAM_NAMES:
-        p_verify.add_argument(f"--{name}", default=None, help=f"parameter {name} (complex literal)")
-    p_verify.add_argument("--n", default=None, help="second exponent for difference cases")
+        p_verify.add_argument(f"--{name}", type=parse_complex, default=getattr(ParameterSet, name),
+                              help=f"parameter {name} (complex literal, default %(default)s)")
+    p_verify.add_argument("--n", type=parse_complex, help="second exponent for difference cases")
     p_verify.add_argument("--paths", default=None, help="comma-separated path subset")
-    p_verify.add_argument("--tol", default=None, help=f"relative tolerance (default {Tolerances.rel_tol:g})")
-    p_verify.add_argument("--abs-tol", default=None, help=f"absolute tolerance (default {Tolerances.abs_tol:g})")
-    p_verify.add_argument("--qmc-count", default=None, help=f"Sobol points per replicate (default {QmcSpec.count})")
-    p_verify.add_argument("--seed", default=None, help=f"digital-shift seed (default {QmcSpec.shift_seed})")
-    p_verify.add_argument("--format", choices=("text", "json", "csv"), default=None)
+    for flag, cast, default, what in (
+        ("--tol", float, Tolerances.rel_tol, "relative tolerance"),
+        ("--abs-tol", float, Tolerances.abs_tol, "absolute tolerance"),
+        ("--qmc-count", int, QmcSpec.count, "Sobol points per replicate"),
+        ("--seed", int, QmcSpec.shift_seed, "digital-shift seed"),
+    ):
+        p_verify.add_argument(flag, type=_typed(cast, flag), default=default, help=f"{what} (default %(default)s)")
+    p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--output", default=None, help="write the report here instead of stdout")
-    p_verify.add_argument("--config", default=None, help="key = value file mirroring the flags")
+    p_verify.add_argument("--config", default=None, help="key = value file read ahead of the flags")
     p_verify.add_argument("--timings", action="store_true", help="include wall times in the report")
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
     p_self.add_argument("--only", default=None, help="run only criteria whose name contains this")
     return parser
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        cfg = _read_config(args.config)
-        for key, value in cfg.items():
-            # These never default to None, so a config value would be dropped.
-            if key in ("command", "config", "timings"):
-                raise DomainError(f"config key {key!r} can only be given on the command line")
-            if not hasattr(args, key):
-                raise DomainError(f"unknown config key {key!r}")
-            if getattr(args, key) is None:
-                setattr(args, key, value)
-    return args
-
-
-def _given(args: argparse.Namespace, cast, **fields: str) -> dict:
-    """The fields whose option was given, cast; the others keep their defaults.
-
-    ``fields`` maps each field to its option; a value ``cast`` rejects with a
-    ValueError raises a DomainError naming the flag.
-    """
-    out = {}
-    for name, option in fields.items():
-        value = getattr(args, option)
-        if value is not None:
-            try:
-                out[name] = cast(value)
-            except ValueError:
-                flag = "--" + option.replace("_", "-")
-                raise DomainError(f"{flag}: invalid {cast.__name__} value {value!r}") from None
-    return out
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -183,19 +184,12 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
-    if args.case is None:
-        args.case = "theorem"
-    args.format = args.format or "text"
-    if args.format not in ("text", "json", "csv"):  # a config value skips the parser's check
-        raise DomainError(f"--format: invalid choice {args.format!r}; use text, json or csv")
-    ps = ParameterSet(**_given(args, parse_complex, **{name: name for name in PARAM_NAMES}))
-    second = parse_complex(str(args.n)) if args.n is not None else None
+    ps = ParameterSet(**{name: getattr(args, name) for name in PARAM_NAMES})
     paths = tuple(p.strip() for p in args.paths.split(",")) if args.paths else None
-    tol = Tolerances(**_given(args, float, rel_tol="tol", abs_tol="abs_tol"))
-    qmc_spec = QmcSpec(**_given(args, int, count="qmc_count", shift_seed="seed"))
+    tol = Tolerances(abs_tol=args.abs_tol, rel_tol=args.tol)
+    qmc_spec = QmcSpec(count=args.qmc_count, shift_seed=args.seed)
 
-    report = engine.verify(args.case, ps, tol=tol, paths=paths, second=second, qmc_spec=qmc_spec)
+    report = engine.verify(args.case, ps, tol=tol, paths=paths, second=args.n, qmc_spec=qmc_spec)
 
     if args.format == "json":
         text = json.dumps(
@@ -239,8 +233,13 @@ _COMMANDS = {"list": _cmd_list, "verify": _cmd_verify, "selftest": _cmd_selftest
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = _join_literals(sys.argv[1:] if argv is None else argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's arguments go first, so an explicit flag wins.
+            args = parser.parse_args([args.command, *_config_args(args.config), *argv[1:]])
         return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,9 @@ Paths through the identity family:
 * ``closed``  - the Lerch-transcendent right-hand side.
 * ``special`` - the per-case elementary closed form (zeta split, digamma,
                 arctanh difference, log 2, Apery, ...).
-* ``limit``   - Richardson extrapolation in k for the removable-point
-                cases, k -> -1 and the direct k = -3 evaluation.
+* ``limit``   - Richardson extrapolation in k of the case's family: to
+                the removable points k -> -1, and to apery's k = -3,
+                where the eta-line family is regular.
 
 Each path is one entry of ``PATHS``, so adding a path is one entry there.
 Its preconditions are checked once, by the function that computes the

@@ -8,6 +8,7 @@ same lines).
 import numpy as np
 import pytest
 
+import sixfold.acceptance as acceptance
 import sixfold.legendre as legendre
 import sixfold.lerch as lerch
 import sixfold.specialfn as specialfn
@@ -60,6 +61,16 @@ def test_a10_legendre_check_sees_the_evaluator(monkeypatch):
     result = criterion_a10_module_oracles()
     assert not result.passed
     assert "legendre" in result.detail, result.detail
+
+
+def test_a10_jet_check_sees_the_jets(monkeypatch):
+    # The jet coefficients are compared with Cauchy's formula on the scalar
+    # product, so a relative defect of 1e-11 in closed_form_jet must show.
+    real = acceptance.closed_form_jet
+    monkeypatch.setattr(acceptance, "closed_form_jet", lambda ps, order: real(ps, order).scale(1.0 + 1e-11))
+    result = criterion_a10_module_oracles()
+    assert not result.passed
+    assert "jet" in result.detail, result.detail
 
 
 def test_a10_passes_where_long_double_is_double(monkeypatch):

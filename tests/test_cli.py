@@ -193,28 +193,69 @@ def test_verify_config_file(tmp_path, capsys):
     assert payload["case"] == "apery"
 
 
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_FLAG_ONLY_REFUSALS = {
+    # A config line is the argument --timings=true, which argparse refuses
+    # for a flag that takes no value.
+    "timings = true": "sixfold verify: error: argument --timings: ignored explicit argument 'true'\n",
+    "config = other.cfg": "error: config key 'config' can only be given on the command line\n",
+}
+
+
 @pytest.mark.parametrize("line", ["timings = true", "config = other.cfg"])
 def test_verify_config_rejects_flag_only_keys(tmp_path, capsys, line):
-    # Neither attribute defaults to None, so a config value for it would be
-    # dropped; it must be refused by name instead.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"case = apery\npaths = closed,special\nformat = json\n{line}\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert repr(line.split()[0]) in captured.err
+    assert _exit_code(["verify", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(_FLAG_ONLY_REFUSALS[line]), err
 
 
 def test_verify_config_format_outside_choices_exit_two(tmp_path, capsys):
-    # The parser checks the flag; the same value from a config file is refused too.
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--case", "apery", "--format", "xml"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    # A config value is parsed as the same flag, so both are refused alike.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = apery\npaths = closed,special\nformat = xml\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    assert capsys.readouterr() == ("", "error: --format: invalid choice 'xml'; use text, json or csv\n")
+    for argv in (["verify", "--case", "apery", "--format", "xml"], ["verify", "--config", str(cfg)]):
+        assert _exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --format: invalid choice: 'xml'" in err, err
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("case = apery\nformat json\n", "error: config line not of the form key = value: 'format json'\n"),
+        ("case = apery\nfoo = 1\n", "sixfold: error: unrecognized arguments: --foo=1\n"),
+    ],
+    ids=["malformed", "unknown_key"],
+)
+def test_verify_config_bad_line_exit_two(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert _exit_code(["verify", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(message), err
+
+
+def test_verify_flags_win_over_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = apery\nformat = csv\n")
+    assert main(["verify", "--config", str(cfg), "--case", "log3", "--paths", "closed,special", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["case"] == "log3"
+
+
+def test_verify_config_negative_literal(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = -2+1i\npaths = closed\n")
+    assert _json_report(capsys, "--config", str(cfg))["params"]["a"] == [-2.0, 1.0]
 
 
 def _json_report(capsys, *flags):
@@ -228,6 +269,27 @@ def test_qmc_flags_override_only_their_field(capsys):
     default = _json_report(capsys, *base)
     assert _json_report(capsys, *base, "--qmc-count", "65536") == default
     assert _json_report(capsys, *base, "--seed", "20170") == default
+
+
+@pytest.mark.parametrize(
+    ("flag", "literal", "pair"),
+    [
+        ("--a", "-2+1i", [-2.0, 1.0]),
+        ("--a", "-1e-3", [-1e-3, 0.0]),
+        ("--mu", "-0.1+0.2i", [-0.1, 0.2]),
+        ("--k", "-0.5", [-0.5, 0.0]),
+    ],
+)
+def test_negative_literal_after_flag(capsys, flag, literal, pair):
+    # argparse takes "-2+1i" for an option unless it is joined to its flag.
+    report = _json_report(capsys, flag, literal, "--paths", "closed")
+    assert report["params"][flag[2:]] == pair
+
+
+def test_inadmissible_path_detail_in_json(capsys):
+    report = _json_report(capsys, "--k", "0.5", "--paths", "jet,closed")
+    assert report["paths"]["jet"] == {"status": "inadmissible", "detail": "jet paths need integer k in [0, 10]"}
+    assert report["paths"]["closed"]["status"] == "ok"
 
 
 def test_tolerance_flags_override_only_their_field(capsys):

@@ -11,6 +11,7 @@ from sixfold.core import (
     derive_exponents,
     nearest_int,
     parameter_warnings,
+    principal_power,
     validate_parameters,
 )
 
@@ -146,6 +147,13 @@ def test_nearest_int_edges(n, tol):
         assert got == n and type(got) is int, z
     for z in (n + 2 * tol, n - 2 * tol, complex(n, 2 * tol), complex(n, -2 * tol)):
         assert nearest_int(z, tol) is None, z
+
+
+def test_principal_power_zero_base():
+    assert principal_power(0j, 0j) == 1
+    assert principal_power(0j, 0.5 + 0j) == 0
+    with pytest.raises(DomainError):
+        principal_power(0j, -1 + 0j)
 
 
 # Per strip inequality: one parameter changed from the reference set puts it

@@ -385,6 +385,9 @@ def test_report_serialization_roundtrip():
     assert "times" in timed
     rows = engine.report_to_csv_rows(rep)
     assert {r["path"] for r in rows} == {"closed", "special", "limit"}
+    # A difference case carries its second exponent, pinned to 1/3 for log3.
+    log3 = engine.report_to_dict(engine.verify("log3", ParameterSet(), paths=("closed", "special")))
+    assert log3["params"]["n"] == [1 / 3, 0.0]
 
 
 def test_catalog_size_and_tags():
