@@ -3,8 +3,8 @@ emit machine-readable reports, and run the acceptance self-test suite.
 
 Exit codes for ``verify``: 0 pass, 1 verdict fail, 2 parameter validation
 failure (the second exponent n included), invalid option value, missing n
-for a difference case, or an unreadable ``--config`` or unwritable
-``--output`` file, 3 numeric-path failure.
+for a difference case, n for a case that takes none, or an unreadable
+``--config`` or unwritable ``--output`` file, 3 numeric-path failure.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class SixfoldError(Exception):
@@ -72,17 +73,14 @@ class ParameterSet:
     replace = dataclasses.replace
 
 
-@dataclass(frozen=True)
-class ExponentQuad:
-    """The four log-power exponents derived from a ParameterSet."""
+class ExponentQuad(NamedTuple):
+    """The four log-power exponents derived from a ParameterSet, in axis
+    order (p, q, t, z)."""
 
     beta_p: complex
     beta_q: complex
     beta_t: complex
     beta_z: complex
-
-    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (self.beta_p, self.beta_q, self.beta_t, self.beta_z)
 
 
 def derive_exponents(ps: ParameterSet) -> ExponentQuad:

@@ -463,9 +463,10 @@ def verify(
     per-path statuses telling the story.  Parameter-strip violations, and a
     second exponent n outside 0 < Re(n) < 1, short-circuit to
     "invalid_parameters"; a case that needs n raises DomainError without
-    one.  Each path function checks its own preconditions: a path that
-    raises ``InadmissibleError`` gets status "inadmissible" with the
-    message as its detail, one that raises any other ``SixfoldError`` or an
+    one, and one that takes no n raises DomainError when given one.  Each
+    path function checks its own preconditions: a path that raises
+    ``InadmissibleError`` gets status "inadmissible" with the message as its
+    detail, one that raises any other ``SixfoldError`` or an
     ``ArithmeticError`` gets status "error"; any other exception is a bug
     and propagates.
     """
@@ -476,6 +477,8 @@ def verify(
         second = case.second_exponent
     if case.needs_second_exponent and second is None:
         raise DomainError("difference case needs the second exponent n")
+    if not case.needs_second_exponent and second is not None:
+        raise DomainError(f"case {case.tag!r} takes no second exponent n")
     requested = tuple(dict.fromkeys(paths)) if paths is not None else case.paths
     for p in requested:
         if p not in PATHS:

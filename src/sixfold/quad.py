@@ -308,7 +308,7 @@ class Integrand6D:
         ps = self.ps
         log_a = cmath.log(ps.a)
         object.__setattr__(self, "m", ps.m.real)
-        object.__setattr__(self, "betas", tuple(b.real for b in derive_exponents(ps).as_tuple()))
+        object.__setattr__(self, "betas", tuple(b.real for b in derive_exponents(ps)))
         object.__setattr__(self, "log_a", log_a.real if log_a.imag == 0.0 else log_a)
         object.__setattr__(self, "k_int", nearest_int(ps.k, 1e-12))
         object.__setattr__(self, "x_series", kernel_series(ps.v.real, ps.u.real))
@@ -574,54 +574,39 @@ def _qmc_share(
     return out
 
 
-def _qmc_workers(spec: QmcSpec) -> int:
-    """Processes for the replicates: one per available CPU
-    (``os.sched_getaffinity``), at most one per replicate.  It is 1, an
-    in-process run, on one CPU (``taskset -c 0``), when ``spec.count`` fits
-    one chunk (a fork costs more than such a run), where the ``fork`` start
-    method does not exist, and in a daemonic process, which may not have
-    children."""
-    if spec.count <= _QMC_CHUNK:  # a one-chunk replicate is cheaper than a fork
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, spec.replicates)
-    if workers < 2:
-        return 1
-    import multiprocessing  # only here: the import costs more than a small run
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if multiprocessing.current_process().daemon:  # may not have children
-        return 1
-    return workers
-
-
 def _qmc_means(spec: QmcSpec, args: tuple) -> list[complex]:
     """Means of replicates 0..R-1 of ``_qmc_share(rs, *args)``, R =
-    ``spec.replicates``, in index order.  Replicate r is computed by worker
-    r % w, w = ``_qmc_workers(spec)``: worker 0 is the caller, each other a
-    child forked after ``args`` are built, which inherits them with no
-    pickling and sends its share's outcomes through a pipe.  Each replicate
-    runs the same code on the same inputs wherever it runs, so the means
-    are bit for bit those of one process.  So is an error: the exception of
-    the lowest-index replicate that raised is raised here; a worker stops at
-    its first failure, so the replicates it leaves out all come after it.
-    A child that exits without sending raises RuntimeError.  No child
-    outlives the call.  Children run only elementwise numpy code, no BLAS,
-    so the BLAS threads a fork does not copy are not missed; Python >= 3.12
-    still warns (DeprecationWarning) about forking a process that has
-    threads.  Trace spans recorded in a child stay there."""
-    n, workers = spec.replicates, _qmc_workers(spec)
-    if workers > 1:
-        import multiprocessing
+    ``spec.replicates``, in index order.  Replicate r is item r // w of the
+    share of worker r % w, where w is the number of available CPUs
+    (``os.sched_getaffinity``), at most R.  It is 1, an in-process run, on
+    one CPU (``taskset -c 0``), when ``spec.count`` fits one chunk (a fork
+    costs more than such a run), where the ``fork`` start method does not
+    exist, and in a daemonic process, which may not have children.  Worker 0
+    is the caller, each other a child forked after ``args`` are built, which
+    inherits them with no pickling and sends its share through a pipe.  Each
+    replicate runs the same code on the same inputs wherever it runs, so the
+    means are bit for bit those of one process.  So is an error: the first
+    exception in index order is raised here; a worker stops at its first
+    failure, so the replicates it leaves out all come after it.  A child
+    that exits without sending raises RuntimeError.  No child outlives the
+    call.  Children run only elementwise numpy code, no BLAS, so the BLAS
+    threads a fork does not copy are not missed; Python >= 3.12 still warns
+    (DeprecationWarning) about forking a process that has threads.  Trace
+    spans recorded in a child stay there."""
+    n, ctx = spec.replicates, None
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, n)
+    if spec.count > _QMC_CHUNK and workers > 1:  # a one-chunk replicate is cheaper than a fork
+        import multiprocessing  # only here: the import costs more than a small run
 
-        ctx = multiprocessing.get_context("fork")
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            ctx = multiprocessing.get_context("fork")
+    workers = workers if ctx else 1
 
     def send_share(conn, rs: range) -> None:
         with conn:
             conn.send(_qmc_share(rs, *args))
 
-    outcomes: dict[int, object] = {}
     children = []
     try:
         for w in range(1, workers):
@@ -630,10 +615,10 @@ def _qmc_means(spec: QmcSpec, args: tuple) -> list[complex]:
             child.start()
             children.append((child, recv))
             send.close()  # so recv sees EOF once the child is gone
-        outcomes.update(zip(range(0, n, workers), _qmc_share(range(0, n, workers), *args)))
+        shares = [_qmc_share(range(0, n, workers), *args)]
         for w, (child, recv) in enumerate(children, 1):
             try:
-                outcomes.update(zip(range(w, n, workers), recv.recv()))
+                shares.append(recv.recv())
             except EOFError:
                 child.join()
                 raise RuntimeError(
@@ -645,10 +630,12 @@ def _qmc_means(spec: QmcSpec, args: tuple) -> list[complex]:
             recv.close()
             child.terminate()
             child.join()
-    means = [outcomes[r] for r in sorted(outcomes)]
-    for outcome in means:
-        if isinstance(outcome, Exception):
-            raise outcome
+    means = []
+    for r in range(n):
+        mean = shares[r % workers][r // workers]
+        if isinstance(mean, Exception):
+            raise mean
+        means.append(mean)
     return means
 
 
@@ -683,7 +670,7 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     reuses them for every chunk of its replicates (:func:`_qmc_share`).
 
     The replicates run on up to one process per available CPU and give the
-    bits of one process (:func:`_qmc_means`, :func:`_qmc_workers`).
+    bits of one process (:func:`_qmc_means`).
     """
     if not f.has_real_strip():
         raise InadmissibleError("qmc path needs real strip parameters")

@@ -220,25 +220,12 @@ def harmonic(w: complex) -> complex:
     return digamma(complex(w) + 1.0) + EULER_GAMMA
 
 
-def bernoulli_number(j: int) -> float:
-    """B_j for 0 <= j <= 27 (odd j > 1 gives 0)."""
-    if j < 0 or j > 27:
-        raise DomainError(f"Bernoulli table covers 0..27, got {j}")
-    if j == 0:
-        return 1.0
-    if j == 1:
-        return -0.5
-    if j % 2 == 1:
-        return 0.0
-    return _BERNOULLI[j // 2 - 1]
-
-
 def bernoulli_polynomial(n: int, v: complex) -> complex:
-    """B_n(v) = sum_j C(n, j) B_j v^(n-j)."""
+    """B_n(v) = sum_j C(n, j) B_j v^(n-j), 0 <= n <= 27, over the non-zero
+    B_j: B_0 = 1, B_1 = -1/2 and the table's even B_j."""
     acc = 0.0 + 0.0j
-    for j in range(n + 1):
-        b = bernoulli_number(j)
-        if b != 0.0:
+    for j, b in ((0, 1.0), (1, -0.5), *((j, _BERNOULLI[j // 2 - 1]) for j in range(2, n + 1, 2))):
+        if j <= n:
             acc += math.comb(n, j) * b * v ** (n - j)
     return acc
 

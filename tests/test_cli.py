@@ -413,6 +413,12 @@ def test_missing_second_exponent_exit_two(capsys):
     assert capsys.readouterr() == ("", "error: difference case needs the second exponent n\n")
 
 
+def test_unread_second_exponent_exit_two(capsys):
+    # Inside 0 < Re(n) < 1, so only the refusal can exit 2.
+    assert main(["verify", "--case", "theorem", "--n", "0.3"]) == 2
+    assert capsys.readouterr() == ("", "error: case 'theorem' takes no second exponent n\n")
+
+
 def test_unreadable_config_exit_two(capsys, tmp_path):
     undecodable = tmp_path / "latin1.cfg"
     undecodable.write_bytes(b"case = th\xe9orem\n")

@@ -76,7 +76,7 @@ def test_exponents_second_point():
 
 def test_exponents_all_zero_parameters():
     exq = derive_exponents(ParameterSet(k=0, a=1, m=0, u=0, v=0, mu=0, nu=0))
-    assert exq.as_tuple() == (0.0, 0.5, 0.0, -0.5)
+    assert tuple(exq) == (0.0, 0.5, 0.0, -0.5)
 
 
 def test_exponent_identities_random():

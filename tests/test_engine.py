@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -89,6 +90,35 @@ def test_theorem_paths_agree_random_sample():
         assert abs(moment - jet) <= 1e-9 * (1.0 + abs(jet)), ps
 
 
+def _conjugation_errors(seed: int, draw_k) -> list[float]:
+    """Relative distance of rhs_theorem at conj(a) from conj(rhs_theorem(a))
+    over 20 seeded real strips with real k and arg a in (0, pi).  Only a is
+    complex in the integrand, so conjugating a conjugates the integral."""
+    rng = random.Random(seed)
+    errors = []
+    for _ in range(20):
+        k = draw_k(rng)
+        a = rng.uniform(0.2, 5.0) * cmath.exp(1j * rng.uniform(0.05, math.pi - 0.05))
+        ps = _random_valid(rng, k=k, a=a)
+        want = engine.rhs_theorem(ps).conjugate()
+        errors.append(abs(engine.rhs_theorem(ps.replace(a=ps.a.conjugate())) - want) / abs(want))
+    return errors
+
+
+def test_rhs_theorem_conjugates_with_a_at_integer_k():
+    # S^k is single-valued at integer k, so both half-planes agree.
+    assert max(_conjugation_errors(151, lambda rng: rng.randint(0, 6))) < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 15: at non-integer k and arg a < 0, rhs_theorem continues the "
+    "upper half-plane form across a > 0, which is not the integral",
+)
+def test_rhs_theorem_conjugates_with_a_at_non_integer_k():
+    assert max(_conjugation_errors(152, lambda rng: rng.uniform(-0.9, 6.0))) < 1e-12
+
+
 def test_product_identity_symmetric_pair():
     ps = _random_valid(random.Random(64))
     lhs1, rhs1 = engine.product_identity_check(ps)
@@ -161,6 +191,19 @@ def test_rhs_limit_validation():
     ps = ParameterSet(k=-1.0, a=1.0, m=1.0)
     with pytest.raises(Exception):
         engine.rhs_limit_full("degenerate", ps)
+
+
+def test_rhs_limit_divergence_is_a_path_error(monkeypatch):
+    # A family with a pole of order 4 at the limit point k0 = -1: a level of
+    # the Neville table then moves the value more than ten times as far as
+    # the level before.  Order 2 does not.
+    family = dataclasses.replace(
+        engine.catalog_case("eta_zeta_line"), special=lambda ps, n: (ps.k + 1) ** -4
+    )
+    monkeypatch.setitem(engine._CATALOG_BY_TAG, "eta_zeta_line", family)
+    rep = engine.verify("log2_limit", ParameterSet(), paths=("limit",))
+    assert rep.paths["limit"].status == "error"
+    assert rep.paths["limit"].detail == "DomainError: Richardson extrapolation diverged"
 
 
 def test_verify_multi_path_pass():
@@ -340,6 +383,12 @@ def test_second_exponent_inside_its_strip_passes(n):
 def test_difference_case_requires_second_exponent():
     with pytest.raises(DomainError, match="second exponent n"):
         engine.verify("difference_arctanh", ParameterSet())
+
+
+@pytest.mark.parametrize("tag", [c.tag for c in engine.CATALOG if not c.needs_second_exponent])
+def test_second_exponent_refused_where_no_path_reads_it(tag):
+    with pytest.raises(DomainError, match=f"^case '{tag}' takes no second exponent n$"):
+        engine.verify(tag, ParameterSet(), second=0.3)
 
 
 def test_verify_theorem_reference_four_paths():

@@ -39,6 +39,11 @@ def test_reciprocal_zero_constant_term():
         Jet((0.0, 1.0)).reciprocal()
 
 
+def test_product_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="non-finite jet coefficient"):
+        Jet((1e200, 0)) * Jet((1e200, 0))
+
+
 def test_mul_commutative_associative():
     rng = random.Random(51)
     for _ in range(20):

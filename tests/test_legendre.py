@@ -86,6 +86,13 @@ def test_hyp2f1_c_pole():
         hyp2f1(0.5, 0.7, -2.0, 0.3)
 
 
+def test_hyp2f1_terminating_c_pole():
+    # a = -3 terminates the series, but the ratio of its third term to its
+    # second divides by c + 1 = 0.
+    with pytest.raises(PoleError, match="hits a non-positive integer"):
+        hyp2f1(-3, 1, -1, 0.3)
+
+
 def test_hyp2f1_domain():
     with pytest.raises(DomainError):
         hyp2f1(0.5, 0.7, 1.0, 0.9)

@@ -83,6 +83,11 @@ def test_unit_circle_imaginary_point_frozen():
     assert err < 1e-10
 
 
+def test_unit_circle_rejects_non_positive_v():
+    with pytest.raises(DomainError, match="needs Re\\(v\\) > 0"):
+        lerch_phi(cmath.exp(1j), 0.5, -0.3)
+
+
 def test_unit_circle_rejects_near_one():
     with pytest.raises(DomainError):
         lerch_unit_circle_full(cmath.exp(1e-8j), 2.0, 1.0)

@@ -87,7 +87,7 @@ def _rules(betas, level=5, n=32):
 
 
 def _ref_rules(level=5, n=32):
-    return _rules([b.real for b in derive_exponents(REFERENCE).as_tuple()], level, n)
+    return _rules([b.real for b in derive_exponents(REFERENCE)], level, n)
 
 
 def test_gauss_laguerre_unit_mass():
@@ -588,6 +588,19 @@ def test_qmc_in_pool_worker_stays_in_process(monkeypatch):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         got = pool.apply_async(_qmc_in_pool_worker, (spec,)).get(timeout=60)
     assert got == integrate_6d_qmc(Integrand6D(REAL_COUPLING), spec)
+
+
+def test_qmc_in_daemonic_process_stays_in_process(monkeypatch):
+    # The pool test's fallback, taken in this process.
+    f, spec = Integrand6D(REAL_COUPLING), QmcSpec(count=2 * quad._QMC_CHUNK)
+    _pin(monkeypatch, 2)
+    want = _bits(integrate_6d_qmc(f, spec))
+    seen = []
+    share = quad._qmc_share
+    monkeypatch.setattr(quad, "_qmc_share", lambda rs, *args: seen.append(rs) or share(rs, *args))
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert _bits(integrate_6d_qmc(f, spec)) == want
+    assert seen == [range(0, 8)]
 
 
 def test_qmc_seed_changes_value():
