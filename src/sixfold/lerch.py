@@ -8,6 +8,10 @@
   of (v + z d/dz) to 1/(1-z), carried on exact coefficient arrays.
 * z = 0: the single term v^(-s).
 * z = -1: the two-term Hurwitz-zeta split (with the digamma limit at s=1).
+* |z| = 1 with Re(s) > 1/2, |Im(s)| <= 3 and Re(v) >= 0.3: the Laplace form
+  (1/Gamma(s)) int t^(s-1) e^(-vt)/(1-z e^-t) dt, on a ray turned by
+  -arg(v)/2, summed on tanh-sinh levels 5 and 6 in one pass; the
+  difference of the two levels is the error estimate.
 * every other z with |z| <= 1 (Re(v) > 0): a rotated-contour Abel-Plana
   representation, entire in s, evaluated by nested tanh-sinh levels from
   5 up to 8, stopping when two levels agree; the difference of the last
@@ -16,9 +20,8 @@
   Accuracy notes, has the measured figures).  Below |z| = 0.05 it sums
   the tail z Phi(z, s, v + 1) after the first term v^(-s).
 
-Two more evaluators are kept as independent cross-check oracles: the
-defining power series, and the integral representation
-(1/Gamma(s)) int t^(s-1) e^(-vt)/(1-z e^-t) dt.
+Two cross-check oracles are kept: the defining power series, and the
+Laplace form at tanh-sinh level 9.
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ _INT_TOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
 # The tanh-sinh level the Abel-Plana evaluator refines up to.
 _ABEL_PLANA_MAX_LEVEL = 8
+# On the circle, Re(s) above the first bound, |Im(s)| up to the second and
+# Re(v) at least the third take the Laplace form.  Its rounding grows like
+# e^(pi |Im s| / 2), the factor by which |Gamma(s)| falls below the mass of
+# its integrand (README, Accuracy notes, has the measured figures).
+_LAPLACE_MIN_RE_S = 0.5
+_LAPLACE_MAX_IM_S = 3.0
+_LAPLACE_MIN_RE_V = 0.3
 
 
 def lerch_series(z: complex, s: complex, v: complex) -> complex:
@@ -147,13 +157,13 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
     log(v + u e^(i phi)) and log(v +- it), come from real parts
     (``_log``), several times cheaper than numpy's complex log.  Level 5
     and the nodes level 6 adds are evaluated in one pass, since most calls
-    stop at level 6 (1,209 of the 1,233 in one benchmark sweep).  Each
+    stop at level 6 (244 of the 268 in one benchmark sweep).  Each
     form of the boundary integrand is computed only where it is used.
     """
+    flip = cmath.phase(z) < 0.0
+    if flip:  # Phi(conj z, conj s, conj v) = conj Phi(z, s, v)
+        z, s, v = z.conjugate(), s.conjugate(), v.conjugate()
     theta = cmath.phase(z)
-    if theta < 0.0:
-        val, est = _abel_plana_phi(z.conjugate(), s.conjugate(), v.conjugate())
-        return val.conjugate(), est
     rho = abs(z)
     lam = math.log(rho)
     if theta == 0.0 and lam >= 0.0:
@@ -218,19 +228,57 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
         mass = 0.5 * mass + new_mass
         if abs(total - prev) <= 8.0 * _UNIT_ROUNDOFF * mass:
             break
-    return complex(0.5 * principal_power(v, -s) + total), float(abs(total - prev))
+    val = complex(0.5 * principal_power(v, -s) + total)
+    return (val.conjugate() if flip else val), float(abs(total - prev))
+
+
+def _laplace_phi(z: complex, s: complex, v: complex, level: int) -> tuple[complex, float]:
+    """(1/Gamma(s)) int_0^inf t^(s-1) e^(-vt)/(1 - z e^-t) dt, with an estimate.
+
+    Needs Re(v) > 0 and either |z| <= 1, z != 1, Re(s) > 0, or z = 1,
+    Re(s) > 1.  The ray is turned half way to conj(v): t = c x with
+    c = e^(-i arg(v)/2).  The poles of 1/(1 - z e^-t) lie on
+    Re t = log|z| <= 0, so no turn below pi/2 crosses them.  On the real
+    axis e^(-vt) oscillates at Im(v), and the cancellation cost up to
+    1.8e-14 in rounding at Re(v) = 0.3, |Im v| = 1.  The full turn,
+    c = conj(v)/|v|, ends the oscillation but brings the poles to
+    cos(arg v) times their distance from the real axis.  The half turn
+    keeps both factors at cos(arg(v)/2) > 0.7.  One tanh-sinh
+    rule sums both panels: (0, 1], and [1, 1 + 46/Re(c v)], over which
+    e^(-c v x) falls by e^-46.  Level - 1 and the nodes ``level`` adds are
+    summed in one pass; returns S_level and |S_level - S_(level-1)| as its
+    error estimate.
+    """
+    half = -0.5 * cmath.phase(v)
+    turn = cmath.exp(1j * half)
+    rate = v * turn
+    span = 46.0 / rate.real
+    coarse, fine = tanh_sinh(level - 1), tanh_sinh_refinement(level)
+    x = np.concatenate([coarse.nodes, 1.0 + span * coarse.nodes, fine.nodes, 1.0 + span * fine.nodes])
+    w = np.concatenate([coarse.weights, span * coarse.weights, fine.weights, span * fine.weights])
+    terms = w * np.exp((s - 1.0) * np.log(x) - rate * x) / (1.0 - z * np.exp(-turn * x))
+    cut = 2 * len(coarse.nodes)
+    prev = np.sum(terms[:cut])
+    total = 0.5 * prev + np.sum(terms[cut:])
+    # c^s: c^(s-1) from t^(s-1), and dt = c dx.
+    scale = rgamma(s) * cmath.exp(1j * half * s)
+    return complex(scale * total), float(abs(scale * (total - prev)))
 
 
 def lerch_unit_circle_full(z: complex, s: complex, v: complex) -> tuple[complex, float]:
-    """Unit-circle Phi with an error estimate: the adaptive Abel-Plana
-    evaluator, refined up to tanh-sinh level 8.
+    """Unit-circle Phi with an error estimate: for Re(s) > 1/2,
+    |Im(s)| <= 3 and Re(v) >= 0.3 the Laplace form ``_laplace_phi`` on
+    tanh-sinh levels 5 and 6, at about half the cost; elsewhere the
+    adaptive Abel-Plana evaluator, refined up to tanh-sinh level 8.
 
     Preconditions: |z| = 1 within 1e-12, |z - 1| >= 1e-6, Re(v) > 0.
     About 1e-14 relative for |z - 1| >= 0.01 unless Re(v) is small (below
     0.1 for Re(s) <= 0, 0.3 for Re(s) > 0): there (v +- it)^-s peaks a
-    distance Re(v) from the contour, the level cap binds, and the estimate
-    grows with the error.  Rounding, which the estimate omits, grows
-    towards z = 1 (2e-12 at |z - 1| = 1e-4).
+    distance Re(v) from Abel-Plana's contour, the level cap binds, and the
+    estimate grows with the error.  Rounding, which the estimate omits,
+    grows towards z = 1 on both routes, to the same order (2e-12 at
+    |z - 1| = 1e-4), so the Laplace form needs no floor on |z - 1| of its
+    own (README, Accuracy notes).
     """
     z, s, v = complex(z), complex(s), complex(v)
     if abs(abs(z) - 1.0) > 1e-12:
@@ -239,29 +287,30 @@ def lerch_unit_circle_full(z: complex, s: complex, v: complex) -> tuple[complex,
         raise DomainError("z too close to 1 for the unit-circle evaluator")
     if v.real <= 0:
         raise DomainError(f"unit-circle evaluator needs Re(v) > 0, got v={v!r}")
+    if s.real > _LAPLACE_MIN_RE_S and abs(s.imag) <= _LAPLACE_MAX_IM_S and v.real >= _LAPLACE_MIN_RE_V:
+        return _laplace_phi(z, s, v, 6)
     return _abel_plana_phi(z, s, v)
 
 
 def lerch_integral_oracle(z: complex, s: complex, v: complex) -> complex:
-    """Cross-check oracle: (1/Gamma(s)) int_0^inf t^(s-1) e^(-vt)/(1 - z e^-t) dt.
+    """Cross-check oracle: the Laplace form ``_laplace_phi`` at tanh-sinh
+    level 9, the code the unit circle runs at level 6.
 
     Conditions: Re(v) > 0 and either |z| <= 1, z != 1, Re(s) > 0, or z = 1,
-    Re(s) > 1.  One tanh-sinh rule (level 9) sums both panels: (0, 1], and
-    [1, 1 + 46/Re(v)], over which e^(-Re(v) t) falls by e^-46.  The earlier
-    tail rule, 48-node Gauss-Laguerre on [1, inf), converged slowly: the
-    poles of 1/(1 - z e^-t) lie a bounded distance (about pi for |z| = 1)
-    from the real axis.
+    Re(s) > 1.
     Worst relative error against 40-digit mpmath `lerchphi`, 40 points per
     band, half on |z| = 1 and half with |z| in (0.05, 0.99), arg z in
-    (0.2 pi, 1.8 pi), Re(s) in (0.6, 3.5), Im(s), Im(v) in (-0.8, 0.8):
+    (0.2 pi, 1.8 pi), Re(s) in (0.6, 3.5), Im(s), Im(v) in (-0.8, 0.8),
+    on the real axis with a Gauss-Laguerre or a tanh-sinh tail, then on a
+    fresh draw on the real axis and on the half-turned ray (today's form):
 
-    =============  =====================  ==============
-    Re(v)          Gauss-Laguerre tail    tanh-sinh tail
-    =============  =====================  ==============
-    (0.05, 0.1)    5.4e3                  1.1e-11
-    (0.1, 0.3)     10                     1.5e-14
-    (0.3, 2)       1.2e-9                 1.5e-15
-    =============  =====================  ==============
+    =============  =====================  ==============  ==========  ===========
+    Re(v)          Gauss-Laguerre tail    tanh-sinh tail  real axis   turned ray
+    =============  =====================  ==============  ==========  ===========
+    (0.05, 0.1)    5.4e3                  1.1e-11         6.0e-13     1.6e-15
+    (0.1, 0.3)     10                     1.5e-14         1.3e-14     1.9e-15
+    (0.3, 2)       1.2e-9                 1.5e-15         1.4e-15     1.3e-15
+    =============  =====================  ==============  ==========  ===========
     """
     z, s, v = complex(z), complex(s), complex(v)
     if v.real <= 0:
@@ -273,19 +322,14 @@ def lerch_integral_oracle(z: complex, s: complex, v: complex) -> complex:
             raise DomainError("z = 1 requires Re(s) > 1")
     elif not s.real > 0:
         raise DomainError("integral oracle needs Re(s) > 0 for z != 1")
-
-    ts = tanh_sinh(9)
-    span = 46.0 / v.real
-    t = np.concatenate([ts.nodes, 1.0 + span * ts.nodes])
-    w = np.concatenate([ts.weights, span * ts.weights])
-    vals = np.exp((s - 1.0) * np.log(t) - v * t) / (1.0 - z * np.exp(-t))
-    return complex(rgamma(s) * np.sum(w * vals))
+    return _laplace_phi(z, s, v, 9)[0]
 
 
 def lerch_phi(z: complex, s: complex, v: complex) -> complex:
     """Phi(z, s, v) by the first route in the module docstring's list that
     applies; off z = 0, 1 and -1, every s other than an integer in [-10, 0]
-    reaches the Abel-Plana evaluator."""
+    reaches the Abel-Plana evaluator, except on the circle at Re(s) > 1/2,
+    |Im(s)| <= 3 and Re(v) >= 0.3."""
     z, s, v = complex(z), complex(s), complex(v)
     if (pole := nearest_int(v, _INT_TOL)) is not None and pole <= 0:
         raise PoleError(f"lerch_phi pole: v={v!r} is a non-positive integer")

@@ -53,6 +53,24 @@ def test_a10_lerch_check_sees_the_evaluator(monkeypatch):
     assert "lerch" in result.detail, result.detail
 
 
+def test_a10_lerch_check_sees_the_laplace_route(monkeypatch):
+    # On the circle Re s > 0.5 takes the Laplace form, which A10 compares
+    # with Abel-Plana, not with the integral oracle that shares its code.
+    # With the z = -1 split check made to agree, the circle trials alone
+    # must see a relative defect of 1e-10 in the route.
+    real = lerch._laplace_phi
+
+    def scaled(z, s, v, level):
+        val, est = real(z, s, v, level)
+        return val * (1.0 + 1e-10), est
+
+    monkeypatch.setattr(lerch, "_laplace_phi", scaled)
+    monkeypatch.setattr(lerch, "lerch_minus_one_split", lambda s, v: lerch.lerch_unit_circle_full(-1.0, s, v)[0])
+    result = criterion_a10_module_oracles()
+    assert not result.passed
+    assert "lerch" in result.detail, result.detail
+
+
 def test_a10_legendre_check_sees_the_evaluator(monkeypatch):
     # The Legendre grid compares assoc_legendre_p with the degree
     # recurrence, so a relative defect of 1e-11 in the evaluator must show.

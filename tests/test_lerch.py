@@ -196,7 +196,9 @@ def test_regime_agreement_series_vs_abel_plana():
 
 def test_regime_agreement_circle_vs_integral_oracle():
     # 15 draws on the circle with Re v in (0.5, 2), then 15 inside the disk
-    # with Re v in (0.1, 0.3), where the oracle's tail panel is longest.
+    # with Re v in (0.1, 0.3), where the oracle's tail panel is longest.  The
+    # circle runs the oracle's Laplace form at Re s > 0.5, so its draws are
+    # checked against Abel-Plana.
     rng = random.Random(33)
     for trial in range(30):
         if trial < 15:
@@ -208,7 +210,7 @@ def test_regime_agreement_circle_vs_integral_oracle():
         s = complex(rng.uniform(0.6, 3.5), rng.uniform(-0.8, 0.8))
         v = complex(re_v, rng.uniform(-0.4, 0.4))
         a = lerch_phi(z, s, v)
-        b = lerch_integral_oracle(z, s, v)
+        b = _abel_plana_phi(z, s, v)[0] if trial < 15 else lerch_integral_oracle(z, s, v)
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a)), (z, s, v)
 
 
@@ -241,14 +243,17 @@ def _mp_lerch(mpmath, z, s, v):
 
 
 def _abel_plana_route_points(rng, route, count):
-    """Points that lerch_phi sends to the Abel-Plana evaluator.  Re v >= 0.1
+    """Points that lerch_phi sends to the route's evaluator.  Re v >= 0.1
     for Re s <= 0 (the closed form's s = -k) and Re v >= 0.3 otherwise:
     closer to Re v = 0 the factor (v +- it)^-s varies faster than the capped
-    level resolves (see test_abel_plana_estimate_covers_near_singular_v)."""
+    level resolves (see test_abel_plana_estimate_covers_near_singular_v).
+    On the circle Re s > 1/2 takes the Laplace form ("laplace"), so the
+    "circle" draws, which reach Abel-Plana, keep Re s <= 1/2."""
+    s_range = {"circle": (-6.0, 0.5), "laplace": (0.5, 4.0)}.get(route, (-6.0, 4.0))
     for _ in range(count):
-        s = complex(rng.uniform(-6.0, 4.0), rng.uniform(-1.0, 1.0))
+        s = complex(rng.uniform(*s_range), rng.uniform(-1.0, 1.0))
         v = complex(rng.uniform(0.1 if s.real <= 0 else 0.3, 2.0), rng.uniform(-1.0, 1.0))
-        if route == "circle":  # |z - 1| >= 0.01
+        if route in ("circle", "laplace"):  # |z - 1| >= 0.01
             z = cmath.exp(1j * rng.choice((1.0, -1.0)) * rng.uniform(0.01, math.pi))
         elif route == "annulus":
             rho = rng.uniform(0.999, 1.0 - 1e-6)
@@ -259,26 +264,76 @@ def _abel_plana_route_points(rng, route, count):
         yield z, s, v
 
 
-@pytest.mark.parametrize("route", ["circle", "annulus", "disk"])
+@pytest.mark.parametrize("route", ["circle", "annulus", "disk", "laplace"])
 def test_abel_plana_routes_match_mpmath(route, monkeypatch):
     mpmath = pytest.importorskip("mpmath")
     import sixfold.lerch as lerch
 
     calls = []
-    real = lerch._abel_plana_phi
+    name = "_laplace_phi" if route == "laplace" else "_abel_plana_phi"
+    real = getattr(lerch, name)
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lerch, "_abel_plana_phi", spy)
-    rng = random.Random({"circle": 61, "annulus": 62, "disk": 63}[route])
+    monkeypatch.setattr(lerch, name, spy)
+    rng = random.Random({"circle": 61, "annulus": 62, "disk": 63, "laplace": 67}[route])
     for z, s, v in _abel_plana_route_points(rng, route, 6):
         calls.clear()
         got = lerch.lerch_phi(z, s, v)
         assert calls, (route, z, s, v)
         ref = _mp_lerch(mpmath, z, s, v)
         assert abs(got - ref) <= 1e-12 * abs(ref), (route, z, s, v)
+
+
+@pytest.mark.parametrize(
+    "s, v, route",
+    [
+        (0.5 + 1e-9 + 0.4j, 0.9 - 0.3j, "_laplace_phi"),
+        (0.5 + 0.4j, 0.9 - 0.3j, "_abel_plana_phi"),
+        (0.5 - 1e-9 + 0.4j, 0.9 - 0.3j, "_abel_plana_phi"),
+        (2.3 - 0.5j, 0.3 + 0.6j, "_laplace_phi"),
+        (2.3 - 0.5j, 0.3 - 1e-9 + 0.6j, "_abel_plana_phi"),
+        (1.2 - 3.0j, 0.9 - 0.3j, "_laplace_phi"),
+        (1.2 - 3.0j - 1e-9j, 0.9 - 0.3j, "_abel_plana_phi"),
+        (1.0, 0.5, "_laplace_phi"),
+    ],
+    ids=["s_above", "s_at", "s_below", "v_at_floor", "v_below", "im_s_at_cap", "im_s_above", "difference_cases"],
+)
+def test_unit_circle_route_boundary(s, v, route, monkeypatch):
+    # Re s > 1/2, |Im s| <= 3 and Re v >= 0.3 take the Laplace form, every
+    # other point of the circle Abel-Plana; both sides of each bound stay
+    # accurate.
+    mpmath = pytest.importorskip("mpmath")
+    import sixfold.lerch as lerch
+
+    calls = []
+    for name in ("_laplace_phi", "_abel_plana_phi"):
+        real = getattr(lerch, name)
+        monkeypatch.setattr(lerch, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for z in (cmath.exp(0.3j), cmath.exp(-2.0j), -1.0 + 0.0j):
+        calls.clear()
+        val, est = lerch.lerch_unit_circle_full(z, s, v)
+        assert calls == [route], (z, calls)
+        ref = _mp_lerch(mpmath, z, s, v)
+        assert abs(val - ref) <= 1e-14 * abs(ref), (z, abs(val - ref) / abs(ref))
+        assert math.isfinite(est) and est <= 1e-12 * abs(ref), (z, est)
+
+
+def test_abel_plana_conjugates_inputs_in_one_call(monkeypatch):
+    # arg z < 0 is evaluated at the conjugate point inside the same call, so
+    # a counter on the function counts each evaluation once.
+    import sixfold.lerch as lerch
+
+    calls = []
+    real = lerch._abel_plana_phi
+    monkeypatch.setattr(lerch, "_abel_plana_phi", lambda *args: calls.append(args) or real(*args))
+    z, s, v = cmath.exp(-1.2j), -1.5 + 0.3j, 0.7 - 0.2j
+    val, est = lerch.lerch_unit_circle_full(z, s, v)
+    assert len(calls) == 1
+    up, up_est = real(z.conjugate(), s.conjugate(), v.conjugate())
+    assert (val, est) == (up.conjugate(), up_est)
 
 
 def test_abel_plana_estimate_covers_near_singular_v():
