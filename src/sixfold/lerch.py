@@ -10,12 +10,14 @@
 * z = -1: the two-term Hurwitz-zeta split (with the digamma limit at s=1).
 * |z| = 1 with Re(s) > 1/2, |Im(s)| <= 3 and Re(v) >= 0.3: the Laplace form
   (1/Gamma(s)) int t^(s-1) e^(-vt)/(1-z e^-t) dt, on a ray turned by
-  -arg(v)/2, summed on tanh-sinh levels 5 and 6 in one pass; the
-  difference of the two levels is the error estimate.
+  -arg(v)/2, summed on tanh-sinh level 6 and on level 5, its even nodes,
+  in one pass; the difference of the two levels is the error estimate.
 * every other z with |z| <= 1 (Re(v) > 0): a rotated-contour Abel-Plana
   representation, entire in s, evaluated by nested tanh-sinh levels from
   5 up to 8, stopping when two levels agree; the difference of the last
-  two levels is the error estimate.  It tracks the quadrature error, which
+  two levels is the error estimate.  Each call builds one rule per level
+  from 6 up: a level's coarser neighbour is read from its own nodes
+  (``quad.tanh_sinh_nesting``).  It tracks the quadrature error, which
   dominates as Re(v) -> 0, not rounding, which grows as z -> 1 (README,
   Accuracy notes, has the measured figures).  Below |z| = 0.05 it sums
   the tail z Phi(z, s, v + 1) after the first term v^(-s).
@@ -32,7 +34,7 @@ import math
 import numpy as np
 
 from .core import DomainError, PoleError, UnsupportedRegimeError, nearest_int, principal_power
-from .quad import tanh_sinh, tanh_sinh_refinement
+from .quad import tanh_sinh, tanh_sinh_nesting
 from .specialfn import digamma, hurwitz_zeta, rgamma
 
 _MAX_SERIES_TERMS = 200_000
@@ -155,10 +157,12 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
 
     The integrands run in numpy arrays with no complex log: the three logs,
     log(v + u e^(i phi)) and log(v +- it), come from real parts
-    (``_log``), several times cheaper than numpy's complex log.  Level 5
-    and the nodes level 6 adds are evaluated in one pass, since most calls
-    stop at level 6 (244 of the 268 in one benchmark sweep).  Each
-    form of the boundary integrand is computed only where it is used.
+    (``_log``), several times cheaper than numpy's complex log.  Every node
+    of ``tanh_sinh(6)`` is evaluated in one pass, since most calls stop at
+    level 6 (244 of the 268 in one benchmark sweep): level 5 is its even
+    nodes at twice their weights.  Levels 7 and 8 evaluate only the nodes
+    they add.  Each form of the boundary integrand is computed only where
+    it is used.
     """
     flip = cmath.phase(z) < 0.0
     if flip:  # Phi(conj z, conj s, conj v) = conj Phi(z, s, v)
@@ -186,11 +190,8 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
     upper = cutoff(r_decay)
     tmax = cutoff(2.0 * math.pi - theta)
 
-    def terms(*rules):
-        """Sum and absolute sum of both integrals' weighted terms at each
-        rule's nodes; the nodes of all the rules are evaluated in one pass."""
-        weights = np.concatenate([rule.weights for rule in rules])
-        nodes = np.concatenate([rule.nodes for rule in rules])
+    def terms(nodes, weights):
+        """Both integrals' weighted terms at the given nodes."""
         u = upper * nodes
         i0 = weights * np.exp(-r_decay * u - s * _log(v.real + u * eiphi.real, v.imag + u * eiphi.imag))
         t = tmax * nodes
@@ -210,22 +211,28 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
         j_int[small] = 2.0 * np.exp(0.5 * (gp[small] + gm[small]) - em1) * np.sinh(delta[small] / 2.0)
         em1 = log_em1[big]
         j_int[big] = np.exp(gp[big] - em1) - np.exp(gm[big] - em1)
-        j_int *= weights
-        cuts = np.cumsum([len(rule.nodes) for rule in rules])[:-1]
-        return [
-            (
-                eiphi * upper * np.sum(a) + 1j * tmax * np.sum(b),
-                upper * np.sum(np.abs(a)) + tmax * np.sum(np.abs(b)),
-            )
-            for a, b in zip(np.split(i0, cuts), np.split(j_int, cuts))
-        ]
+        return i0, j_int * weights
 
-    # Levels 5 and 6 in one pass: most calls stop at level 6.
-    (total, mass), level6 = terms(tanh_sinh(5), tanh_sinh_refinement(6))
+    def sums(i0, j_int):
+        """The rule sum of the two integrals and its absolute sum."""
+        return (
+            eiphi * upper * np.sum(i0) + 1j * tmax * np.sum(j_int),
+            upper * np.sum(np.abs(i0)) + tmax * np.sum(np.abs(j_int)),
+        )
+
+    # Level 5 is the even nodes of level 6 at twice their weights.
+    rule = tanh_sinh(6)
+    coarse, added = tanh_sinh_nesting(rule)
+    i0, j_int = terms(rule.nodes, rule.weights)
+    total, mass = sums(2.0 * i0[coarse], 2.0 * j_int[coarse])
+    new = sums(i0[added], j_int[added])
     for lev in range(6, _ABEL_PLANA_MAX_LEVEL + 1):
-        new, new_mass = level6 if lev == 6 else terms(tanh_sinh_refinement(lev))[0]
-        prev, total = total, 0.5 * total + new
-        mass = 0.5 * mass + new_mass
+        if lev > 6:
+            rule = tanh_sinh(lev)
+            added = tanh_sinh_nesting(rule)[1]
+            new = sums(*terms(rule.nodes[added], rule.weights[added]))
+        prev, total = total, 0.5 * total + new[0]
+        mass = 0.5 * mass + new[1]
         if abs(total - prev) <= 8.0 * _UNIT_ROUNDOFF * mass:
             break
     val = complex(0.5 * principal_power(v, -s) + total)
@@ -245,21 +252,28 @@ def _laplace_phi(z: complex, s: complex, v: complex, level: int) -> tuple[comple
     cos(arg v) times their distance from the real axis.  The half turn
     keeps both factors at cos(arg(v)/2) > 0.7.  One tanh-sinh
     rule sums both panels: (0, 1], and [1, 1 + 46/Re(c v)], over which
-    e^(-c v x) falls by e^-46.  Level - 1 and the nodes ``level`` adds are
-    summed in one pass; returns S_level and |S_level - S_(level-1)| as its
-    error estimate.
+    e^(-c v x) falls by e^-46.  Every node of ``tanh_sinh(level)`` is
+    evaluated in one pass, and level - 1 is read from its even nodes;
+    returns S_level and |S_level - S_(level-1)| as its error estimate.
+    That difference measures the error of level - 1, and near z = 1 it
+    overstates the error of S_level by orders of magnitude: at level 6,
+    over 40 points, 4.3e-8 against at most 1.0e-11 relative at
+    |z - 1| = 1e-6, and 1.9e-11 against 1.2e-13 at 1e-4 (README, Accuracy
+    notes).
     """
     half = -0.5 * cmath.phase(v)
     turn = cmath.exp(1j * half)
     rate = v * turn
     span = 46.0 / rate.real
-    coarse, fine = tanh_sinh(level - 1), tanh_sinh_refinement(level)
-    x = np.concatenate([coarse.nodes, 1.0 + span * coarse.nodes, fine.nodes, 1.0 + span * fine.nodes])
-    w = np.concatenate([coarse.weights, span * coarse.weights, fine.weights, span * fine.weights])
+    rule = tanh_sinh(level)
+    coarse, added = tanh_sinh_nesting(rule)
+    x = np.stack([rule.nodes, 1.0 + span * rule.nodes])
+    w = np.stack([rule.weights, span * rule.weights])
     terms = w * np.exp((s - 1.0) * np.log(x) - rate * x) / (1.0 - z * np.exp(-turn * x))
-    cut = 2 * len(coarse.nodes)
-    prev = np.sum(terms[:cut])
-    total = 0.5 * prev + np.sum(terms[cut:])
+    # Each sum runs over one contiguous array, panel (0, 1] first: numpy sums
+    # a strided view in blocks of its buffer size, which would set the rounding.
+    prev = np.sum(2.0 * terms[:, coarse])  # level - 1 has twice the weights
+    total = 0.5 * prev + np.sum(terms[:, added].ravel())
     # c^s: c^(s-1) from t^(s-1), and dt = c dx.
     scale = rgamma(s) * cmath.exp(1j * half * s)
     return complex(scale * total), float(abs(scale * (total - prev)))
@@ -270,6 +284,9 @@ def lerch_unit_circle_full(z: complex, s: complex, v: complex) -> tuple[complex,
     |Im(s)| <= 3 and Re(v) >= 0.3 the Laplace form ``_laplace_phi`` on
     tanh-sinh levels 5 and 6, at about half the cost; elsewhere the
     adaptive Abel-Plana evaluator, refined up to tanh-sinh level 8.
+    The Laplace form's estimate |S_6 - S_5| is level 5's error, which
+    near z = 1 exceeds that of the value returned by orders of magnitude
+    (see ``_laplace_phi``).
 
     Preconditions: |z| = 1 within 1e-12, |z - 1| >= 1e-6, Re(v) > 0.
     About 1e-14 relative for |z - 1| >= 0.01 unless Re(v) is small (below

@@ -3,7 +3,9 @@
 One-dimensional rules: tanh-sinh on the open unit interval (double
 exponential, handles endpoint singularities), Gauss-Laguerre on (0, inf)
 with weight e^-x, and ``log_axis_rule``, which joins the two for the
-log-power axes.
+log-power axes.  Tanh-sinh levels nest bit for bit: ``tanh_sinh_nesting``
+picks out of one level the nodes of the level below and the nodes the
+level adds, so a caller that needs two levels builds one rule.
 
 The six-dimensional integrand, after substituting L = log(1/.) on the four
 log-power axes, factors as
@@ -72,17 +74,15 @@ class Rule1D:
             raise DomainError("rule nodes/weights length mismatch")
 
 
-def _tanh_sinh_points(level: int, first: int) -> Rule1D:
-    """Tanh-sinh points at t = j h, h = 2^-level, and at -t, up to the
-    cut-off: every j >= 0 for first = 0, the odd j (the points the level
-    adds to level - 1) for first = 1.  Each t = j h is exact, so levels
-    nest bit for bit, with level - 1 weights exactly twice those of level."""
+def tanh_sinh(level: int) -> Rule1D:
+    """Tanh-sinh rule on the open interval (0, 1): points at t = j h,
+    h = 2^-level, for j = -jmax..jmax up to the cut-off.  Each t = j h is
+    exact, so levels nest bit for bit (``tanh_sinh_nesting``)."""
     if not 1 <= level <= _MAX_LEVEL:
         raise DomainError(f"tanh_sinh level must be in [1, {_MAX_LEVEL}]")
     h = 2.0 ** (-level)
     t_max = math.asinh(2.0 * _TS_YMAX / math.pi)
-    jmax = int(math.floor(t_max / h))
-    t = h * np.arange(first, jmax + 1, 1 + first)
+    t = h * np.arange(int(math.floor(t_max / h)) + 1)
     y = 0.5 * math.pi * np.sinh(t)
     e2 = np.exp(-2.0 * y)
     hi = 1.0 / (1.0 + e2)          # node for +t
@@ -90,25 +90,19 @@ def _tanh_sinh_points(level: int, first: int) -> Rule1D:
     sech2 = 4.0 * e2 / (1.0 + e2) ** 2
     w = h * (0.25 * math.pi) * np.cosh(t) * sech2
 
-    skip = 1 - first  # t = 0 appears once
-    nodes = np.concatenate([lo[skip:][::-1], hi])
-    comp = np.concatenate([hi[skip:][::-1], lo])
-    weights = np.concatenate([w[skip:][::-1], w])
+    nodes = np.concatenate([lo[:0:-1], hi])  # t = 0 appears once
+    comp = np.concatenate([hi[:0:-1], lo])
+    weights = np.concatenate([w[:0:-1], w])
     return Rule1D(nodes=nodes, weights=weights, complement=comp)
 
 
-def tanh_sinh(level: int) -> Rule1D:
-    """Tanh-sinh rule on the open interval (0, 1); mesh h = 2^-level."""
-    return _tanh_sinh_points(level, 0)
-
-
-def tanh_sinh_refinement(level: int) -> Rule1D:
-    """The points ``tanh_sinh(level)`` adds to ``tanh_sinh(level - 1)`` (odd
-    multiples of h), with their level weights: for a rule sum S,
-    S_level = S_(level-1) / 2 + sum over these points."""
-    if level < 2:
-        raise DomainError("tanh_sinh_refinement needs level >= 2")
-    return _tanh_sinh_points(level, 1)
+def tanh_sinh_nesting(rule: Rule1D) -> tuple[slice, slice]:
+    """For ``rule = tanh_sinh(level)``: the index of the nodes
+    ``tanh_sinh(level - 1)`` holds (even j, whose weights there are exactly
+    twice these), and of the nodes the level adds (odd j).  For a rule sum,
+    S_level = S_(level-1) / 2 + the sum over the added nodes."""
+    even = (len(rule.nodes) - 1) // 2 % 2  # index 0 holds j = -jmax
+    return slice(even, None, 2), slice(1 - even, None, 2)
 
 
 def gauss_laguerre(n: int) -> Rule1D:

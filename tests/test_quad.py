@@ -33,7 +33,7 @@ from sixfold.quad import (
     log_axis_rule,
     sobol_points,
     tanh_sinh,
-    tanh_sinh_refinement,
+    tanh_sinh_nesting,
 )
 from sixfold.specialfn import digamma, gamma, polygamma
 
@@ -136,25 +136,23 @@ def test_tanh_sinh_endpoint_singularities():
     assert abs(got - math.sqrt(math.pi) / 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("level", [6, 7, 8])
+@pytest.mark.parametrize("level", range(2, 13))
 def test_tanh_sinh_levels_nest(level):
-    fine, coarse, new = tanh_sinh(level), tanh_sinh(level - 1), tanh_sinh_refinement(level)
-    # fine holds t = j h for j = -jmax..jmax; the coarse rule is its even j
-    jmax = (len(fine.nodes) - 1) // 2
-    even = (np.arange(len(fine.nodes)) - jmax) % 2 == 0
-    assert np.array_equal(fine.nodes[even], coarse.nodes)
-    assert np.array_equal(fine.complement[even], coarse.complement)
-    assert np.array_equal(2.0 * fine.weights[even], coarse.weights)
-    assert np.array_equal(fine.nodes[~even], new.nodes)
-    assert np.array_equal(fine.complement[~even], new.complement)
-    assert np.array_equal(fine.weights[~even], new.weights)
+    fine, coarse = tanh_sinh(level), tanh_sinh(level - 1)
+    held, added = tanh_sinh_nesting(fine)
+    assert np.array_equal(fine.nodes[held], coarse.nodes)
+    assert np.array_equal(fine.complement[held], coarse.complement)
+    assert np.array_equal(2.0 * fine.weights[held], coarse.weights)
+    # the two indices cover every node exactly once
+    index = np.arange(len(fine.nodes))
+    assert np.array_equal(np.sort(np.concatenate([index[held], index[added]])), index)
 
 
 def test_rule_parameter_validation():
     with pytest.raises(DomainError):
         tanh_sinh(13)
     with pytest.raises(DomainError):
-        tanh_sinh_refinement(1)
+        tanh_sinh(0)
     with pytest.raises(DomainError):
         gauss_laguerre(600)
     with pytest.raises(DomainError):
