@@ -191,7 +191,10 @@ def nearest_int(z: complex, tol: float) -> int | None:
     """The integer n with |Re z - n| <= tol and |Im z| <= tol, else None.
 
     The one integer test of the package; each caller passes its own tol.
+    A non-finite z raises DomainError.
     """
+    if not cmath.isfinite(z):
+        raise DomainError(f"expected a finite number, got {z!r}")
     if abs(z.imag) > tol:
         return None
     n = round(z.real)

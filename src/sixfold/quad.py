@@ -266,16 +266,6 @@ class QmcSpec:
 # ----------------------------------------------------------------------
 
 
-def _int_power(s_vals: np.ndarray, n: int) -> np.ndarray:
-    """s^n for n >= 0 by repeated multiplication: numpy's float power calls
-    pow() per element, which is several times slower for the small n used
-    here."""
-    out = np.ones_like(s_vals)
-    for _ in range(n):
-        out *= s_vals
-    return out
-
-
 @dataclass(frozen=True)
 class Integrand6D:
     """Separable pieces of the transformed integrand on (0,1)^2 x (0,inf)^4.
@@ -348,8 +338,10 @@ class Integrand6D:
         costs a fraction of numpy's complex log and exp, per-element calls
         of the C library's clog and cexp:
 
-        * real S, integer k >= 0: (prod e^(log_w)) s_re^k, the product
-          repeated;
+        * real S at integer k >= 0, and complex S at k = 0 (S^0 = 1
+          whatever S is): (prod e^(log_w)) s_re^k, the power built by
+          repeated products in ``log_w``, free once its exp has joined
+          prod, and ``im``, where given, zeroed;
         * complex S, integer k: prod e^(log_w) (s_re + ic)^|k| by repeated
           real-pair products, for k < 0 with 1/S = (s_re - ic)/(s_re^2 + c^2),
           its denominator divided out of prod first;
@@ -363,7 +355,8 @@ class Integrand6D:
         Unless k is a non-negative integer, S must stay off 0.  Since
         |S| >= |c| at every point, one scalar check does it: |c| < 1e-300,
         real S included, raises NonFiniteSampleError.  ``s_re``, ``log_w``
-        and ``prod`` are overwritten."""
+        and ``prod`` are overwritten; no branch allocates an array, each
+        step writes into these five buffers."""
         kk, c = self.k_int, self.log_a.imag
         if (kk is None or kk < 0) and abs(c) < 1e-300:
             raise NonFiniteSampleError("coupling log argument can hit zero: |Im log a| < 1e-300")
@@ -388,8 +381,13 @@ class Integrand6D:
             re *= prod
             return
         prod *= np.exp(log_w, out=log_w)
-        if im is None:
-            np.multiply(prod, _int_power(s_re, kk), out=re)
+        if im is None or kk == 0:  # S^k real: prod s_re^k, with S^0 = 1
+            log_w.fill(1.0)
+            for _ in range(kk):  # numpy's float power calls pow() per element
+                log_w *= s_re
+            np.multiply(prod, log_w, out=re)
+            if im is not None:
+                im.fill(0.0)
             return
         if kk < 0:
             q = np.multiply(s_re, s_re, out=log_w)
@@ -397,10 +395,6 @@ class Integrand6D:
             for _ in range(-kk):
                 prod /= q
             c = -c
-        if kk == 0:
-            np.copyto(re, prod)
-            im.fill(0.0)
-            return
         np.multiply(prod, s_re, out=re)
         np.multiply(prod, c, out=im)
         for _ in range(abs(kk) - 1):  # (re + i im) (s_re + ic)
@@ -473,7 +467,8 @@ def _tensor_sum(f: Integrand6D, rules: tuple[Rule1D, ...]) -> complex:
             mhat.append(np.sum(term))
         joint = np.convolve(joint, mhat)[: kk + 1]
 
-    # Horner in c0: numpy's float power calls pow() per element (_int_power).
+    # Horner in c0: numpy's float power calls pow() per element, several
+    # times slower than products for the small k used here.
     c0 = f.log_a + np.log(rx.nodes)[:, None] - np.log(ry.nodes)[None, :]
     acc = np.full(c0.shape, joint[0])
     for r in range(1, kk + 1):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sixfold import specialfn
 from sixfold.core import (
     PARAM_NAMES,
     DomainError,
@@ -14,6 +15,9 @@ from sixfold.core import (
     principal_power,
     validate_parameters,
 )
+from sixfold.jets import jet_csc
+from sixfold.lerch import lerch_phi
+from sixfold.quad import Integrand6D
 
 
 def test_valid_reference_set():
@@ -147,6 +151,29 @@ def test_nearest_int_edges(n, tol):
         assert got == n and type(got) is int, z
     for z in (n + 2 * tol, n - 2 * tol, complex(n, 2 * tol), complex(n, -2 * tol)):
         assert nearest_int(z, tol) is None, z
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: specialfn.gamma(_NAN),
+        lambda: specialfn.digamma(_NAN),
+        lambda: specialfn.hurwitz_zeta(_NAN, 1),
+        lambda: specialfn.log_gamma(_INF),
+        lambda: lerch_phi(0.5, _NAN, 1),
+        lambda: lerch_phi(0.5, 1, _NAN),
+        lambda: jet_csc(_NAN, 2),
+        lambda: Integrand6D(ParameterSet(k=_NAN)),
+    ],
+    ids=["gamma", "digamma", "hurwitz_zeta", "log_gamma_inf", "lerch_s", "lerch_v", "jet_csc", "integrand_k"],
+)
+def test_non_finite_argument_raises_domain_error(call):
+    # nearest_int, the package's one integer test, sees these first.
+    with pytest.raises(DomainError, match="finite"):
+        call()
 
 
 def test_principal_power_zero_base():

@@ -4,13 +4,16 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sixfold.quad as quad
+from goldens import AVX2, AVX512, BASELINE, golden, kernel_set
 from oracles import integrate_6d_brute, qmc_reference
 from sixfold.core import (
     DomainError,
@@ -243,7 +246,8 @@ def test_tensor_near_beta_minus_one():
     assert tensor.err >= error
 
 
-# (value.real, value.imag, err) of the tensor path in hex, recorded before
+# (value.real, value.imag, err) of the tensor path in hex, per numpy kernel
+# set (goldens.py); the AVX512 values were recorded before
 # integrate_6d_tensor built its own rules: the same rules feed the same
 # sums, so no bit may move.  Integer degrees terminate the Gauss series;
 # order u = -1 makes c = 1 - u an integer (positive integer orders break
@@ -251,15 +255,27 @@ def test_tensor_near_beta_minus_one():
 _TENSOR_GOLDEN = {
     "integer_degree": (
         ParameterSet(k=3, a=1.5, m=0.4, u=-0.4, v=1.0, mu=-0.6, nu=1.0),
-        ("-0x1.ba9c4cdf32988p+6", "0x0.0p+0", "0x1.c4f4d20000000p-23"),
+        {
+            AVX512: ("-0x1.ba9c4cdf32988p+6", "0x0.0p+0", "0x1.c4f4d20000000p-23"),
+            AVX2: ("-0x1.ba9c4cdf32988p+6", "0x0.0p+0", "0x1.c4f4cc0000000p-23"),
+            BASELINE: ("-0x1.ba9c4cdf32988p+6", "0x0.0p+0", "0x1.c4f4cc0000000p-23"),
+        },
     ),
     "integer_order": (
         ParameterSet(k=4, a=2.3, m=0.35, u=-1.0, v=1.7, mu=0.0, nu=0.6),
-        ("0x1.71415121e3e96p+11", "0x0.0p+0", "0x1.ca7a340000000p-18"),
+        {
+            AVX512: ("0x1.71415121e3e96p+11", "0x0.0p+0", "0x1.ca7a340000000p-18"),
+            AVX2: ("0x1.71415121e3e98p+11", "0x0.0p+0", "0x1.ca7a340000000p-18"),
+            BASELINE: ("0x1.71415121e3e98p+11", "0x0.0p+0", "0x1.ca7a340000000p-18"),
+        },
     ),
     "near_beta_minus_one": (
         NEAR_BETA_MINUS_ONE,
-        ("0x1.41b271c7b0800p+23", "0x0.0p+0", "0x1.4e20000000000p-7"),
+        {
+            AVX512: ("0x1.41b271c7b0800p+23", "0x0.0p+0", "0x1.4e20000000000p-7"),
+            AVX2: ("0x1.41b271c7af500p+23", "0x0.0p+0", "0x1.4e44000000000p-7"),
+            BASELINE: ("0x1.41b271c7af500p+23", "0x0.0p+0", "0x1.4e44000000000p-7"),
+        },
     ),
 }
 
@@ -268,7 +284,7 @@ _TENSOR_GOLDEN = {
 def test_tensor_golden_values(case):
     ps, hexes = _TENSOR_GOLDEN[case]
     tensor = verify("theorem", ps, paths=("tensor",)).paths["tensor"]
-    assert (tensor.value.real.hex(), tensor.value.imag.hex(), tensor.err.hex()) == hexes
+    assert (tensor.value.real.hex(), tensor.value.imag.hex(), tensor.err.hex()) == golden(hexes)
 
 
 def test_tensor_rejects_non_integer_k():
@@ -319,9 +335,10 @@ def _pin(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-# Re-recorded when the Legendre kernel's Gauss series moved from a Maclaurin
-# sum to Horner's rule about (1-x)/2 = 1/4: the values moved by at most
-# 5.9e-16 relative (3.4e-13 of their standard error), the standard errors
+# Per numpy kernel set (goldens.py).  The AVX512 values were re-recorded
+# when the Legendre kernel's Gauss series moved from a Maclaurin sum to
+# Horner's rule about (1-x)/2 = 1/4: the values moved by at most 5.9e-16
+# relative (3.4e-13 of their standard error), the standard errors
 # by 3.0e-15 relative.  "complex_coupling" re-recorded when S^k moved from
 # numpy's complex log and exp to real arithmetic: the real part of the value
 # moved by one ulp (1.1e-16 relative), the standard error by 1.1e-14
@@ -330,12 +347,20 @@ _GOLDEN = {
     "real_coupling": (
         REAL_COUPLING,
         1 << 16,
-        ("-0x1.7f9838564a392p+7", "0x0.0p+0", "0x1.187149041c1fcp+3"),
+        {
+            AVX512: ("-0x1.7f9838564a392p+7", "0x0.0p+0", "0x1.187149041c1fcp+3"),
+            AVX2: ("-0x1.7f9838564a392p+7", "0x0.0p+0", "0x1.187149041c1fcp+3"),
+            BASELINE: ("-0x1.7f9838564a392p+7", "0x0.0p+0", "0x1.187149041c1fcp+3"),
+        },
     ),
     "complex_coupling": (
         COMPLEX_COUPLING,
         1 << 18,  # two 2^17-point blocks
-        ("-0x1.aba46553dfc0dp+3", "-0x1.4df9d8a09cf1cp+5", "0x1.561182b485bf9p-5"),
+        {
+            AVX512: ("-0x1.aba46553dfc0dp+3", "-0x1.4df9d8a09cf1cp+5", "0x1.561182b485bf9p-5"),
+            AVX2: ("-0x1.aba46553dfc0ep+3", "-0x1.4df9d8a09cf1cp+5", "0x1.561182b485bdap-5"),
+            BASELINE: ("-0x1.aba46553dfc0ep+3", "-0x1.4df9d8a09cf1cp+5", "0x1.561182b485bdap-5"),
+        },
     ),
 }
 
@@ -355,8 +380,13 @@ def test_qmc_golden_values(monkeypatch, case, one_cpu):
     points = quad.sobol_points
     monkeypatch.setattr(quad, "sobol_points", lambda n: asked.append(n) or points(n))
     val, se = integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=count))
-    assert (val.real.hex(), val.imag.hex(), se.hex()) == hexes
+    assert (val.real.hex(), val.imag.hex(), se.hex()) == golden(hexes)
     assert asked and max(asked) <= quad._QMC_CHUNK
+
+
+def test_golden_names_an_unrecorded_kernel_set():
+    with pytest.raises(pytest.fail.Exception, match=re.escape(kernel_set())):
+        golden({})
 
 
 def _valid_strip(seed: int, k: complex, a: complex, m=None, beta_p=None):
@@ -711,6 +741,39 @@ def test_coupling_real_s_is_repeated_products():
         for _ in range(k):
             want *= s_re
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "k, a",
+    [*((k, 1.7) for k in range(7)), (0, -2.0), (-1, -2.0), (-3, -2.0), (2, -2.0), (1.7, -1.3 + 0.4j)],
+)
+def test_coupling_allocates_no_array(k, a):
+    # Every branch writes into the caller's buffers: on a 2^14-point chunk
+    # one float64 array would be 128 KB.
+    f = Integrand6D(REFERENCE.replace(k=k, a=a))
+    rng = np.random.default_rng(5)
+    n = 1 << 14
+    s_re, log_w, prod = rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+    re, im = np.empty(n), np.empty(n) if isinstance(f.log_a, complex) else None
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        f.coupling(s_re, log_w, prod, re, im)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak
+
+
+def test_coupling_complex_s_at_k_zero_is_the_weight():
+    # S^0 = 1 whatever S is: Re is prod e^(log_w) bit for bit, Im zero.
+    f = Integrand6D(REFERENCE.replace(k=0, a=-2.0))
+    rng = np.random.default_rng(6)
+    s_re, log_w, prod = rng.uniform(-3.0, 3.0, 300), rng.uniform(-1.0, 1.0, 300), rng.uniform(0.5, 2.0, 300)
+    want = prod * np.exp(log_w)
+    re, im = np.full(300, np.nan), np.full(300, np.nan)
+    f.coupling(s_re, log_w, prod, re, im)
+    assert np.array_equal(re, want) and np.array_equal(im, np.zeros(300))
 
 
 @pytest.mark.parametrize("k", [-1, -3])
