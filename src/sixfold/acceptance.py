@@ -38,11 +38,9 @@ class CriterionResult:
     seconds: float = 0.0  # wall time, set by run_criterion
 
 
-def _random_valid_parameters(rng: random.Random, k: complex = 0.0, a: complex = 1.0) -> ParameterSet:
+def _random_valid_parameters(rng: random.Random) -> ParameterSet:
     while True:
         ps = ParameterSet(
-            k=k,
-            a=a,
             m=rng.uniform(0.05, 0.95),
             u=rng.uniform(-2.0, 0.95),
             v=rng.uniform(0.05, 2.5),

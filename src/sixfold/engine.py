@@ -367,19 +367,17 @@ def rhs_limit_full(case: IdentityCase | str, ps: ParameterSet) -> tuple[complex,
     ]
     # Neville in eps^2.
     table = list(sym)
-    prev_diag = table[0]
     est_err = math.inf
     for level in range(1, len(eps)):
         new = []
         for i in range(len(eps) - level):
             x0, x1 = eps[i] ** 2, eps[i + level] ** 2
             new.append((x0 * table[i + 1] - x1 * table[i]) / (x0 - x1))
-        table = new
-        err = abs(table[0] - prev_diag)
+        err = abs(new[0] - table[0])
         if err > 10.0 * est_err and level > 1:
             raise DomainError("Richardson extrapolation diverged")
         est_err = err
-        prev_diag = table[0]
+        table = new
     return table[0], est_err
 
 
@@ -460,15 +458,17 @@ def verify(
     tolerance (plus three times the paths' own error estimates, for the
     stochastic and discretization paths); fewer than two computed values
     leave nothing to compare and the verdict passes vacuously, with the
-    per-path statuses telling the story.  Parameter-strip violations, and a
-    second exponent n outside 0 < Re(n) < 1, short-circuit to
+    per-path statuses telling the story.  Parameter-strip violations, a
+    second exponent n outside 0 < Re(n) < 1, and for an alt-form case an a
+    outside 0 < Re(a) <= 1, its domain, short-circuit to
     "invalid_parameters"; a case that needs n raises DomainError without
     one, and one that takes no n raises DomainError when given one.  Each
-    path function checks its own preconditions: a path that raises
-    ``InadmissibleError`` gets status "inadmissible" with the message as its
-    detail, one that raises any other ``SixfoldError`` or an
-    ``ArithmeticError`` gets status "error"; any other exception is a bug
-    and propagates.
+    path function checks its own preconditions, and the tensor and qmc
+    entries build their ``Integrand6D``, which refuses a complex strip, in
+    the same call: a path that raises ``InadmissibleError`` gets status
+    "inadmissible" with the message as its detail, one that raises any
+    other ``SixfoldError`` or an ``ArithmeticError`` gets status "error";
+    any other exception is a bug and propagates.
     """
     case = catalog_case(case)
     ps_eff = ps.replace(**case.pins) if case.pins else ps
@@ -487,6 +487,8 @@ def verify(
     qmc_spec = qmc_spec or QmcSpec()
     ps_thm = theorem_parameters(case, ps_eff)
     violations = validate_parameters(ps_thm)
+    if case.alt_form and not 0 < ps_eff.a.real <= 1:
+        violations.append("0<Re(a)<=1")
     if second is not None and not (cmath.isfinite(second) and 0 < second.real < 1):
         violations.append("0<Re(n)<1")
     warnings = parameter_warnings(ps_thm)

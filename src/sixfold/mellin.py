@@ -26,7 +26,7 @@ from .specialfn import gamma, log_gamma
 _POLE_TOL = 1e-13
 
 
-def _check_strip(s: complex, u: complex, v: complex) -> None:
+def _check_strip(s: complex, u: complex) -> None:
     # Integrability on (0, 1): x^(Re s - 1) at 0 (the Legendre factor is
     # bounded there) and (1-x)^(-Re u) at 1.  The Gamma-quotient arguments
     # (s-u+-v)/2 sit in the denominator, so non-positive values only zero
@@ -65,7 +65,7 @@ def mellin_legendre_quadrature(s: complex, u: complex, v: complex) -> complex:
     """tanh-sinh (level 10) evaluation of
     int_0^1 x^(s-1) (1-x^2)^(-u/2) P_v^u(x) dx."""
     s, u, v = complex(s), complex(u), complex(v)
-    _check_strip(s, u, v)
+    _check_strip(s, u)
     rule = tanh_sinh(10)
     x, omx = rule.nodes, rule.complement
     vals = np.exp((s - 1.0) * np.log(x)) * kernel_factor_array(v, u, x, omx)

@@ -18,8 +18,9 @@ substitution, L = T^(1/(1+beta)) (``_log_axis_head``): it folds L^beta and
 the Jacobian into the constant 1/(1+beta), and carries ln L instead of L,
 which underflows as Re beta -> -1.
 
-Both direct paths admit only real strip parameters, whose real parts
-``Integrand6D`` takes once: the Legendre kernels and log-axis weights run in
+Both direct paths integrate over a real strip: ``Integrand6D`` refuses
+strip parameters with an imaginary part of 1e-12 or more, and takes the real
+parts of the others once.  The Legendre kernels and log-axis weights run in
 float64, and complex numbers enter only through log a and the coupling S^k,
 which QMC too forms in float64, as real and imaginary parts.
 Both paths return (value, error estimate).  ``integrate_6d_tensor`` sums
@@ -270,14 +271,16 @@ class QmcSpec:
 class Integrand6D:
     """Separable pieces of the transformed integrand on (0,1)^2 x (0,inf)^4.
 
-    The one place that knows the integrand is real: both direct paths admit
-    only a real strip (``has_real_strip``) and read the numbers taken here
-    once, Re m, the real parts ``betas`` of the log-axis exponents (p, q, t,
-    z), ``log_a`` (a float when its imaginary part is 0), ``k_int``, k
-    as an int when within 1e-12 of one, and the Gauss-series coefficients
-    of the x and y kernels (``kernel_series``), which every node array of
-    the path reuses.  Each direct path checks its preconditions itself and
-    assembles its own sum from the pieces.
+    The one place that knows the integrand is real.  Construction refuses a
+    complex strip: unless m, u, v, mu and nu are real to within 1e-12, it
+    raises InadmissibleError before any series is set up.  Both direct
+    paths read the numbers taken here once: Re m, the real parts ``betas``
+    of the log-axis exponents (p, q, t, z), ``log_a`` (a float when its
+    imaginary part is 0), ``k_int``, the one accessor for k (an int when
+    within 1e-12 of one, else None), and the Gauss-series coefficients of
+    the x and y kernels (``kernel_series``), which every node array of the
+    path reuses.  Each direct path checks its other preconditions itself
+    and assembles its own sum from the pieces.
     """
 
     ps: ParameterSet
@@ -290,6 +293,8 @@ class Integrand6D:
 
     def __post_init__(self) -> None:
         ps = self.ps
+        if not all(abs(getattr(ps, name).imag) < 1e-12 for name in ("m", "u", "v", "mu", "nu")):
+            raise InadmissibleError("tensor and qmc paths need real strip parameters")
         log_a = cmath.log(ps.a)
         object.__setattr__(self, "m", ps.m.real)
         object.__setattr__(self, "betas", tuple(b.real for b in derive_exponents(ps)))
@@ -300,10 +305,10 @@ class Integrand6D:
 
     # -- separable pieces -------------------------------------------------
 
-    def x_factor(self, x: np.ndarray, one_minus_x: np.ndarray | None = None) -> np.ndarray:
+    def x_factor(self, x: np.ndarray, one_minus_x: np.ndarray) -> np.ndarray:
         return np.exp((self.m - 1.0) * np.log(x)) * self.x_kernel(x, one_minus_x)
 
-    def y_factor(self, y: np.ndarray, one_minus_y: np.ndarray | None = None) -> np.ndarray:
+    def y_factor(self, y: np.ndarray, one_minus_y: np.ndarray) -> np.ndarray:
         return np.exp(-self.m * np.log(y)) * self.y_kernel(y, one_minus_y)
 
     def x_kernel(self, x: np.ndarray, one_minus_x: np.ndarray | None = None) -> np.ndarray:
@@ -313,16 +318,6 @@ class Integrand6D:
     def y_kernel(self, y: np.ndarray, one_minus_y: np.ndarray | None = None) -> np.ndarray:
         """The real y kernel: the y factor without y^-m, which QMC warps away."""
         return kernel_factor_array(self.ps.nu.real, self.ps.mu.real, y, one_minus_y, self.y_series)
-
-    def has_real_strip(self) -> bool:
-        """True when m, u, v, mu and nu are real to within 1e-12."""
-        names = ("m", "u", "v", "mu", "nu")
-        return all(abs(getattr(self.ps, name).imag) < 1e-12 for name in names)
-
-    def integer_k(self) -> int | None:
-        """k as an int when it is a non-negative integer, else None."""
-        kk = self.k_int
-        return kk if kk is not None and kk >= 0 else None
 
     def coupling(
         self,
@@ -412,23 +407,21 @@ _TENSOR_PLAN = ((5, 32), (4, 24))
 
 
 def _tensor_k(f: Integrand6D) -> int:
-    """k, once the tensor path's preconditions are checked."""
-    kk = f.integer_k()
-    if kk is None:
+    """k, once the tensor path's precondition is checked."""
+    kk = f.k_int
+    if kk is None or kk < 0:
         raise InadmissibleError("tensor path needs integer k >= 0")
-    if not f.has_real_strip():
-        raise InadmissibleError("tensor path needs real strip parameters")
     return kk
 
 
 def integrate_6d_tensor(f: Integrand6D) -> tuple[complex, float]:
     """Tensor-product quadrature of the transformed integrand, and its error.
 
-    Requires integer k >= 0 and real strip parameters (else
-    InadmissibleError).  Each level of ``_TENSOR_PLAN`` builds one
-    ``tanh_sinh`` rule, taken on x and y and as every log axis's head, and
-    one ``gauss_laguerre`` rule for the log axes' tails; the value is the
-    fine sum, the error |fine - coarse|.
+    Requires integer k >= 0 (else InadmissibleError); ``Integrand6D``
+    admits only real strip parameters.  Each level of ``_TENSOR_PLAN``
+    builds one ``tanh_sinh`` rule, taken on x and y and as every log axis's
+    head, and one ``gauss_laguerre`` rule for the log axes' tails; the
+    value is the fine sum, the error |fine - coarse|.
     """
     sums = []
     for level, n in _TENSOR_PLAN:
@@ -638,14 +631,14 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     L = T^(1/(1+beta)) (``_log_axis_head``) for T <= 1, which absorbs the
     L^beta singularity.  Without the warps the estimator has unbounded
     variance and its replicate scatter understates the error; with them the
-    weight is bounded up to logarithms.  Strip parameters must be real
-    (``Integrand6D`` drops imaginary parts below 1e-12): the kernels,
-    weights and the coupling S^k run in float64, S^k last
+    weight is bounded up to logarithms.  Strip parameters are real
+    (``Integrand6D`` refuses others and drops imaginary parts below 1e-12):
+    the kernels, weights and the coupling S^k run in float64, S^k last
     (``Integrand6D.coupling``), with no complex array anywhere.  Unless k
-    is a non-negative integer, a must be off the positive real axis.  A
-    breach of either rule raises InadmissibleError.  The value is the mean
-    of ``spec.replicates`` digitally shifted replicates, the standard error
-    their scatter; bit-for-bit reproducible for a fixed spec.
+    is a non-negative integer, a must be off the positive real axis, else
+    InadmissibleError.  The value is the mean of ``spec.replicates``
+    digitally shifted replicates, the standard error their scatter;
+    bit-for-bit reproducible for a fixed spec.
 
     The points run through the pipeline in chunks of 2^14 (``_sobol_offset``),
     so memory does not grow with ``spec.count``, and the chunk size moves no
@@ -661,10 +654,8 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     The replicates run on up to one process per available CPU and give the
     bits of one process (:func:`_qmc_means`).
     """
-    if not f.has_real_strip():
-        raise InadmissibleError("qmc path needs real strip parameters")
     a = f.ps.a
-    if f.integer_k() is None and abs(a.imag) < 1e-12 and a.real > 0:
+    if (f.k_int is None or f.k_int < 0) and abs(a.imag) < 1e-12 and a.real > 0:
         raise InadmissibleError(
             "k is not a non-negative integer and a is on the positive real "
             "axis: the coupling log vanishes inside the domain, where S^k "

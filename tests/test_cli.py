@@ -408,6 +408,11 @@ def test_second_exponent_outside_its_strip_exit_two(capsys, n):
     assert "violations: 0<Re(n)<1" in capsys.readouterr().out
 
 
+def test_alt_form_a_outside_its_domain_exit_two(capsys):
+    assert main(["verify", "--case", "alt_lerch", "--k", "2", "--a", "1.5", "--paths", "jet,closed,special"]) == 2
+    assert "violations: 0<Re(a)<=1" in capsys.readouterr().out
+
+
 def test_missing_second_exponent_exit_two(capsys):
     assert main(["verify", "--case", "difference_arctanh"]) == 2
     assert capsys.readouterr() == ("", "error: difference case needs the second exponent n\n")

@@ -341,8 +341,8 @@ _QMC_ON_POSITIVE_A = (
         ("theorem", {"k": 11}, "jet", "jet paths need integer k in [0, 10]"),
         ("theorem", {"k": -1}, "moment", "jet paths need integer k in [0, 10]"),
         ("theorem", {"k": -1, "a": -2}, "tensor", "tensor path needs integer k >= 0"),
-        ("theorem", {"m": 0.4 + 0.1j}, "tensor", "tensor path needs real strip parameters"),
-        ("theorem", {"m": 0.4 + 0.1j}, "qmc", "qmc path needs real strip parameters"),
+        ("theorem", {"m": 0.4 + 0.1j}, "tensor", "tensor and qmc paths need real strip parameters"),
+        ("theorem", {"m": 0.4 + 0.1j}, "qmc", "tensor and qmc paths need real strip parameters"),
         ("theorem", {"k": 0.5}, "qmc", _QMC_ON_POSITIVE_A),
         ("theorem", {}, "special", "the general case has no separate elementary form"),
         ("degenerate", {}, "limit", "no limit family for this case"),
@@ -406,6 +406,25 @@ def test_second_exponent_outside_its_strip_is_invalid(n):
 @pytest.mark.parametrize("n", [0.05, 0.95, 0.3 + 0.2j])
 def test_second_exponent_inside_its_strip_passes(n):
     assert engine.verify("difference_arctanh", ParameterSet(), second=n).verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    ("a", "verdict"),
+    [
+        (1.5, "invalid_parameters"),
+        (-0.5, "invalid_parameters"),
+        (1.2 - 0.4j, "invalid_parameters"),
+        (0.0, "invalid_parameters"),
+        (1.0 + 0.3j, "pass"),
+        (0.999, "pass"),
+        (1.0, "pass"),
+    ],
+)
+def test_alt_form_a_outside_its_domain_is_invalid(a, verdict):
+    # The alt form's Phi(e^(i pi m), -k, a) is stated for 0 < Re(a) <= 1.
+    rep = engine.verify("alt_lerch", ParameterSet(k=2, a=a), paths=("jet", "closed", "special"))
+    assert rep.verdict == verdict
+    assert rep.violations == (["0<Re(a)<=1"] if verdict == "invalid_parameters" else [])
 
 
 def test_difference_case_requires_second_exponent():

@@ -293,18 +293,31 @@ def test_tensor_rejects_non_integer_k():
 
 
 def test_direct_paths_raise_inadmissible():
-    complex_strip = Integrand6D(REFERENCE.replace(m=0.5 + 0.1j))
+    # A complex strip is refused where both direct paths build their integrand.
+    with pytest.raises(InadmissibleError, match="tensor and qmc paths need real strip parameters"):
+        Integrand6D(REFERENCE.replace(m=0.5 + 0.1j))
     negative_k = Integrand6D(REFERENCE.replace(k=-1, a=-2.0))
     for integrate in (integrate_6d_tensor, _tensor_sum, integrate_6d_brute):
         args = () if integrate is integrate_6d_tensor else (_ref_rules(2, 4),)
-        with pytest.raises(InadmissibleError, match="tensor path needs real strip parameters"):
-            integrate(complex_strip, *args)
         with pytest.raises(InadmissibleError, match="tensor path needs integer k >= 0"):
             integrate(negative_k, *args)
-    with pytest.raises(InadmissibleError, match="qmc path needs real strip parameters"):
-        integrate_6d_qmc(complex_strip, QmcSpec(count=1 << 10))
     with pytest.raises(InadmissibleError, match="k is not a non-negative integer"):
         integrate_6d_qmc(Integrand6D(REFERENCE.replace(k=0.5)), QmcSpec(count=1 << 10))
+
+
+@pytest.mark.parametrize("name", ["m", "u", "v", "mu", "nu"])
+def test_complex_strip_is_refused_before_any_series(monkeypatch, name):
+    # The refusal is the first step of construction: neither the exponents
+    # nor a kernel's Gauss series is set up for an integrand no path admits.
+    # An imaginary part of 1e-12, the tolerance itself, is refused.
+    def fail(*args):
+        raise AssertionError("set up for a complex strip")
+
+    monkeypatch.setattr(quad, "derive_exponents", fail)
+    monkeypatch.setattr(quad, "kernel_series", fail)
+    ps = REAL_COUPLING.replace(**{name: getattr(REAL_COUPLING, name) + 1e-12j})
+    with pytest.raises(InadmissibleError, match="tensor and qmc paths need real strip parameters"):
+        Integrand6D(ps)
 
 
 def test_qmc_reproducible_bit_for_bit():
@@ -802,7 +815,6 @@ def test_near_real_strip_gives_one_integrand():
     # Integrand6D, so both direct paths give the exactly real strip's bits.
     real = Integrand6D(REAL_COUPLING)
     near = Integrand6D(REAL_COUPLING.replace(m=0.4 + 5e-13j, v=0.9 - 3e-13j))
-    assert near.has_real_strip()
     rules = _rules(real.betas)
     spec = QmcSpec(count=1 << 10)
     for got, want in (
