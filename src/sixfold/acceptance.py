@@ -211,8 +211,8 @@ def criterion_a9_difference_identities() -> CriterionResult:
 def criterion_a10_module_oracles() -> CriterionResult:
     problems = []
 
-    # Lerch, rel 1e-14: on the circle, where Re s > 0.5 takes the Laplace
-    # form, against Abel-Plana or, for Re s <= 0.5, the recurrence; inside
+    # Lerch, rel 1e-14: on the circle, where the Laplace form runs, against
+    # Abel-Plana or, where Abel-Plana runs, the recurrence; inside
     # the disk against the power series where it is well-conditioned
     # (|z| <= 1/2 when Re s < 0).
     rng = random.Random(55)
@@ -227,7 +227,7 @@ def criterion_a10_module_oracles() -> CriterionResult:
             got = lerch.lerch_unit_circle_full(z, s, v)[0]
             alt = (
                 lerch._abel_plana_phi(z, s, v)[0]
-                if s.real > 0.5
+                if lerch._laplace_route(s, v)
                 else complex(v) ** (-s) + z * lerch.lerch_unit_circle_full(z, s, v + 1.0)[0]
             )
         else:

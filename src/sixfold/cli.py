@@ -2,9 +2,12 @@
 emit machine-readable reports, and run the acceptance self-test suite.
 
 Exit codes for ``verify``: 0 pass, 1 verdict fail, 2 parameter validation
-failure (the second exponent n included), invalid option value, missing n
-for a difference case, n for a case that takes none, or an unreadable
-``--config`` or unwritable ``--output`` file, 3 numeric-path failure.
+failure (the strip at m = n included, for a second exponent n given on the
+command line), invalid option value, missing n for a difference case, n for
+a case that takes none, or an unreadable ``--config`` or unwritable
+``--output`` file, 3 numeric-path failure.  Every exit 2 that is not a
+verdict prints one ``error: ...`` line on stderr, argparse's own errors
+included; ``--help`` still prints the usage.
 """
 
 from __future__ import annotations
@@ -41,16 +44,12 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, im_part)
 
 
-def _typed(cast, flag: str):
-    """A ``type=`` hook: ``cast``, its ValueError raised as a DomainError naming ``flag``."""
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors (a bad option value, choice or argument)
+    as DomainError, so ``main`` reports them as one ``error:`` line."""
 
-    def convert(text: str):
-        try:
-            return cast(text)
-        except ValueError:
-            raise DomainError(f"{flag}: invalid {cast.__name__} value {text!r}") from None
-
-    return convert
+    def error(self, message):
+        raise DomainError(message)
 
 
 def _join_literals(argv: list[str]) -> list[str]:
@@ -88,7 +87,7 @@ def _config_args(path: str) -> list[str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sixfold",
         description="Multi-path verification of the six-fold log-kernel Legendre "
         "integral family and its Lerch-zeta closed forms.",
@@ -112,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--qmc-count", int, QmcSpec.count, "Sobol points per replicate"),
         ("--seed", int, QmcSpec.shift_seed, "digital-shift seed"),
     ):
-        p_verify.add_argument(flag, type=_typed(cast, flag), default=default, help=f"{what} (default %(default)s)")
+        p_verify.add_argument(flag, type=cast, default=default, help=f"{what} (default %(default)s)")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--output", default=None, help="write the report here instead of stdout")
     p_verify.add_argument("--config", default=None, help="key = value file read ahead of the flags")

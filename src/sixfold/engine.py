@@ -139,10 +139,6 @@ def _catanh(z: complex) -> complex:
     return 0.5 * (cmath.log(1.0 + z) - cmath.log(1.0 - z))
 
 
-def _two(e: complex) -> complex:
-    return principal_power(2.0, e)
-
-
 # ----------------------------------------------------------------------
 # Identity catalog: the cases' elementary forms, then the entries
 # ----------------------------------------------------------------------
@@ -156,7 +152,7 @@ def _hurwitz_split_form(ps: ParameterSet, n: complex | None) -> complex:
 
 def _harmonic_form(ps: ParameterSet, n: complex | None) -> complex:
     vv = lerch_third_argument(ps.a)
-    return -1j * math.pi * _two(ps.mu + ps.u - 2.0) * (digamma((vv + 1.0) / 2.0) - digamma(vv / 2.0))
+    return -1j * math.pi * principal_power(2.0, ps.mu + ps.u - 2.0) * (digamma((vv + 1.0) / 2.0) - digamma(vv / 2.0))
 
 
 def _difference_form(ps: ParameterSet, n: complex | None) -> complex:
@@ -164,7 +160,7 @@ def _difference_form(ps: ParameterSet, n: complex | None) -> complex:
         raise DomainError("difference case needs the second exponent n")
     return (
         math.pi
-        * _two(ps.mu + ps.u)
+        * principal_power(2.0, ps.mu + ps.u)
         * (_catanh(cmath.exp(1j * math.pi * ps.m)) - _catanh(cmath.exp(1j * math.pi * n)))
     )
 
@@ -181,7 +177,7 @@ def _eta_line_form(ps: ParameterSet, n: complex | None) -> complex:
     k = ps.k
     if abs(k + 1.0) < 1e-12:
         raise PoleError("zeta line undefined at k = -1; use the limit path")
-    factor = _two(k + 1.0) - 1.0
+    factor = principal_power(2.0, k + 1.0) - 1.0
     return (
         -factor
         * cmath.exp(0.5j * math.pi * k + (k + 2.0) * _LNPI + (k + ps.mu + ps.u) * _LN2)
@@ -194,9 +190,10 @@ class IdentityCase:
     """One catalog entry: parameter pins, admissible paths and data.
 
     ``special``: the elementary form, (ps, n) -> complex; None for theorem.
-    ``limit``: (k0, family tag); the limit path extrapolates the family
-    case's elementary form in k to k0.  ``alt_form``: stated in the shifted
-    form, mapped onto the general identity by ``theorem_parameters``.
+    ``limit``: the family case's tag; the limit path extrapolates that
+    case's elementary form in k to the pinned k.  ``alt_form``: stated in
+    the shifted form, mapped onto the general identity by
+    ``theorem_parameters``.
     """
 
     tag: str
@@ -207,7 +204,7 @@ class IdentityCase:
     second_exponent: complex | None = None
     paths: tuple[str, ...] = ()
     special: Callable[[ParameterSet, complex | None], complex] | None = None
-    limit: tuple[float, str] | None = None
+    limit: str | None = None
     alt_form: bool = False
 
 
@@ -224,7 +221,7 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="k = 0",
         pins={"k": 0.0},
         paths=("jet", "moment", "tensor", "qmc", "closed", "special"),
-        special=lambda ps, n: math.pi**2 * _two(ps.mu + ps.u - 1.0) / cmath.sin(math.pi * ps.m),
+        special=lambda ps, n: math.pi**2 * principal_power(2.0, ps.mu + ps.u - 1.0) / cmath.sin(math.pi * ps.m),
     ),
     IdentityCase(
         tag="hurwitz_zeta_form",
@@ -241,7 +238,7 @@ CATALOG: tuple[IdentityCase, ...] = (
         pins={"k": -1.0, "m": 0.5, "a": -2.0},
         paths=("qmc", "closed", "special", "limit"),
         special=_harmonic_form,
-        limit=(-1.0, "hurwitz_zeta_form"),
+        limit="hurwitz_zeta_form",
     ),
     IdentityCase(
         tag="difference_arctanh",
@@ -260,7 +257,7 @@ CATALOG: tuple[IdentityCase, ...] = (
         needs_second_exponent=True,
         second_exponent=1.0 / 3.0,
         paths=("closed", "special"),
-        special=lambda ps, n: -math.pi * math.log(3.0) * _two(ps.mu + ps.u - 2.0),
+        special=lambda ps, n: -math.pi * math.log(3.0) * principal_power(2.0, ps.mu + ps.u - 2.0),
     ),
     IdentityCase(
         tag="arccoth_sqrt2",
@@ -270,7 +267,7 @@ CATALOG: tuple[IdentityCase, ...] = (
         needs_second_exponent=True,
         second_exponent=0.25,
         paths=("closed", "special"),
-        special=lambda ps, n: -math.pi * math.log(1.0 + math.sqrt(2.0)) * _two(ps.mu + ps.u - 1.0),
+        special=lambda ps, n: -math.pi * math.log(1.0 + math.sqrt(2.0)) * principal_power(2.0, ps.mu + ps.u - 1.0),
     ),
     IdentityCase(
         tag="alt_lerch",
@@ -295,8 +292,8 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="k = -1; m = 1, a = 1 in the alt form",
         pins={"k": -1.0, "m": 1.0, "a": 1.0},
         paths=("qmc", "closed", "special", "limit"),
-        special=lambda ps, n: -1j * math.pi * _LN2 * _two(ps.mu + ps.u - 1.0),
-        limit=(-1.0, "eta_zeta_line"),
+        special=lambda ps, n: -1j * math.pi * _LN2 * principal_power(2.0, ps.mu + ps.u - 1.0),
+        limit="eta_zeta_line",
         alt_form=True,
     ),
     IdentityCase(
@@ -305,8 +302,8 @@ CATALOG: tuple[IdentityCase, ...] = (
         constraints="k = -3; m = 1, a = 1 in the alt form",
         pins={"k": -3.0, "m": 1.0, "a": 1.0},
         paths=("qmc", "closed", "special", "limit"),
-        special=lambda ps, n: 3j * riemann_zeta(3.0).real * _two(ps.mu + ps.u - 5.0) / math.pi,
-        limit=(-3.0, "eta_zeta_line"),
+        special=lambda ps, n: 3j * riemann_zeta(3.0).real * principal_power(2.0, ps.mu + ps.u - 5.0) / math.pi,
+        limit="eta_zeta_line",
         alt_form=True,
     ),
 )
@@ -347,7 +344,7 @@ _RICHARDSON_EPS = (0.08, 0.04, 0.02, 0.01)
 
 
 def rhs_limit_full(case: IdentityCase | str, ps: ParameterSet) -> tuple[complex, float]:
-    """Richardson-extrapolated limit of the case's k-family at k0.
+    """Richardson-extrapolated limit of the case's k-family at its pinned k0.
 
     The family is sampled at k0 +/- eps for each eps of the fixed
     ``_RICHARDSON_EPS``; the symmetric pairs kill the odd orders, and
@@ -358,8 +355,9 @@ def rhs_limit_full(case: IdentityCase | str, ps: ParameterSet) -> tuple[complex,
     case = catalog_case(case)
     if case.limit is None:
         raise InadmissibleError("no limit family for this case")
-    k0, family_tag = case.limit
-    family = catalog_case(family_tag).special
+    if "k" not in case.pins:
+        raise InadmissibleError("the limit path needs a pinned k")
+    k0, family = case.pins["k"], catalog_case(case.limit).special
     eps = _RICHARDSON_EPS
     sym = [
         (family(ps.replace(k=k0 + e), None) + family(ps.replace(k=k0 - e), None)) / 2.0
@@ -458,11 +456,14 @@ def verify(
     tolerance (plus three times the paths' own error estimates, for the
     stochastic and discretization paths); fewer than two computed values
     leave nothing to compare and the verdict passes vacuously, with the
-    per-path statuses telling the story.  Parameter-strip violations, a
-    second exponent n outside 0 < Re(n) < 1, and for an alt-form case an a
-    outside 0 < Re(a) <= 1, its domain, short-circuit to
-    "invalid_parameters"; a case that needs n raises DomainError without
-    one, and one that takes no n raises DomainError when given one.  Each
+    per-path statuses telling the story.  Parameter-strip violations, and
+    for an alt-form case an a outside 0 < Re(a) <= 1, its domain,
+    short-circuit to "invalid_parameters".  So does a caller's second
+    exponent n at which the strip fails with m replaced by n, each violation
+    named with the suffix " at m=n": the difference is of two integrals,
+    and both must converge.  A pinned n (log3, arccoth_sqrt2) is not
+    checked.  A case that needs n raises DomainError without one, and one
+    that takes no n raises DomainError when given one.  Each
     path function checks its own preconditions, and the tensor and qmc
     entries build their ``Integrand6D``, which refuses a complex strip, in
     the same call: a path that raises ``InadmissibleError`` gets status
@@ -489,8 +490,8 @@ def verify(
     violations = validate_parameters(ps_thm)
     if case.alt_form and not 0 < ps_eff.a.real <= 1:
         violations.append("0<Re(a)<=1")
-    if second is not None and not (cmath.isfinite(second) and 0 < second.real < 1):
-        violations.append("0<Re(n)<1")
+    if not violations and second is not None and case.second_exponent is None:
+        violations += [f"{name} at m=n" for name in validate_parameters(ps_thm.replace(m=second))]
     warnings = parameter_warnings(ps_thm)
 
     results: dict[str, PathResult] = {}

@@ -51,6 +51,11 @@ _LAPLACE_MAX_IM_S = 3.0
 _LAPLACE_MIN_RE_V = 0.3
 
 
+def _laplace_route(s: complex, v: complex) -> bool:
+    """Whether ``lerch_unit_circle_full`` takes the Laplace form at (s, v)."""
+    return s.real > _LAPLACE_MIN_RE_S and abs(s.imag) <= _LAPLACE_MAX_IM_S and v.real >= _LAPLACE_MIN_RE_V
+
+
 def lerch_series(z: complex, s: complex, v: complex) -> complex:
     """The defining power series, kept as an oracle for tests and A10.
 
@@ -304,7 +309,7 @@ def lerch_unit_circle_full(z: complex, s: complex, v: complex) -> tuple[complex,
         raise DomainError("z too close to 1 for the unit-circle evaluator")
     if v.real <= 0:
         raise DomainError(f"unit-circle evaluator needs Re(v) > 0, got v={v!r}")
-    if s.real > _LAPLACE_MIN_RE_S and abs(s.imag) <= _LAPLACE_MAX_IM_S and v.real >= _LAPLACE_MIN_RE_V:
+    if _laplace_route(s, v):
         return _laplace_phi(z, s, v, 6)
     return _abel_plana_phi(z, s, v)
 

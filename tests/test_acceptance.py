@@ -71,6 +71,23 @@ def test_a10_lerch_check_sees_the_laplace_route(monkeypatch):
     assert "lerch" in result.detail, result.detail
 
 
+def test_a10_reads_the_circle_route_from_lerch(monkeypatch):
+    # With the Laplace bound moved out of reach, every circle point takes
+    # Abel-Plana; A10 must then compare it with the recurrence, never with
+    # Abel-Plana at the same (z, s, v).
+    monkeypatch.setattr(lerch, "_LAPLACE_MIN_RE_S", 10.0)
+    real = lerch._abel_plana_phi
+    seen = []
+
+    def spy(z, s, v):
+        seen.append((z, s, v))
+        return real(z, s, v)
+
+    monkeypatch.setattr(lerch, "_abel_plana_phi", spy)
+    assert criterion_a10_module_oracles().passed
+    assert seen and len(set(seen)) == len(seen)
+
+
 def test_a10_legendre_check_sees_the_evaluator(monkeypatch):
     # The Legendre grid compares assoc_legendre_p with the degree
     # recurrence, so a relative defect of 1e-11 in the evaluator must show.

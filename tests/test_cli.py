@@ -193,18 +193,10 @@ def test_verify_config_file(tmp_path, capsys):
     assert payload["case"] == "apery"
 
 
-def _exit_code(argv):
-    """main's return value, or the code of the SystemExit argparse raises."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 _FLAG_ONLY_REFUSALS = {
     # A config line is the argument --timings=true, which argparse refuses
     # for a flag that takes no value.
-    "timings = true": "sixfold verify: error: argument --timings: ignored explicit argument 'true'\n",
+    "timings = true": "error: argument --timings: ignored explicit argument 'true'\n",
     "config = other.cfg": "error: config key 'config' can only be given on the command line\n",
 }
 
@@ -213,9 +205,8 @@ _FLAG_ONLY_REFUSALS = {
 def test_verify_config_rejects_flag_only_keys(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"case = apery\npaths = closed,special\nformat = json\n{line}\n")
-    assert _exit_code(["verify", "--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.endswith(_FLAG_ONLY_REFUSALS[line]), err
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", _FLAG_ONLY_REFUSALS[line])
 
 
 def test_verify_config_format_outside_choices_exit_two(tmp_path, capsys):
@@ -223,25 +214,24 @@ def test_verify_config_format_outside_choices_exit_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = apery\npaths = closed,special\nformat = xml\n")
     for argv in (["verify", "--case", "apery", "--format", "xml"], ["verify", "--config", str(cfg)]):
-        assert _exit_code(argv) == 2
+        assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "argument --format: invalid choice: 'xml'" in err, err
+        assert out == "" and err.startswith("error: argument --format: invalid choice: 'xml'"), err
 
 
 @pytest.mark.parametrize(
     ("text", "message"),
     [
         ("case = apery\nformat json\n", "error: config line not of the form key = value: 'format json'\n"),
-        ("case = apery\nfoo = 1\n", "sixfold: error: unrecognized arguments: --foo=1\n"),
+        ("case = apery\nfoo = 1\n", "error: unrecognized arguments: --foo=1\n"),
     ],
     ids=["malformed", "unknown_key"],
 )
 def test_verify_config_bad_line_exit_two(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    assert _exit_code(["verify", "--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.endswith(message), err
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_verify_flags_win_over_config(tmp_path, capsys):
@@ -371,11 +361,11 @@ _APERY = ["verify", "--case", "apery", "--paths", "closed,special", "--format", 
 @pytest.mark.parametrize(
     ("flag", "value", "message"),
     [
-        ("--tol", "abc", "--tol: invalid float value 'abc'"),
-        ("--abs-tol", "1e-3x", "--abs-tol: invalid float value '1e-3x'"),
-        ("--qmc-count", "1e5", "--qmc-count: invalid int value '1e5'"),
+        ("--tol", "abc", "argument --tol: invalid float value: 'abc'"),
+        ("--abs-tol", "1e-3x", "argument --abs-tol: invalid float value: '1e-3x'"),
+        ("--qmc-count", "1e5", "argument --qmc-count: invalid int value: '1e5'"),
         ("--qmc-count", "8589934592", "QmcSpec count must be at most 2^32, the Sobol period"),
-        ("--seed", "7.5", "--seed: invalid int value '7.5'"),
+        ("--seed", "7.5", "argument --seed: invalid int value: '7.5'"),
         # nan failed two agreeing paths and inf passed anything; both were
         # printed as NaN/Infinity, which is not JSON.
         ("--tol", "nan", "tolerances must be finite"),
@@ -402,10 +392,24 @@ def test_selftest_only_matches_keywords(capsys, only, expected):
     assert [line.split()[1] for line in lines if line.startswith("PASS")] == expected
 
 
-@pytest.mark.parametrize("n", ["0", "1", "1.5", "-0.5"])
-def test_second_exponent_outside_its_strip_exit_two(capsys, n):
+_BELOW_ZERO = "0<Re(m)<1 at m=n; Re(beta_z)>-1 at m=n"
+_PAST_ONE = "0<Re(m)<1 at m=n; Re(m)<|Re(v)| at m=n; Re(m)<|Re(nu)| at m=n; Re(beta_p)>-1 at m=n"
+
+
+@pytest.mark.parametrize(
+    ("n", "violations"),
+    [("0", _BELOW_ZERO), ("1", _PAST_ONE), ("1.5", _PAST_ONE), ("-0.5", _BELOW_ZERO)],
+    ids=["0", "1", "1.5", "-0.5"],
+)
+def test_second_exponent_outside_its_strip_exit_two(capsys, n, violations):
     assert main(["verify", "--case", "difference_arctanh", "--n", n]) == 2
-    assert "violations: 0<Re(n)<1" in capsys.readouterr().out
+    assert f"\nviolations: {violations}\n" in capsys.readouterr().out
+
+
+def test_second_integral_outside_its_strip_exit_two(capsys):
+    # The strip holds at m = 0.2 but not at m = n = 0.9.
+    assert main(["verify", "--case", "difference_arctanh", "--m", "0.2", "--v", "0.3", "--nu", "0.3", "--n", "0.9"]) == 2
+    assert "\nviolations: Re(m)<|Re(v)| at m=n; Re(m)<|Re(nu)| at m=n\n" in capsys.readouterr().out
 
 
 def test_alt_form_a_outside_its_domain_exit_two(capsys):
@@ -418,8 +422,25 @@ def test_missing_second_exponent_exit_two(capsys):
     assert capsys.readouterr() == ("", "error: difference case needs the second exponent n\n")
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["list", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["list-choice", "no-command"],
+)
+def test_option_error_is_one_line_exit_two(capsys, argv, message):
+    # argparse's own errors, in the list subparser and the top parser too,
+    # take the path of every other input error: one "error:" line on
+    # stderr, no usage, and main returns 2.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 def test_unread_second_exponent_exit_two(capsys):
-    # Inside 0 < Re(n) < 1, so only the refusal can exit 2.
+    # The strip holds at m = n = 0.3, so only the refusal can exit 2.
     assert main(["verify", "--case", "theorem", "--n", "0.3"]) == 2
     assert capsys.readouterr() == ("", "error: case 'theorem' takes no second exponent n\n")
 

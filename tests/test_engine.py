@@ -366,6 +366,15 @@ def test_inadmissible_detail(case, pins, path, detail):
     assert rep.paths["closed"].status == "ok"
 
 
+def test_limit_case_without_pinned_k_is_inadmissible():
+    # The limit path extrapolates to the pinned k, so a case without one has
+    # no limit point.
+    case = dataclasses.replace(engine.catalog_case("log2_limit"), pins={"m": 1.0, "a": 1.0})
+    rep = engine.verify(case, REFERENCE, paths=("limit", "special"))
+    assert rep.paths["limit"].status == "inadmissible"
+    assert rep.paths["limit"].detail == "the limit path needs a pinned k"
+
+
 def test_path_functions_raise_inadmissible():
     with pytest.raises(InadmissibleError, match="jet paths"):
         engine.lhs_jet(REFERENCE.replace(k=0.5))
@@ -396,16 +405,51 @@ def test_nested_unsupported_regime_stays_error():
     assert rep.paths["closed"].detail.startswith("UnsupportedRegimeError: |z| > 1 not supported")
 
 
-@pytest.mark.parametrize("n", [0.0, 1.0, 1.5, -0.2 + 0.1j, complex("nan"), complex("inf")])
-def test_second_exponent_outside_its_strip_is_invalid(n):
+_PAST_ONE = ["0<Re(m)<1 at m=n", "Re(m)<|Re(v)| at m=n", "Re(m)<|Re(nu)| at m=n", "Re(beta_p)>-1 at m=n"]
+
+
+@pytest.mark.parametrize(
+    ("n", "violations"),
+    [
+        (0.0, ["0<Re(m)<1 at m=n", "Re(beta_z)>-1 at m=n"]),
+        (1.0, _PAST_ONE),
+        (1.5, _PAST_ONE),
+        (-0.2 + 0.1j, ["0<Re(m)<1 at m=n", "Re(beta_z)>-1 at m=n"]),
+        (complex("nan"), ["finite(m) at m=n"]),
+        (complex("inf"), ["finite(m) at m=n"]),
+    ],
+    ids=["0.0", "1.0", "1.5", "(-0.2+0.1j)", "(nan+0j)", "(inf+0j)"],
+)
+def test_second_exponent_outside_its_strip_is_invalid(n, violations):
+    # The strip is checked with m replaced by n, on the theorem parameters.
     rep = engine.verify("difference_arctanh", ParameterSet(), second=n)
     assert rep.verdict == "invalid_parameters"
-    assert rep.violations == ["0<Re(n)<1"]
+    assert rep.violations == violations
 
 
 @pytest.mark.parametrize("n", [0.05, 0.95, 0.3 + 0.2j])
 def test_second_exponent_inside_its_strip_passes(n):
     assert engine.verify("difference_arctanh", ParameterSet(), second=n).verdict == "pass"
+
+
+def test_second_integral_outside_its_strip_is_invalid():
+    # Inside 0 < Re(n) < 1, and the strip holds at m = 0.2, yet at m = 0.9
+    # the second integral diverges: closed and special agree on it anyway.
+    rep = engine.verify("difference_arctanh", ParameterSet(m=0.2, v=0.3, nu=0.3), second=0.9)
+    assert rep.verdict == "invalid_parameters"
+    assert rep.violations == ["Re(m)<|Re(v)| at m=n", "Re(m)<|Re(nu)| at m=n"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 21: verify leaves a pinned n unchecked until perfbench's validator "
+    "checks the catalog's second exponent",
+)
+def test_pinned_second_integral_outside_its_strip_is_invalid():
+    # Re(beta_z) = -1.020 at m = n = 1/3 (analytic_sweep seed 1, call 104).
+    rep = engine.verify("log3", ParameterSet(u=-0.4371, v=1.811, mu=0.2567, nu=0.6465))
+    assert rep.verdict == "invalid_parameters"
 
 
 @pytest.mark.parametrize(

@@ -700,9 +700,11 @@ def test_qmc_rejects_log_axis_exponent_below_minus_one(monkeypatch):
 
     monkeypatch.setattr(quad, "sobol_points", fail)
     monkeypatch.setattr(quad, "_splitmix64_stream", fail)
-    ps = REFERENCE.replace(mu=-0.5, nu=2.4)  # beta_p = (0.5 - 0.5 - 2.4) / 2 = -1.2
-    with pytest.raises(DomainError, match="Re\\(beta\\) > -1"):
-        integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 22))
+    # beta_p = (0.5 - 0.5 - 2.4) / 2 = -1.2; beta_z = (0.5 - 0 - 2 - 1) / 2 = -1.25
+    for ps in (REFERENCE.replace(mu=-0.5, nu=2.4), REFERENCE.replace(v=2.0)):
+        f = Integrand6D(ps)  # a real strip builds; QMC's own guard refuses it
+        with pytest.raises(DomainError, match="Re\\(beta\\) > -1"):
+            integrate_6d_qmc(f, QmcSpec(count=1 << 22))
 
 
 def _coupling(f: Integrand6D, s_re: np.ndarray) -> np.ndarray:
@@ -836,9 +838,3 @@ def test_kernels_take_their_series_once(ps):
     ref_y = quad.kernel_factor_array(ps.nu.real, ps.mu.real, x, 1.0 - x)
     assert np.array_equal(f.x_kernel(x, 1.0 - x), ref_x)
     assert np.array_equal(f.y_kernel(x, 1.0 - x), ref_y)
-
-
-def test_qmc_rejects_complex_strip_parameters():
-    ps = REFERENCE.replace(m=0.5 + 0.1j)
-    with pytest.raises(UnsupportedRegimeError, match="real strip parameters"):
-        integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 10))
