@@ -179,7 +179,8 @@ _SOBOL_PRIMITIVE = (
 # One per integration axis (x, y, p, q, t, z).
 _SOBOL_DIM = len(_SOBOL_PRIMITIVE) + 1
 # QMC points per pass, whose temporaries then fit a 2 MB L2 cache, and per
-# pairwise np.sum; both powers of two, the first no larger than the second.
+# block, whose chunk sums are added in numpy's pairwise order; both powers
+# of two, the first no larger than the second.
 _QMC_CHUNK = 1 << 14
 _QMC_BLOCK = 1 << 17
 
@@ -460,12 +461,13 @@ def _tensor_sum(f: Integrand6D, rules: tuple[Rule1D, ...]) -> complex:
             mhat.append(np.sum(term))
         joint = np.convolve(joint, mhat)[: kk + 1]
 
-    # Horner in c0: numpy's float power calls pow() per element, several
-    # times slower than products for the small k used here.
+    # Horner in c0, in place: numpy's float power calls pow() per element,
+    # several times slower than products for the small k used here.
     c0 = f.log_a + np.log(rx.nodes)[:, None] - np.log(ry.nodes)[None, :]
-    acc = np.full(c0.shape, joint[0])
+    acc = np.full(c0.shape, joint[0], dtype=c0.dtype)
     for r in range(1, kk + 1):
-        acc = acc * c0 + math.perm(kk, r) * joint[r]
+        acc *= c0
+        acc += math.perm(kk, r) * joint[r]
     total = complex(ax @ acc @ ay)
     if not cmath.isfinite(total):
         raise NonFiniteSampleError("tensor quadrature produced a non-finite value")
@@ -481,11 +483,14 @@ def _qmc_share(
     words 6r..6r+5 of ``shifts``, in chunks of the axis-major uint32 Sobol
     ``base``, shape (6, chunk).  The buffers are allocated here, sized by
     ``base``, and reused by every chunk of every replicate: each chunk's
-    Sobol words become ln u in place, one row per axis, and its samples
-    go into its slice of one block, summed when full.  Everything is real:
+    Sobol words become ln u in place, one row per axis.  Everything is real:
     S enters as its real part ``s_re``, and ``f.coupling`` writes the Re
-    and, where log a is complex, the Im of each sample into two real rows
-    of the block, each summed by its own pairwise ``np.sum``."""
+    and, where log a is complex, the Im of each sample into two real rows,
+    each summed by its own ``np.sum`` as soon as the chunk is made.  The
+    chunk sums of a block are added in halves, the first half's sum plus
+    the second's, recursively: for a power-of-two length that is the order
+    of numpy's pairwise sum, so each block sum has the bits of one
+    ``np.sum`` over the whole block, and no block is ever held."""
     chunk, block = base.shape[1], min(_QMC_BLOCK, spec.count)
     px = 1.0 / f.m
     py = 1.0 / (1.0 - f.m)
@@ -494,13 +499,14 @@ def _qmc_share(
     t, ln_head, w_head, log_w, prod, s_re = (np.empty(chunk) for _ in range(6))
     flags = np.empty(chunk, dtype=bool)
     # Re and, where log a is complex, Im of the samples: one row each.
-    vals = np.empty((2 if isinstance(f.log_a, complex) else 1, block))
+    vals = np.empty((2 if isinstance(f.log_a, complex) else 1, chunk))
     out: list = []
     for r in rs:
         shift = np.array(
             [s >> (64 - _SOBOL_BITS) for s in shifts[r * 6 : r * 6 + 6]], dtype=np.uint32
         )
         sums: list[complex] = []
+        parts: list[complex] = []  # the chunk sums of the block being made
         try:
             for c0 in range(0, spec.count, chunk):
                 np.bitwise_xor(base, (shift ^ _sobol_offset(direction, c0))[:, None], out=words)
@@ -540,13 +546,15 @@ def _qmc_share(
                 np.add(lnu[0], f.log_a.real, out=s_re)
                 s_re -= lnu[1]
                 s_re += t
-                dest = vals[:, c0 % block : c0 % block + chunk]
-                f.coupling(s_re, log_w, prod, dest[0], dest[1] if len(dest) > 1 else None)
-                if not all(np.isfinite(row, out=flags).all() for row in dest):
-                    bad = int(np.argmin(np.isfinite(dest).all(axis=0))) + c0
+                f.coupling(s_re, log_w, prod, vals[0], vals[1] if len(vals) > 1 else None)
+                if not all(np.isfinite(row, out=flags).all() for row in vals):
+                    bad = int(np.argmin(np.isfinite(vals).all(axis=0))) + c0
                     raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")
-                if (c0 + chunk) % block == 0:
-                    sums.append(complex(*(np.sum(row) for row in vals)))
+                parts.append(complex(*(np.sum(row) for row in vals)))
+                if len(parts) * chunk >= block:  # numpy's pairwise order over the block
+                    while len(parts) > 1:
+                        parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
+                    sums.append(parts.pop())
         except Exception as exc:  # the caller raises it, in replicate order
             out.append(exc)
             break
@@ -642,9 +650,11 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
 
     The points run through the pipeline in chunks of 2^14 (``_sobol_offset``),
     so memory does not grow with ``spec.count``, and the chunk size moves no
-    bit: every per-point step is elementwise, each 2^17-point block is
-    summed by one pairwise ``np.sum``, and the block sums of a replicate by
-    ``math.fsum``.  That includes the Legendre kernels' Gauss series, a
+    bit: every per-point step is elementwise, each chunk is summed by
+    ``np.sum`` as it is made, the chunk sums of each 2^17-point block are
+    added in numpy's pairwise order, so the block sum is that of one
+    ``np.sum`` over the block, and the block sums of a replicate are added
+    by ``math.fsum``.  That includes the Legendre kernels' Gauss series, a
     Horner sum about (1-x)/2 = 1/4 (``legendre.hyp2f1_array``) whose
     coefficients and term count ``f`` takes once, before any chunk.  The
     Sobol base is axis-major uint32, one row of 2^14 words per axis, and

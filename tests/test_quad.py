@@ -339,6 +339,32 @@ def test_qmc_chunk_size_leaves_value_unchanged(monkeypatch):
     assert results[1:] == results[:1] * 3
 
 
+def _halving_sum(parts: list) -> float:
+    """The first half's sum plus the second's, recursively."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return _halving_sum(parts[:half]) + _halving_sum(parts[half:])
+
+
+def test_np_sum_of_a_power_of_two_block_is_the_halving_sum_of_its_chunks():
+    # The QMC estimator sums each chunk as it is made and adds a block's
+    # chunk sums in halves; that gives the bits of one np.sum over the block
+    # only while numpy's pairwise sum splits a power-of-two length in halves.
+    # Terms of either sign across 40 decades make every order round apart.
+    rng = np.random.default_rng(34)
+    for b in range(10, 18):
+        size = 1 << b
+        block = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-20.0, 20.0, size)
+        want = np.sum(block)
+        for c in range(10, b + 1):
+            chunk = 1 << c
+            got = _halving_sum([np.sum(block[i : i + chunk]) for i in range(0, size, chunk)])
+            assert got.hex() == want.hex(), (
+                f"numpy {np.__version__}: np.sum of a 2^{b} block is not the halving sum of its 2^{c} chunks"
+            )
+
+
 def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -346,6 +372,23 @@ def _available_cpus() -> int:
 def _pin(monkeypatch, cpus: int) -> None:
     """Make the QMC estimator see ``cpus`` available CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_qmc_memory_does_not_grow_with_count(monkeypatch):
+    # One CPU keeps every replicate in this process.  A 2^17-point block of
+    # Re and Im samples would hold 2 MiB at 2^18 points against 512 KiB at
+    # 2^15; chunk sums hold a few numbers whatever the count.
+    _pin(monkeypatch, 1)
+    f = Integrand6D(COMPLEX_COUPLING)
+    peaks = []
+    for count in (1 << 15, 1 << 18):
+        tracemalloc.start()
+        try:
+            integrate_6d_qmc(f, QmcSpec(count=count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
 
 # Per numpy kernel set (goldens.py).  The AVX512 values were re-recorded
