@@ -166,7 +166,7 @@ def _taylor_shift(t: np.ndarray) -> np.ndarray:
 
 
 def hyp2f1_array(
-    a: complex, b: complex, c: complex, x: np.ndarray, coef: np.ndarray | None = None
+    a: complex, b: complex, c: complex, x: np.ndarray, coef: np.ndarray | None = None, out=None
 ) -> np.ndarray:
     """2F1(a, b; c; x) over an array of float64 x in [0, 1/2], the package's
     one array sum of the Gauss series: real when a, b and c are real,
@@ -183,13 +183,23 @@ def hyp2f1_array(
     on which other nodes share its array: the QMC estimator may run its
     nodes in any chunks.  A terminating series is the exact polynomial,
     summed in float64; exact sums are a contract of :func:`hyp2f1` only.
+
+    ``out`` takes two rows of x's shape, the result, in ``coef``'s dtype,
+    and scratch for s; x is read to the last step, so a row that shares
+    memory with it raises ValueError.  Given none, both are allocated: the
+    rows change where the sum is written, not a bit of it.
     """
     x = np.asarray(x, dtype=float)
     if x.size and (x.min() < 0.0 or x.max() > 0.5 + 1e-15):
         raise DomainError("hyp2f1_array needs x in [0, 1/2]")
     coef = gauss_taylor(a, b, c) if coef is None else coef
-    total = np.full(x.shape, coef[-1] if coef.size else 0.0, dtype=coef.dtype)
-    s = x - 0.25
+    if out is None:
+        out = np.empty(x.shape, coef.dtype), np.empty(x.shape)
+    elif any(np.shares_memory(row, x) for row in out):
+        raise ValueError("hyp2f1_array rows must not share memory with x")
+    total, s = out
+    np.copyto(total, coef[-1] if coef.size else 0.0)
+    np.subtract(x, 0.25, out=s)
     for cj in coef[-2::-1]:
         total *= s
         total += cj
@@ -237,6 +247,7 @@ def kernel_factor_array(
     x: np.ndarray,
     one_minus_x: np.ndarray | None = None,
     series: np.ndarray | None = None,
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """(1 - x^2)^(-u/2) * P_v^u(x) over node arrays - the form the integral
     kernel uses; float64 when v and u are real.
@@ -250,17 +261,29 @@ def kernel_factor_array(
     evaluates one kernel on many node arrays takes it once.  The Gauss
     series is the float64 Horner sum about (1-x)/2 = 1/4 of
     :func:`hyp2f1_array`, terminating ones included.
+
+    ``out`` takes four float64 rows of x's shape for a real kernel: the
+    result, then scratch for 1 - x and the power, (1 - x)/2, and the
+    Horner variable.  x is read once, to form 1 - x, before any row is
+    written, so a row may be x itself; none may be ``one_minus_x``, which
+    is read again after a row is written.  Given none, the rows are
+    allocated: they change where the kernel is written, not a bit of it.
     """
-    omx = 1.0 - np.asarray(x, dtype=float) if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
     v = complex(v)
     u = complex(u)
     real = v.imag == 0.0 and u.imag == 0.0
     if real:
         v, u = v.real, u.real
     series = kernel_series(v, u) if series is None else series
-    f = hyp2f1_array(-v, v + 1.0, 1.0 - u, omx / 2.0, series)
+    res, pw, w, s = out or (np.empty(np.shape(x), series.dtype), *(np.empty(np.shape(x)) for _ in range(3)))
+    omx = np.subtract(1.0, x, out=pw) if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
+    f = hyp2f1_array(-v, v + 1.0, 1.0 - u, np.divide(omx, 2.0, out=w), series, out=(res, s))
+    # (1-x)^(-u) / Gamma(1-u), in place of 1 - x; complex u takes a complex row
+    pw = np.multiply(-u, np.log(omx, out=pw), out=pw if real else np.empty(pw.shape, complex))
+    np.exp(pw, out=pw)
     rg = rgamma(1.0 - u)
-    return np.exp(-u * np.log(omx)) * (rg.real if real else rg) * f
+    pw *= rg.real if real else rg
+    return np.multiply(pw, f, out=f)
 
 
 def legendre_recurrence(nmax: int, mo: int, x: float) -> list[float]:

@@ -178,9 +178,10 @@ _SOBOL_PRIMITIVE = (
 )
 # One per integration axis (x, y, p, q, t, z).
 _SOBOL_DIM = len(_SOBOL_PRIMITIVE) + 1
-# QMC points per pass, whose temporaries then fit a 2 MB L2 cache, and per
-# block, whose chunk sums are added in numpy's pairwise order; both powers
-# of two, the first no larger than the second.
+# QMC points per pass, and per block, whose chunk sums are added in numpy's
+# pairwise order; both powers of two, the first no larger than the second.
+# A pass's working set, the 384 KiB Sobol base, eight float64 rows of
+# 128 KiB and a uint32 word row, is 1.5 MiB: it fits a 2 MiB L2 cache.
 _QMC_CHUNK = 1 << 14
 _QMC_BLOCK = 1 << 17
 
@@ -312,13 +313,15 @@ class Integrand6D:
     def y_factor(self, y: np.ndarray, one_minus_y: np.ndarray) -> np.ndarray:
         return np.exp(-self.m * np.log(y)) * self.y_kernel(y, one_minus_y)
 
-    def x_kernel(self, x: np.ndarray, one_minus_x: np.ndarray | None = None) -> np.ndarray:
-        """The real x kernel: the x factor without x^(m-1), which QMC warps away."""
-        return kernel_factor_array(self.ps.v.real, self.ps.u.real, x, one_minus_x, self.x_series)
+    def x_kernel(self, x: np.ndarray, one_minus_x: np.ndarray | None = None, out=None) -> np.ndarray:
+        """The real x kernel: the x factor without x^(m-1), which QMC warps
+        away; ``out`` takes the rows of :func:`kernel_factor_array`."""
+        return kernel_factor_array(self.ps.v.real, self.ps.u.real, x, one_minus_x, self.x_series, out)
 
-    def y_kernel(self, y: np.ndarray, one_minus_y: np.ndarray | None = None) -> np.ndarray:
-        """The real y kernel: the y factor without y^-m, which QMC warps away."""
-        return kernel_factor_array(self.ps.nu.real, self.ps.mu.real, y, one_minus_y, self.y_series)
+    def y_kernel(self, y: np.ndarray, one_minus_y: np.ndarray | None = None, out=None) -> np.ndarray:
+        """The real y kernel: the y factor without y^-m, which QMC warps
+        away; ``out`` takes the rows of :func:`kernel_factor_array`."""
+        return kernel_factor_array(self.ps.nu.real, self.ps.mu.real, y, one_minus_y, self.y_series, out)
 
     def coupling(
         self,
@@ -440,6 +443,14 @@ def _tensor_sum(f: Integrand6D, rules: tuple[Rule1D, ...]) -> complex:
     binomial regrouping of S^k inside the finite sum, a polynomial in
     c0 = log a + ln x - ln y summed by Horner's rule, which leaves the
     result identical to brute-force enumeration up to rounding.
+
+    The nx x ny grid of c0 is made and summed 32 columns at a time in two
+    reused (nx, 32) buffers, c0's block and its polynomial, so no whole
+    grid is held: ax @ block fills the block's entries of the row vector
+    ax @ acc, which is then dotted with ay.  Each entry has the bits one
+    BLAS thread gives it in the whole-grid product, on one BLAS thread and
+    on two; the whole-grid product split between two threads moves the
+    last bits at complex log a.
     """
     kk = _tensor_k(f)
     rx, ry, rp, rq, rt, rz = rules
@@ -463,12 +474,22 @@ def _tensor_sum(f: Integrand6D, rules: tuple[Rule1D, ...]) -> complex:
 
     # Horner in c0, in place: numpy's float power calls pow() per element,
     # several times slower than products for the small k used here.
-    c0 = f.log_a + np.log(rx.nodes)[:, None] - np.log(ry.nodes)[None, :]
-    acc = np.full(c0.shape, joint[0], dtype=c0.dtype)
-    for r in range(1, kk + 1):
-        acc *= c0
-        acc += math.perm(kk, r) * joint[r]
-    total = complex(ax @ acc @ ay)
+    width = 32
+    lx = f.log_a + np.log(rx.nodes)[:, None]
+    ly = np.log(ry.nodes)
+    c0 = np.empty((len(lx), width), lx.dtype)
+    acc = np.empty_like(c0)
+    row = np.empty(len(ly), lx.dtype)
+    for j in range(0, len(ly), width):
+        cols = ly[j : j + width]
+        c, a = c0[:, : len(cols)], acc[:, : len(cols)]
+        np.subtract(lx, cols, out=c)
+        a.fill(joint[0])
+        for r in range(1, kk + 1):
+            a *= c
+            a += math.perm(kk, r) * joint[r]
+        np.matmul(ax, a, out=row[j : j + width])
+    total = complex(row @ ay)
     if not cmath.isfinite(total):
         raise NonFiniteSampleError("tensor quadrature produced a non-finite value")
     return total
@@ -481,25 +502,39 @@ def _qmc_share(
     order: each one's mean, until one raises; its exception then ends the
     list.  Replicate r takes ``spec.count`` points digitally shifted by
     words 6r..6r+5 of ``shifts``, in chunks of the axis-major uint32 Sobol
-    ``base``, shape (6, chunk).  The buffers are allocated here, sized by
-    ``base``, and reused by every chunk of every replicate: each chunk's
-    Sobol words become ln u in place, one row per axis.  Everything is real:
-    S enters as its real part ``s_re``, and ``f.coupling`` writes the Re
-    and, where log a is complex, the Im of each sample into two real rows,
-    each summed by its own ``np.sum`` as soon as the chunk is made.  The
-    chunk sums of a block are added in halves, the first half's sum plus
-    the second's, recursively: for a power-of-two length that is the order
-    of numpy's pairwise sum, so each block sum has the bits of one
+    ``base``, shape (6, chunk).  One uint32 word row, eight float64 rows and
+    one flag row, sized by ``base``, are allocated here and reused by every
+    chunk of every replicate.  A chunk streams one Sobol axis at a time
+    through them: its words become ln u in place in one row.  The log axes
+    p, q, t, z run first, their log weights added in that order, and only
+    ln L_p and ln L_q are held until the half-sum ((ln L_t + ln L_z) -
+    ln L_p - ln L_q) / 2; ln x and ln y join S's real part ``s_re`` as soon
+    as they are made, and the Legendre kernels write into the log axes'
+    scratch rows, idle by then.  Everything is real: ``f.coupling`` writes
+    the Re and, where log a is complex, the Im of each sample into two rows
+    free by then, each summed by its own ``np.sum`` as soon as the chunk is
+    made.  The chunk sums of a block are added in halves, the first half's
+    sum plus the second's, recursively: for a power-of-two length that is
+    the order of numpy's pairwise sum, so each block sum has the bits of one
     ``np.sum`` over the whole block, and no block is ever held."""
     chunk, block = base.shape[1], min(_QMC_BLOCK, spec.count)
     px = 1.0 / f.m
     py = 1.0 / (1.0 - f.m)
-    words = np.empty_like(base)
-    lnu = np.empty(base.shape)
-    t, ln_head, w_head, log_w, prod, s_re = (np.empty(chunk) for _ in range(6))
+    word = np.empty(chunk, dtype=np.uint32)
     flags = np.empty(chunk, dtype=bool)
-    # Re and, where log a is complex, Im of the samples: one row each.
-    vals = np.empty((2 if isinstance(f.log_a, complex) else 1, chunk))
+    log_w, ln_lp, ln_lq, half, row, t, ln_head, w_head = np.empty((8, chunk))
+    # Free once the half-sum is made: S's real part, the kernel product,
+    # and Re and, where log a is complex, Im of the samples.
+    s_re, prod, re, im = ln_lp, ln_lq, row, t if isinstance(f.log_a, complex) else None
+    vals = (re,) if im is None else (re, im)
+
+    def ln_u(axis: int, mask: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        """ln u on one axis of the chunk: its words XOR ``mask`` at their midpoints."""
+        np.bitwise_xor(base[axis], mask[axis], out=word)
+        np.add(word, 0.5, out=dest)
+        dest *= 2.0**-_SOBOL_BITS
+        return np.log(dest, out=dest)
+
     out: list = []
     for r in rs:
         shift = np.array(
@@ -509,16 +544,7 @@ def _qmc_share(
         parts: list[complex] = []  # the chunk sums of the block being made
         try:
             for c0 in range(0, spec.count, chunk):
-                np.bitwise_xor(base, (shift ^ _sobol_offset(direction, c0))[:, None], out=words)
-                np.add(words, 0.5, out=lnu)
-                lnu *= 2.0**-_SOBOL_BITS
-                np.log(lnu, out=lnu)
-                # x^(m-1) dx and y^-m dy with their warp Jacobians are the
-                # constants px and py; rows 0 and 1 become ln x and ln y.
-                lnu[0] *= px
-                lnu[1] *= py
-                np.multiply(f.x_kernel(np.exp(lnu[0], out=t)), px * py, out=prod)
-                prod *= f.y_kernel(np.exp(lnu[1], out=t))
+                mask = shift ^ _sobol_offset(direction, c0)
                 # Log of the four log-axis weights L^beta e^(-L) dL/dT over
                 # the sampling density e^(-T): the head weight plus T, and
                 # T^beta on the tail, where L = T.  The head substitution
@@ -526,31 +552,41 @@ def _qmc_share(
                 # select is needed: ln L = c min(ln T, 0) + max(ln T, 0), and
                 # the weight is (head weight + T) [T <= 1] + beta max(ln T, 0),
                 # the picked values up to the sign of a zero, which no sum
-                # sees.  Rows 2-5 become ln L.
+                # sees.
                 log_w.fill(0.0)
-                for ln_t, beta in zip(lnu[2:], f.betas):
-                    np.negative(ln_t, out=t)
+                for axis, ln_l, beta in zip(range(2, 6), (ln_lp, ln_lq, half, row), f.betas):
+                    np.negative(ln_u(axis, mask, ln_l), out=t)
                     np.less_equal(t, 1.0, out=flags)
-                    np.log(t, out=ln_t)
-                    _log_axis_head(np.minimum(ln_t, 0.0, out=ln_head), beta, out=(ln_head, w_head))
+                    np.log(t, out=ln_l)
+                    _log_axis_head(np.minimum(ln_l, 0.0, out=ln_head), beta, out=(ln_head, w_head))
                     w_head += t
                     w_head *= flags
-                    np.maximum(ln_t, 0.0, out=ln_t)
-                    w_head += np.multiply(ln_t, beta, out=t)
+                    np.maximum(ln_l, 0.0, out=ln_l)
+                    w_head += np.multiply(ln_l, beta, out=t)
                     log_w += w_head
-                    ln_t += ln_head
-                np.add(lnu[4], lnu[5], out=t)
-                t -= lnu[2]
-                t -= lnu[3]
-                t *= 0.5
-                np.add(lnu[0], f.log_a.real, out=s_re)
-                s_re -= lnu[1]
-                s_re += t
-                f.coupling(s_re, log_w, prod, vals[0], vals[1] if len(vals) > 1 else None)
-                if not all(np.isfinite(row, out=flags).all() for row in vals):
+                    ln_l += ln_head
+                # S's log-axis part ((ln L_t + ln L_z) - ln L_p - ln L_q) / 2
+                half += row
+                half -= ln_lp
+                half -= ln_lq
+                half *= 0.5
+                # x^(m-1) dx and y^-m dy with their warp Jacobians are the
+                # constants px and py; ``row`` holds ln x, then ln y.
+                ln_u(0, mask, row)
+                row *= px
+                np.add(row, f.log_a.real, out=s_re)
+                f.x_kernel(np.exp(row, out=row), out=(prod, row, t, ln_head))
+                prod *= px * py
+                ln_u(1, mask, row)
+                row *= py
+                s_re -= row
+                prod *= f.y_kernel(np.exp(row, out=row), out=(w_head, row, t, ln_head))
+                s_re += half
+                f.coupling(s_re, log_w, prod, re, im)
+                if not all(np.isfinite(v, out=flags).all() for v in vals):
                     bad = int(np.argmin(np.isfinite(vals).all(axis=0))) + c0
                     raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")
-                parts.append(complex(*(np.sum(row) for row in vals)))
+                parts.append(complex(*(np.sum(v) for v in vals)))
                 if len(parts) * chunk >= block:  # numpy's pairwise order over the block
                     while len(parts) > 1:
                         parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
@@ -657,9 +693,12 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     by ``math.fsum``.  That includes the Legendre kernels' Gauss series, a
     Horner sum about (1-x)/2 = 1/4 (``legendre.hyp2f1_array``) whose
     coefficients and term count ``f`` takes once, before any chunk.  The
-    Sobol base is axis-major uint32, one row of 2^14 words per axis, and
-    each process allocates the chunk buffers once, sized by the base, and
-    reuses them for every chunk of its replicates (:func:`_qmc_share`).
+    Sobol base is axis-major uint32, one row of 2^14 words per axis.  Each
+    process allocates one uint32 word row and eight float64 rows once,
+    sized by the base, and streams every chunk of its replicates through
+    them one Sobol axis at a time; the kernels write into those rows too
+    (:func:`_qmc_share`).  With the base that is 1.5 MiB, within a 2 MiB
+    L2 cache.
 
     The replicates run on up to one process per available CPU and give the
     bits of one process (:func:`_qmc_means`).

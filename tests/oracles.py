@@ -4,8 +4,9 @@ Each oracle deliberately avoids the algorithm used by the implementation it
 checks: Stirling/recurrence instead of Lanczos for gamma, partial sums with
 tail bounds instead of Euler-Maclaurin for zeta values, Abel summation for
 divergent alternating series, the Laplace integral for Legendre functions,
-literal enumeration for the regrouped tensor sum, plain unbuffered
-arithmetic for the buffered QMC pipeline.  Derivatives and jet
+literal enumeration for the regrouped tensor sum and the whole grid for
+its blocks of columns, plain unbuffered arithmetic for the buffered QMC
+pipeline.  Derivatives and jet
 coefficients are checked against Cauchy-formula Taylor coefficients,
 ``sixfold.acceptance.taylor_coefficients`` (the trapezoid rule on a
 circle), rather than central differences: they need no extended precision.
@@ -235,6 +236,31 @@ def integrate_6d_brute(f, rules) -> complex:
             s_vals = f.log_a + np.log(rx.nodes[i]) - np.log(ry.nodes[j]) + t4
             total += wx * wy * np.sum(w4 * s_vals**kk)
     return complex(total)
+
+
+def tensor_sum_whole_grid(f, rules) -> complex:
+    """``quad._tensor_sum`` summed over the whole grid at once: the nx x ny
+    arrays of c0 = log a + ln x - ln y and of its Horner polynomial, then
+    ax @ acc @ ay.  The reference for the sum made 32 columns at a time,
+    which must give its bits where BLAS runs one thread."""
+    kk = _tensor_k(f)
+    rx, ry, rp, rq, rt, rz = rules
+    ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
+    ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
+    joint = [1.0]
+    for rule, sign in zip((rp, rq, rt, rz), (-0.5, -0.5, 0.5, 0.5)):
+        term = rule.weights
+        mhat = [np.sum(term)]
+        for r in range(1, kk + 1):
+            term = term * (sign * rule.log_nodes) / r
+            mhat.append(np.sum(term))
+        joint = np.convolve(joint, mhat)[: kk + 1]
+    c0 = f.log_a + np.log(rx.nodes)[:, None] - np.log(ry.nodes)[None, :]
+    acc = np.full(c0.shape, joint[0], dtype=c0.dtype)
+    for r in range(1, kk + 1):
+        acc *= c0
+        acc += math.perm(kk, r) * joint[r]
+    return complex(ax @ acc @ ay)
 
 
 def _coupling_power(f, s_vals: np.ndarray) -> np.ndarray:

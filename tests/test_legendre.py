@@ -293,6 +293,45 @@ def test_kernel_factor_array_does_not_depend_on_array_neighbours():
         assert np.array_equal(whole, np.concatenate(chunks)), (v, u)
 
 
+@pytest.mark.parametrize("v, u", [(0.9, -0.6), (1.35, 0.2), (2.0, -0.4), (3.0, -1.0)])
+def test_caller_rows_give_the_allocating_bits(v, u):
+    # Non-integer degrees and the terminating series of integer ones: rows
+    # move where the kernel and its Gauss series are written, no bit.  x is
+    # read only to form 1 - x, so any of the kernel's rows may be x itself.
+    x = np.random.default_rng(35).uniform(0.0, 1.0, 300)
+    rows = np.full((5, 300), np.nan)
+    for omx in (None, 1.0 - x):
+        want = kernel_factor_array(v, u, x, omx)
+        got = kernel_factor_array(v, u, x, omx, out=tuple(rows[:4]))
+        assert np.shares_memory(got, rows[0]) and np.array_equal(got, want)
+    want = kernel_factor_array(v, u, x)
+    for i in range(4):
+        rows[4] = x
+        lent = [rows[0], rows[1], rows[2], rows[3]]
+        lent[i] = rows[4]
+        assert np.array_equal(kernel_factor_array(v, u, rows[4], out=tuple(lent)), want), i
+    w = (1.0 - x) / 2.0
+    want = hyp2f1_array(-v, v + 1.0, 1.0 - u, w)
+    got = hyp2f1_array(-v, v + 1.0, 1.0 - u, w, kernel_series(v, u), out=(rows[0], rows[1]))
+    assert np.shares_memory(got, rows[0]) and np.array_equal(got, want)
+
+
+def test_caller_rows_keep_the_checks():
+    x = np.array([0.1, 0.3, 0.2])
+    rows = np.empty((4, 3))
+    with pytest.raises(DomainError):
+        hyp2f1_array(0.3, 1.4, 0.8, np.array([0.1, 0.6, 0.2]), out=(rows[0], rows[1]))
+    with pytest.raises(DomainError):  # 1 - x = 1.2: the series at 0.6
+        kernel_factor_array(0.9, -0.6, np.array([0.5, -0.2, 0.3]), out=tuple(rows))
+    # hyp2f1_array reads x to its last step: a row on x would overwrite it.
+    for lent in ((x, rows[1]), (rows[0], x), (rows[0], x[1:])):
+        with pytest.raises(ValueError, match="share memory"):
+            hyp2f1_array(0.3, 1.4, 0.8, x, out=lent)
+    # float64 rows take a real kernel only; a complex one does not drop Im.
+    with pytest.raises(TypeError):
+        kernel_factor_array(1.7 + 0.1j, -0.6, x, out=tuple(rows))
+
+
 def test_legendre_simple_values():
     assert abs(assoc_legendre_p(0.0, 0.0, 0.37) - 1.0) < 1e-14
     assert abs(assoc_legendre_p(1.0, 0.0, 0.37) - 0.37) < 1e-14

@@ -1,13 +1,17 @@
 import cmath
 import contextlib
+import json
 import math
 import multiprocessing
 import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,21 +378,46 @@ def _pin(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_qmc_memory_does_not_grow_with_count(monkeypatch):
     # One CPU keeps every replicate in this process.  A 2^17-point block of
     # Re and Im samples would hold 2 MiB at 2^18 points against 512 KiB at
     # 2^15; chunk sums hold a few numbers whatever the count.
     _pin(monkeypatch, 1)
     f = Integrand6D(COMPLEX_COUPLING)
-    peaks = []
-    for count in (1 << 15, 1 << 18):
-        tracemalloc.start()
-        try:
-            integrate_6d_qmc(f, QmcSpec(count=count))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_peak_bytes(lambda: integrate_6d_qmc(f, QmcSpec(count=count))) for count in (1 << 15, 1 << 18)]
     assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("ps", [REAL_COUPLING, COMPLEX_COUPLING], ids=["real_coupling", "complex_coupling"])
+def test_qmc_working_set_fits_l2(monkeypatch, ps):
+    # One CPU keeps every replicate in this process.  The 384 KiB Sobol
+    # base and, at 2^14 points a chunk, eight float64 rows, a uint32 word
+    # row and a flag row hold 1.45 MiB; (6, chunk) word and ln u blocks and
+    # the kernels' own temporaries held 2.9-3.0 MiB.
+    _pin(monkeypatch, 1)
+    f = Integrand6D(ps)
+    peak = _peak_bytes(lambda: integrate_6d_qmc(f, QmcSpec(count=1 << 16)))
+    assert peak <= 1.75 * 2**20, peak
+
+
+@pytest.mark.parametrize("ps, mib", [(REAL_COUPLING, 0.5), (COMPLEX_COUPLING, 1.0)], ids=["real_a", "complex_a"])
+def test_tensor_working_set(ps, mib):
+    # Two (389, 32) blocks, c0 and its Horner polynomial, hold 195 KiB in
+    # float64 and 389 KiB in complex128; the whole 389 x 389 grids held 2.4
+    # and 4.7 MiB.
+    f = Integrand6D(ps.replace(k=6))
+    peak = _peak_bytes(lambda: integrate_6d_tensor(f))
+    assert peak <= mib * 2**20, peak
 
 
 # Per numpy kernel set (goldens.py).  The AVX512 values were re-recorded
@@ -490,6 +519,51 @@ def _bits(result) -> tuple[str, str, str]:
     return val.real.hex(), val.imag.hex(), se.hex()
 
 
+_ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# Reads strips as JSON lists of (real, imaginary) fields; prints the bits of
+# the whole-grid tensor sum at each level of the plan.
+_WHOLE_GRID_SUMS = """
+import json, sys
+from oracles import tensor_sum_whole_grid
+from sixfold.core import ParameterSet
+from sixfold.quad import _TENSOR_PLAN, Integrand6D, gauss_laguerre, log_axis_rule, tanh_sinh
+for fields in json.load(sys.stdin):
+    f = Integrand6D(ParameterSet(**{name: complex(*z) for name, z in fields.items()}))
+    for level, n in _TENSOR_PLAN:
+        ts, lag = tanh_sinh(level), gauss_laguerre(n)
+        total = tensor_sum_whole_grid(f, (ts, ts) + tuple(log_axis_rule(b, ts, lag) for b in f.betas))
+        print(total.real.hex(), total.imag.hex())
+"""
+
+
+def test_tensor_sum_matches_whole_grid():
+    # The sum made 32 columns at a time has the bits of the whole grid's
+    # ax @ acc @ ay on one BLAS thread, at both levels of the plan.  The
+    # whole grid's product split between two BLAS threads rounds some
+    # entries apart at complex log a, so the reference runs in a child on
+    # one BLAS thread; the blocks run here, on as many as BLAS takes.
+    strips = [_valid_strip(k, k, a) for k in range(7) for a in (0.3, 1.7, -2.0, 0.7 - 2.1j)]
+    strips.append(NEAR_BETA_MINUS_ONE)
+    got = []
+    for ps in strips:
+        f = Integrand6D(ps)
+        for level, n in quad._TENSOR_PLAN:
+            total = _tensor_sum(f, _rules(f.betas, level, n))
+            got.append(f"{total.real.hex()} {total.imag.hex()}")
+    names = ("k", "a", "m", "u", "v", "mu", "nu")
+    fields = [{name: (getattr(ps, name).real, getattr(ps, name).imag) for name in names} for ps in strips]
+    path = os.pathsep.join((str(Path(quad.__file__).parents[1]), str(Path(__file__).parent)))
+    child = subprocess.run(
+        [sys.executable, "-c", _WHOLE_GRID_SUMS],
+        input=json.dumps(fields),
+        capture_output=True,
+        text=True,
+        env={**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": path},
+    )
+    assert child.returncode == 0, child.stderr
+    assert got == child.stdout.splitlines()
+
+
 @pytest.mark.parametrize("case", list(_REFERENCE_STRIPS))
 def test_qmc_matches_reference_estimator(monkeypatch, case):
     # The buffered pipeline gives the bits of the plain arithmetic where S is
@@ -515,8 +589,8 @@ def test_qmc_non_finite_sample_names_global_index(monkeypatch):
     calls = []
     x_kernel = Integrand6D.x_kernel
 
-    def poisoned(self, x):
-        out = x_kernel(self, x)
+    def poisoned(self, x, *args, **kwargs):
+        out = x_kernel(self, x, *args, **kwargs)
         if len(calls) == 3:  # the fourth chunk of the first replicate
             out[5] = np.nan
         calls.append(len(x))
@@ -574,8 +648,8 @@ def _inject(monkeypatch, fault):
         state.update(rs=rs, calls=0)
         return share(rs, *args)
 
-    def kernel(self, x):
-        out = x_kernel(self, x)
+    def kernel(self, x, *args, **kwargs):
+        out = x_kernel(self, x, *args, **kwargs)
         fault(state["rs"][state["calls"] // 2], out)
         state["calls"] += 1
         return out
@@ -881,3 +955,11 @@ def test_kernels_take_their_series_once(ps):
     ref_y = quad.kernel_factor_array(ps.nu.real, ps.mu.real, x, 1.0 - x)
     assert np.array_equal(f.x_kernel(x, 1.0 - x), ref_x)
     assert np.array_equal(f.y_kernel(x, 1.0 - x), ref_y)
+    # Rows lent as the QMC estimator lends them, x in the row for 1 - x,
+    # change no bit.
+    rows = np.empty((4, 300))
+    for kernel, v, u in ((f.x_kernel, ps.v.real, ps.u.real), (f.y_kernel, ps.nu.real, ps.mu.real)):
+        rows[1] = x
+        got = kernel(rows[1], out=tuple(rows))
+        assert np.shares_memory(got, rows[0])
+        assert np.array_equal(got, quad.kernel_factor_array(v, u, x))
