@@ -21,12 +21,13 @@ Each path is one entry of ``PATHS``, so adding a path is one entry there.
 Its preconditions are checked once, by the function that computes the
 path, which raises ``InadmissibleError`` when one fails; ``verify``
 reports such a requested path as "inadmissible" with the message as its
-detail, never silently dropped.
+detail, never silently dropped.  ``judge`` gives the verdict.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
 from collections.abc import Callable
@@ -436,6 +437,22 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
+def judge(results: dict[str, PathResult], tol: Tolerances) -> tuple[str, dict[str, dict[str, float]]]:
+    """The verdict and pair diffs of one run's path results: "pass" iff each
+    pair of "ok" values a, b (in report order, as in ``diffs``) has
+    |a - b| <= abs_tol + rel_tol max(|a|, |b|) + 3 (err_a + err_b), which NaN
+    never has; fewer than two "ok" pass vacuously, or "fail" if a path erred."""
+    ok = [(name, r) for name, r in results.items() if r.status == "ok"]
+    agree = len(ok) > 1 or all(r.status != "error" for r in results.values())
+    diffs = {}
+    for (na, ra), (nb, rb) in itertools.combinations(ok, 2):
+        d = abs(ra.value - rb.value)
+        scale = max(abs(ra.value), abs(rb.value))
+        diffs[f"{na}|{nb}"] = {"abs": d, "rel": d / scale if scale else 0.0}
+        agree &= d <= tol.abs_tol + tol.rel_tol * scale + 3.0 * ((ra.err or 0.0) + (rb.err or 0.0))
+    return ("pass" if agree else "fail"), diffs
+
+
 def verify(
     case: IdentityCase | str,
     ps: ParameterSet,
@@ -446,30 +463,24 @@ def verify(
 ) -> VerificationReport:
     """Run every requested path for one case and compare pairwise.
 
-    Path names are the keys of ``PATHS``, whose entries compute them, so
-    adding a path is one entry there.  ``paths`` defaults to every path the
-    case admits (a path named twice runs once, in first-seen order), ``tol``
-    to ``Tolerances()``; the qmc path samples with ``qmc_spec``, or with
-    ``QmcSpec()`` when it is None.  Those two classes hold the defaults.
+    ``paths`` defaults to every path the case admits (a path named twice runs
+    once, in first-seen order); an empty ``paths`` or a name not in ``PATHS``
+    raises DomainError.  ``tol`` and ``qmc_spec`` (the qmc path's sampling)
+    default to ``Tolerances()`` and ``QmcSpec()``, which hold the defaults.
 
-    Verdict is "pass" iff every computed pair of path values agrees within
-    tolerance (plus three times the paths' own error estimates, for the
-    stochastic and discretization paths); fewer than two computed values
-    leave nothing to compare and the verdict passes vacuously, with the
-    per-path statuses telling the story.  Parameter-strip violations, and
-    for an alt-form case an a outside 0 < Re(a) <= 1, its domain,
-    short-circuit to "invalid_parameters".  So does a caller's second
-    exponent n at which the strip fails with m replaced by n, each violation
-    named with the suffix " at m=n": the difference is of two integrals,
-    and both must converge.  A pinned n (log3, arccoth_sqrt2) is not
-    checked.  A case that needs n raises DomainError without one, and one
-    that takes no n raises DomainError when given one.  Each
-    path function checks its own preconditions, and the tensor and qmc
-    entries build their ``Integrand6D``, which refuses a complex strip, in
-    the same call: a path that raises ``InadmissibleError`` gets status
-    "inadmissible" with the message as its detail, one that raises any
-    other ``SixfoldError`` or an ``ArithmeticError`` gets status "error";
-    any other exception is a bug and propagates.
+    ``judge`` gives the verdict and diffs.  Parameter-strip violations, and for
+    an alt-form case an a outside 0 < Re(a) <= 1, its domain, short-circuit to
+    "invalid_parameters".  So does a caller's second exponent n at which the
+    strip fails with m replaced by n, each violation named with the suffix
+    " at m=n": the difference is of two integrals, and both must converge.  A
+    pinned n (log3, arccoth_sqrt2) is not checked.  A case that needs n raises
+    DomainError without one, and one that takes no n raises DomainError when
+    given one.  Each path function checks its own preconditions, and the tensor
+    and qmc entries build their ``Integrand6D``, which refuses a complex strip,
+    in the same call: a path that raises ``InadmissibleError`` gets status
+    "inadmissible" with the message as its detail, one that raises any other
+    ``SixfoldError`` or an ``ArithmeticError`` gets status "error"; any other
+    exception is a bug and propagates.
     """
     case = catalog_case(case)
     ps_eff = ps.replace(**case.pins) if case.pins else ps
@@ -481,6 +492,8 @@ def verify(
     if not case.needs_second_exponent and second is not None:
         raise DomainError(f"case {case.tag!r} takes no second exponent n")
     requested = tuple(dict.fromkeys(paths)) if paths is not None else case.paths
+    if not requested:
+        raise DomainError(f"no path requested; valid: {PATH_NAMES}")
     for p in requested:
         if p not in PATHS:
             raise DomainError(f"unknown path {p!r}; valid: {PATH_NAMES}")
@@ -509,20 +522,7 @@ def verify(
         result.seconds = time.perf_counter() - t0
         results[path] = result
 
-    diffs: dict[str, dict[str, float]] = {}
-    ok = [(name, r) for name, r in results.items() if r.status == "ok"]
-    verdict = "pass"
-    for i in range(len(ok)):
-        for j in range(i + 1, len(ok)):
-            (na, ra), (nb, rb) = ok[i], ok[j]
-            d = abs(ra.value - rb.value)
-            scale = max(abs(ra.value), abs(rb.value))
-            slack = 3.0 * ((ra.err or 0.0) + (rb.err or 0.0))
-            diffs[f"{na}|{nb}"] = {"abs": d, "rel": d / scale if scale else 0.0}
-            if not (d <= tol.abs_tol + tol.rel_tol * scale + slack):
-                verdict = "fail"
-    if len(ok) < 2:
-        verdict = "fail" if any(r.status == "error" for r in results.values()) else verdict
+    verdict, diffs = judge(results, tol)
     return VerificationReport(
         case=case.tag,
         params=ps_eff,

@@ -302,6 +302,96 @@ def test_verify_rejects_an_unknown_path_before_running_any(monkeypatch):
     assert calls == []
 
 
+def test_verify_refuses_an_empty_path_request(monkeypatch):
+    calls = _count_path_runs(monkeypatch)
+    ps = ParameterSet(k=2, a=1.5, m=0.4, u=-0.3, v=1.2, mu=-0.1, nu=0.9)
+    with pytest.raises(DomainError, match=r"^no path requested; valid: \('jet', 'moment', "):
+        engine.verify("theorem", ps, paths=())
+    assert calls == []
+
+
+# ``judge`` on synthetic path results: no path runs.
+def _ok(value, err=None):
+    return engine.PathResult("ok", value, err)
+
+
+_OFF = engine.PathResult("inadmissible", detail="not here")
+_ERR = engine.PathResult("error", detail="DomainError: no convergence")
+
+
+def test_judge_passes_when_every_pair_agrees():
+    results = {"jet": _ok(0.0), "moment": _ok(0.0), "closed": _ok(1e-12j)}
+    verdict, diffs = engine.judge(results, Tolerances(abs_tol=1e-12, rel_tol=1e-8))
+    assert verdict == "pass"
+    assert diffs == {
+        "jet|moment": {"abs": 0.0, "rel": 0.0},
+        "jet|closed": {"abs": 1e-12, "rel": 1.0},
+        "moment|closed": {"abs": 1e-12, "rel": 1.0},
+    }
+
+
+def test_judge_fails_on_one_disagreeing_pair():
+    # qmc's error estimate covers its distance to both others, but jet and
+    # closed, which have none, differ.
+    results = {"jet": _ok(1.0), "qmc": _ok(1.5, 0.2), "closed": _ok(2.0)}
+    verdict, diffs = engine.judge(results, Tolerances())
+    assert verdict == "fail"
+    assert diffs["jet|closed"] == {"abs": 1.0, "rel": 0.5}
+    assert engine.judge({p: results[p] for p in ("jet", "qmc")}, Tolerances())[0] == "pass"
+    assert engine.judge({p: results[p] for p in ("qmc", "closed")}, Tolerances())[0] == "pass"
+
+
+@pytest.mark.parametrize(
+    "results",
+    [{"tensor": _OFF, "qmc": _OFF}, {"jet": _ok(1.0), "tensor": _OFF, "qmc": _OFF}],
+    ids=["none computed", "one computed"],
+)
+def test_judge_passes_vacuously_below_two_computed(results):
+    assert engine.judge(results, Tolerances()) == ("pass", {})
+
+
+@pytest.mark.parametrize(
+    "results",
+    [{"moment": _ERR, "tensor": _OFF}, {"jet": _ok(1.0), "moment": _ERR, "tensor": _OFF}],
+    ids=["none computed", "one computed"],
+)
+def test_judge_fails_below_two_computed_when_a_path_errored(results):
+    assert engine.judge(results, Tolerances()) == ("fail", {})
+
+
+def test_judge_passes_two_agreeing_paths_beside_an_error():
+    # The error sets only the CLI's exit code 3.
+    results = {"jet": _ok(2.0), "moment": _ERR, "closed": _ok(2.0)}
+    assert engine.judge(results, Tolerances()) == ("pass", {"jet|closed": {"abs": 0.0, "rel": 0.0}})
+
+
+def test_judge_bound_is_inclusive():
+    # Every term is exact in binary: 0.25 + 0.25 * 7 + 3 * (0.25 + 0.25) = 3.5,
+    # and so is each difference (7 - b for b in [3.5, 7]).
+    tol = Tolerances(abs_tol=0.25, rel_tol=0.25)
+    at_bound = {"qmc": _ok(7.0, 0.25), "tensor": _ok(3.5, 0.25)}
+    assert engine.judge(at_bound, tol) == ("pass", {"qmc|tensor": {"abs": 3.5, "rel": 0.5}})
+    above = {"qmc": _ok(7.0, 0.25), "tensor": _ok(math.nextafter(3.5, 0.0), 0.25)}
+    verdict, diffs = engine.judge(above, tol)
+    assert verdict == "fail" and diffs["qmc|tensor"]["abs"] == math.nextafter(3.5, 4.0)
+
+
+@pytest.mark.parametrize(
+    "a, b, err",
+    [(math.nan, 1.0, 0.0), (1.0, complex(1.0, math.nan), 0.0), (math.nan, math.nan, 0.0), (1.0, 1.0, math.nan)],
+    ids=["first", "second", "both", "estimate"],
+)
+def test_judge_never_passes_nan(a, b, err):
+    results = {"jet": _ok(a), "qmc": _ok(b, err)}
+    assert engine.judge(results, Tolerances(abs_tol=1e300, rel_tol=1e300))[0] == "fail"
+
+
+def test_judge_diffs_follow_report_order():
+    results = {"qmc": _ok(1.0), "jet": _ok(1.0), "tensor": _OFF, "closed": _ok(1.0), "limit": _ok(1.0)}
+    _, diffs = engine.judge(results, Tolerances())
+    assert list(diffs) == ["qmc|jet", "qmc|closed", "qmc|limit", "jet|closed", "jet|limit", "closed|limit"]
+
+
 def test_path_table_order_is_the_report_order():
     # perfbench/run.py names its engine.path_s.* metrics from its own copy
     # of this tuple.

@@ -181,3 +181,11 @@ def test_readme_table_matches_the_recorder(recorded):
     section = text.split("## Path independence", 1)[1]
     table = re.findall(r"^\|.*\|$", section.split("\n\n## ", 1)[0], flags=re.M)
     assert table == _table(recorded)
+
+
+def test_judge_reproduces_every_recorded_verdict(recorded):
+    # The verdict is a function of the path results alone: judge, given a
+    # report's own results, returns its verdict and its diffs, in its order.
+    for case, kind, report, _ in recorded:
+        verdict, diffs = engine.judge(report.paths, report.tolerances)
+        assert (verdict, list(diffs.items())) == (report.verdict, list(report.diffs.items())), (case, kind)
