@@ -36,7 +36,6 @@ from .jets import Jet, closed_form_jet, jet_csc, jet_of_gamma
 from .legendre import assoc_legendre_p, hyp2f1, legendre_recurrence
 from .lerch import (
     lerch_apostol,
-    lerch_integral_oracle,
     lerch_minus_one_split,
     lerch_phi,
     lerch_series,

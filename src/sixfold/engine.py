@@ -37,6 +37,7 @@ from .core import (
     PARAM_NAMES,
     DomainError,
     InadmissibleError,
+    NonFiniteSampleError,
     ParameterSet,
     PoleError,
     SixfoldError,
@@ -145,10 +146,16 @@ def _catanh(z: complex) -> complex:
 # ----------------------------------------------------------------------
 
 
+def _lerch_coefficient(ps: ParameterSet, phase: complex) -> complex:
+    """e^phase pi^(k+2) 2^(k+mu+u), exponents summed in that order: the
+    Lerch-type special forms' coefficient.  ``rhs_theorem`` keeps its own,
+    so a defect in either shows as ``closed`` against ``special``."""
+    return cmath.exp(phase + (ps.k + 2.0) * _LNPI + (ps.k + ps.mu + ps.u) * _LN2)
+
+
 def _hurwitz_split_form(ps: ParameterSet, n: complex | None) -> complex:
     vv = lerch_third_argument(ps.a)
-    pref = cmath.exp(ps.k * 0.5j * math.pi + (ps.k + 2.0) * _LNPI + (ps.k + ps.mu + ps.u) * _LN2)
-    return pref * lerch_minus_one_split(-ps.k, vv)
+    return _lerch_coefficient(ps, ps.k * 0.5j * math.pi) * lerch_minus_one_split(-ps.k, vv)
 
 
 def _harmonic_form(ps: ParameterSet, n: complex | None) -> complex:
@@ -167,9 +174,7 @@ def _difference_form(ps: ParameterSet, n: complex | None) -> complex:
 
 
 def _alt_lerch_form(ps: ParameterSet, n: complex | None) -> complex:
-    pref = -1j * cmath.exp(
-        (ps.k + 2.0) * _LNPI + 0.5j * math.pi * (ps.k + ps.m) + (ps.k + ps.mu + ps.u) * _LN2
-    )
+    pref = -1j * _lerch_coefficient(ps, 0.5j * math.pi * (ps.k + ps.m))
     return pref * lerch_phi(cmath.exp(1j * math.pi * ps.m), -ps.k, ps.a)
 
 
@@ -179,11 +184,7 @@ def _eta_line_form(ps: ParameterSet, n: complex | None) -> complex:
     if abs(k + 1.0) < 1e-12:
         raise PoleError("zeta line undefined at k = -1; use the limit path")
     factor = principal_power(2.0, k + 1.0) - 1.0
-    return (
-        -factor
-        * cmath.exp(0.5j * math.pi * k + (k + 2.0) * _LNPI + (k + ps.mu + ps.u) * _LN2)
-        * riemann_zeta(-k)
-    )
+    return -factor * _lerch_coefficient(ps, 0.5j * math.pi * k) * riemann_zeta(-k)
 
 
 @dataclass(frozen=True)
@@ -440,8 +441,9 @@ class VerificationReport:
 def judge(results: dict[str, PathResult], tol: Tolerances) -> tuple[str, dict[str, dict[str, float]]]:
     """The verdict and pair diffs of one run's path results: "pass" iff each
     pair of "ok" values a, b (in report order, as in ``diffs``) has
-    |a - b| <= abs_tol + rel_tol max(|a|, |b|) + 3 (err_a + err_b), which NaN
-    never has; fewer than two "ok" pass vacuously, or "fail" if a path erred."""
+    |a - b| <= abs_tol + rel_tol max(|a|, |b|) + 3 (err_a + err_b) and that
+    bound is finite, so a NaN or infinite value or err never passes; fewer than
+    two "ok" pass vacuously, or "fail" if a path erred."""
     ok = [(name, r) for name, r in results.items() if r.status == "ok"]
     agree = len(ok) > 1 or all(r.status != "error" for r in results.values())
     diffs = {}
@@ -449,7 +451,8 @@ def judge(results: dict[str, PathResult], tol: Tolerances) -> tuple[str, dict[st
         d = abs(ra.value - rb.value)
         scale = max(abs(ra.value), abs(rb.value))
         diffs[f"{na}|{nb}"] = {"abs": d, "rel": d / scale if scale else 0.0}
-        agree &= d <= tol.abs_tol + tol.rel_tol * scale + 3.0 * ((ra.err or 0.0) + (rb.err or 0.0))
+        bound = tol.abs_tol + tol.rel_tol * scale + 3.0 * ((ra.err or 0.0) + (rb.err or 0.0))
+        agree &= d <= bound < math.inf
     return ("pass" if agree else "fail"), diffs
 
 
@@ -479,8 +482,9 @@ def verify(
     and qmc entries build their ``Integrand6D``, which refuses a complex strip,
     in the same call: a path that raises ``InadmissibleError`` gets status
     "inadmissible" with the message as its detail, one that raises any other
-    ``SixfoldError`` or an ``ArithmeticError`` gets status "error"; any other
-    exception is a bug and propagates.
+    ``SixfoldError`` or an ``ArithmeticError``, or returns a value or err that
+    is not finite (detail ``NonFiniteSampleError: ...``), gets status "error";
+    any other exception is a bug and propagates.
     """
     case = catalog_case(case)
     ps_eff = ps.replace(**case.pins) if case.pins else ps
@@ -515,6 +519,8 @@ def verify(
         t0 = time.perf_counter()
         try:
             result = PATHS[path](case, ps_eff, ps_thm, second, qmc_spec)
+            if not (cmath.isfinite(result.value) and math.isfinite(result.err or 0.0)):
+                raise NonFiniteSampleError(f"path returned value {result.value!r}, err {result.err!r}")
         except InadmissibleError as exc:
             result = PathResult(status="inadmissible", detail=str(exc))
         except (SixfoldError, ArithmeticError) as exc:

@@ -22,8 +22,8 @@
   Accuracy notes, has the measured figures).  Below |z| = 0.05 it sums
   the tail z Phi(z, s, v + 1) after the first term v^(-s).
 
-Two cross-check oracles are kept: the defining power series, and the
-Laplace form at tanh-sinh level 9.
+One cross-check oracle is kept: the defining power series, which shares
+no code with the routes above.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
     return (val.conjugate() if flip else val), float(abs(total - prev))
 
 
-def _laplace_phi(z: complex, s: complex, v: complex, level: int) -> tuple[complex, float]:
+def _laplace_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]:
     """(1/Gamma(s)) int_0^inf t^(s-1) e^(-vt)/(1 - z e^-t) dt, with an estimate.
 
     Needs Re(v) > 0 and either |z| <= 1, z != 1, Re(s) > 0, or z = 1,
@@ -257,27 +257,26 @@ def _laplace_phi(z: complex, s: complex, v: complex, level: int) -> tuple[comple
     cos(arg v) times their distance from the real axis.  The half turn
     keeps both factors at cos(arg(v)/2) > 0.7.  One tanh-sinh
     rule sums both panels: (0, 1], and [1, 1 + 46/Re(c v)], over which
-    e^(-c v x) falls by e^-46.  Every node of ``tanh_sinh(level)`` is
-    evaluated in one pass, and level - 1 is read from its even nodes;
-    returns S_level and |S_level - S_(level-1)| as its error estimate.
-    That difference measures the error of level - 1, and near z = 1 it
-    overstates the error of S_level by orders of magnitude: at level 6,
-    over 40 points, 4.3e-8 against at most 1.0e-11 relative at
-    |z - 1| = 1e-6, and 1.9e-11 against 1.2e-13 at 1e-4 (README, Accuracy
-    notes).
+    e^(-c v x) falls by e^-46.  Every node of ``tanh_sinh(6)`` is
+    evaluated in one pass, and level 5 is read from its even nodes;
+    returns S_6 and |S_6 - S_5| as its error estimate.  That difference
+    measures the error of level 5, and near z = 1 it overstates the error
+    of S_6 by orders of magnitude: over 40 points, 4.3e-8 against at most
+    1.0e-11 relative at |z - 1| = 1e-6, and 1.9e-11 against 1.2e-13 at
+    1e-4 (README, Accuracy notes).
     """
     half = -0.5 * cmath.phase(v)
     turn = cmath.exp(1j * half)
     rate = v * turn
     span = 46.0 / rate.real
-    rule = tanh_sinh(level)
+    rule = tanh_sinh(6)
     coarse, added = tanh_sinh_nesting(rule)
     x = np.stack([rule.nodes, 1.0 + span * rule.nodes])
     w = np.stack([rule.weights, span * rule.weights])
     terms = w * np.exp((s - 1.0) * np.log(x) - rate * x) / (1.0 - z * np.exp(-turn * x))
     # Each sum runs over one contiguous array, panel (0, 1] first: numpy sums
     # a strided view in blocks of its buffer size, which would set the rounding.
-    prev = np.sum(2.0 * terms[:, coarse])  # level - 1 has twice the weights
+    prev = np.sum(2.0 * terms[:, coarse])  # level 5 has twice the weights
     total = 0.5 * prev + np.sum(terms[:, added].ravel())
     # c^s: c^(s-1) from t^(s-1), and dt = c dx.
     scale = rgamma(s) * cmath.exp(1j * half * s)
@@ -310,41 +309,8 @@ def lerch_unit_circle_full(z: complex, s: complex, v: complex) -> tuple[complex,
     if v.real <= 0:
         raise DomainError(f"unit-circle evaluator needs Re(v) > 0, got v={v!r}")
     if _laplace_route(s, v):
-        return _laplace_phi(z, s, v, 6)
+        return _laplace_phi(z, s, v)
     return _abel_plana_phi(z, s, v)
-
-
-def lerch_integral_oracle(z: complex, s: complex, v: complex) -> complex:
-    """Cross-check oracle: the Laplace form ``_laplace_phi`` at tanh-sinh
-    level 9, the code the unit circle runs at level 6.
-
-    Conditions: Re(v) > 0 and either |z| <= 1, z != 1, Re(s) > 0, or z = 1,
-    Re(s) > 1.
-    Worst relative error against 40-digit mpmath `lerchphi`, 40 points per
-    band, half on |z| = 1 and half with |z| in (0.05, 0.99), arg z in
-    (0.2 pi, 1.8 pi), Re(s) in (0.6, 3.5), Im(s), Im(v) in (-0.8, 0.8),
-    on the real axis with a Gauss-Laguerre or a tanh-sinh tail, then on a
-    fresh draw on the real axis and on the half-turned ray (today's form):
-
-    =============  =====================  ==============  ==========  ===========
-    Re(v)          Gauss-Laguerre tail    tanh-sinh tail  real axis   turned ray
-    =============  =====================  ==============  ==========  ===========
-    (0.05, 0.1)    5.4e3                  1.1e-11         6.0e-13     1.6e-15
-    (0.1, 0.3)     10                     1.5e-14         1.3e-14     1.9e-15
-    (0.3, 2)       1.2e-9                 1.5e-15         1.4e-15     1.3e-15
-    =============  =====================  ==============  ==========  ===========
-    """
-    z, s, v = complex(z), complex(s), complex(v)
-    if v.real <= 0:
-        raise DomainError(f"integral oracle needs Re(v) > 0, got v={v!r}")
-    if abs(z) > 1.0 + 1e-12:
-        raise UnsupportedRegimeError("integral oracle needs |z| <= 1")
-    if abs(z - 1.0) < 1e-12:
-        if not s.real > 1:
-            raise DomainError("z = 1 requires Re(s) > 1")
-    elif not s.real > 0:
-        raise DomainError("integral oracle needs Re(s) > 0 for z != 1")
-    return _laplace_phi(z, s, v, 9)[0]
 
 
 def lerch_phi(z: complex, s: complex, v: complex) -> complex:

@@ -55,13 +55,12 @@ def test_a10_lerch_check_sees_the_evaluator(monkeypatch):
 
 def test_a10_lerch_check_sees_the_laplace_route(monkeypatch):
     # On the circle Re s > 0.5 takes the Laplace form, which A10 compares
-    # with Abel-Plana, not with the integral oracle that shares its code.
-    # With the z = -1 split check made to agree, the circle trials alone
-    # must see a relative defect of 1e-10 in the route.
+    # with Abel-Plana.  With the z = -1 split check made to agree, the
+    # circle trials alone must see a relative defect of 1e-10 in the route.
     real = lerch._laplace_phi
 
-    def scaled(z, s, v, level):
-        val, est = real(z, s, v, level)
+    def scaled(z, s, v):
+        val, est = real(z, s, v)
         return val * (1.0 + 1e-10), est
 
     monkeypatch.setattr(lerch, "_laplace_phi", scaled)

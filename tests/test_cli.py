@@ -317,6 +317,17 @@ def test_verify_numeric_path_failure_exit_three(capsys):
     assert "PoleError" in capsys.readouterr().out
 
 
+def test_verify_non_finite_path_value_exit_three(capsys):
+    # At k = 168.4 the eta line overflows: closed reads -inf-inf i and special
+    # +inf+inf i.  Their bound is infinite, and neither may count as computed.
+    code = main(["verify", "--case", "eta_zeta_line", "--paths", "closed,special", "--k", "168.4", "--format", "json"])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
+    assert report["verdict"] == "fail" and report["diffs"] == {}
+    for path in report["paths"].values():
+        assert path["status"] == "error" and path["detail"].startswith("NonFiniteSampleError: "), path
+
+
 CASE_FLAGS = {
     "theorem": ["--k", "1", "--paths", "jet,moment,closed"],
     "degenerate": ["--paths", "jet,closed,special"],

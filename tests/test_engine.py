@@ -378,10 +378,18 @@ def test_judge_bound_is_inclusive():
 
 @pytest.mark.parametrize(
     "a, b, err",
-    [(math.nan, 1.0, 0.0), (1.0, complex(1.0, math.nan), 0.0), (math.nan, math.nan, 0.0), (1.0, 1.0, math.nan)],
-    ids=["first", "second", "both", "estimate"],
+    [
+        (math.nan, 1.0, 0.0),
+        (1.0, complex(1.0, math.nan), 0.0),
+        (math.nan, math.nan, 0.0),
+        (1.0, 1.0, math.nan),
+        (math.inf, 1.0, 0.0),
+        (1.0, 1.0, math.inf),
+    ],
+    ids=["first", "second", "both", "estimate", "infinite", "infinite_estimate"],
 )
 def test_judge_never_passes_nan(a, b, err):
+    # An infinite value or err makes the bound infinite, which no pair meets.
     results = {"jet": _ok(a), "qmc": _ok(b, err)}
     assert engine.judge(results, Tolerances(abs_tol=1e300, rel_tol=1e300))[0] == "fail"
 

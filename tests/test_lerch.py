@@ -10,7 +10,6 @@ from sixfold.core import DomainError, PoleError, UnsupportedRegimeError, princip
 from sixfold.lerch import (
     _abel_plana_phi,
     lerch_apostol,
-    lerch_integral_oracle,
     lerch_minus_one_split,
     lerch_phi,
     lerch_series,
@@ -110,13 +109,6 @@ def test_minus_one_split_digamma_limit():
     assert abs(at_limit - nearby) < 1e-5
 
 
-def test_integral_oracle_values():
-    assert abs(lerch_integral_oracle(0.0, 2.0, 1.0) - 1.0) < 1e-10
-    assert abs(lerch_integral_oracle(0.5, 1.0, 1.0) - 2.0 * math.log(2.0)) < 1e-10
-    assert abs(lerch_integral_oracle(-1.0, 3.0, 1.0) - 0.75 * ZETA3) < 1e-10
-    assert type(lerch_integral_oracle(0.5j, 1.5, 0.7)) is complex
-
-
 @pytest.mark.parametrize(
     "z, s",
     [(cmath.exp(1j), 0.5), (0.5j, 1.5), (0.01 + 0.01j, 1.5), (-1.0, 1.5), (0.3 + 0.4j, -3.0)],
@@ -129,15 +121,6 @@ def test_phi_returns_python_complex_on_every_route(z, s):
     if abs(abs(z) - 1.0) < 1e-12:
         val, est = lerch_unit_circle_full(z, s, 0.7)
         assert (type(val), type(est)) == (complex, float)
-
-
-def test_integral_oracle_domain():
-    with pytest.raises(DomainError):
-        lerch_integral_oracle(0.5, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        lerch_integral_oracle(1.0, 0.5, 1.0)
-    with pytest.raises(DomainError):
-        lerch_integral_oracle(0.5, 1.0, -2.0)
 
 
 def test_dispatcher_z_one_routes_to_hurwitz():
@@ -195,11 +178,12 @@ def test_regime_agreement_series_vs_abel_plana():
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a)), (z, s, v)
 
 
-def test_regime_agreement_circle_vs_integral_oracle():
+def test_regime_agreement_circle_vs_abel_plana_disk_vs_series():
     # 15 draws on the circle with Re v in (0.5, 2), then 15 inside the disk
-    # with Re v in (0.1, 0.3), where the oracle's tail panel is longest.  The
-    # circle runs the oracle's Laplace form at Re s > 0.5, so its draws are
-    # checked against Abel-Plana.
+    # with Re v in (0.1, 0.3), where Abel-Plana's boundary integrand peaks
+    # nearest its contour.  The circle runs the Laplace form at Re s > 0.5,
+    # so its draws are checked against Abel-Plana; the disk draws, which
+    # lerch_phi sends to Abel-Plana, against the defining series.
     rng = random.Random(33)
     for trial in range(30):
         if trial < 15:
@@ -211,7 +195,7 @@ def test_regime_agreement_circle_vs_integral_oracle():
         s = complex(rng.uniform(0.6, 3.5), rng.uniform(-0.8, 0.8))
         v = complex(re_v, rng.uniform(-0.4, 0.4))
         a = lerch_phi(z, s, v)
-        b = _abel_plana_phi(z, s, v)[0] if trial < 15 else lerch_integral_oracle(z, s, v)
+        b = _abel_plana_phi(z, s, v)[0] if trial < 15 else lerch_series(z, s, v)
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a)), (z, s, v)
 
 
@@ -482,14 +466,6 @@ _LERCH_GOLDEN = {
             BASELINE: ("0x1.73444269b30dfp+0", "-0x1.d20c155fe28f6p-1"),
         },
     ),
-    "integral_oracle": (
-        "lerch_integral_oracle", (0.8 * _turn(0.41), 1.9 - 0.6j, 0.45 + 0.7j), [9],
-        {
-            AVX512: ("-0x1.9c789cec418b7p-2", "-0x1.127d6ea1c504bp-1"),
-            AVX2: ("-0x1.9c789cec418b7p-2", "-0x1.127d6ea1c504bp-1"),
-            BASELINE: ("-0x1.9c789cec418b7p-2", "-0x1.127d6ea1c504bp-1"),
-        },
-    ),
 }
 
 
@@ -506,7 +482,7 @@ def test_lerch_golden_bits(case):
 @pytest.mark.parametrize("case", list(_LERCH_GOLDEN))
 def test_lerch_builds_one_rule_per_level(case, monkeypatch):
     # Each level's coarse nodes are read from the finer rule, so a call
-    # builds level 6 (9 for the oracle) and one rule per level it refines to.
+    # builds level 6 and one rule per level it refines to.
     import sixfold.lerch as lerch
 
     name, args, levels, _ = _LERCH_GOLDEN[case]
