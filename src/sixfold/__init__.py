@@ -23,7 +23,6 @@ from .engine import (
     catalog_case,
     lhs_jet,
     lhs_moment_expansion,
-    product_identity_check,
     report_to_csv_rows,
     report_to_dict,
     rhs_example,
@@ -41,7 +40,7 @@ from .lerch import (
     lerch_series,
     lerch_unit_circle_full,
 )
-from .mellin import log_moment, mellin_legendre_closed, mellin_legendre_quadrature
+from .mellin import mellin_legendre_closed, mellin_legendre_quadrature
 from .quad import (
     Integrand6D,
     QmcSpec,

@@ -50,7 +50,7 @@ from .core import (
 )
 from .jets import closed_form_jet, jet_constant, jet_of_log_gamma, jet_variable
 from .lerch import lerch_minus_one_split, lerch_phi
-from .mellin import log_moment, mellin_gamma_factors, mellin_legendre_closed
+from .mellin import mellin_gamma_factors
 from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor
 from .specialfn import digamma, riemann_zeta
 
@@ -120,21 +120,6 @@ def rhs_theorem(ps: ParameterSet) -> complex:
     )
     z = cmath.exp(2j * math.pi * ps.m)
     return pref * lerch_phi(z, -k, lerch_third_argument(ps.a))
-
-
-def product_identity_check(ps: ParameterSet) -> tuple[complex, complex]:
-    """Both members of the w=0 product identity: the six-factor product and
-    pi^2 2^(mu+u-1) csc(pi m)."""
-    exq = derive_exponents(ps)
-    lhs = (
-        mellin_legendre_closed(ps.m, ps.u, ps.v)
-        * mellin_legendre_closed(1.0 - ps.m, ps.mu, ps.nu)
-        * log_moment(exq.beta_t)
-        * log_moment(exq.beta_z)
-        * log_moment(exq.beta_p)
-        * log_moment(exq.beta_q)
-    )
-    return lhs, catalog_case("degenerate").special(ps, None)
 
 
 def _catanh(z: complex) -> complex:

@@ -4,11 +4,8 @@ The Mellin transform of the Legendre kernel over (0, 1),
 
     M(s; u, v) = int_0^1 x^(s-1) (1-x^2)^(-u/2) P_v^u(x) dx,
 
-has the closed Gamma-quotient form implemented here; it is pinned by two
-independent gates (the u=v=0 and (u,v)=(0,1) elementary cases, and the
-product identity the engine checks) plus direct tanh-sinh quadrature.  The
-log-power moment int_0^1 log^beta(1/x) dx = Gamma(beta+1) completes the
-set of 1-D factors.
+has the closed Gamma-quotient form implemented here; it is pinned by the
+u=v=0 and (u,v)=(0,1) elementary cases and by direct tanh-sinh quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import numpy as np
 from .core import DomainError, PoleError, nearest_int
 from .legendre import kernel_factor_array
 from .quad import tanh_sinh
-from .specialfn import gamma, log_gamma
+from .specialfn import log_gamma
 
 _POLE_TOL = 1e-13
 
@@ -71,10 +68,3 @@ def mellin_legendre_quadrature(s: complex, u: complex, v: complex) -> complex:
     vals = np.exp((s - 1.0) * np.log(x)) * kernel_factor_array(v, u, x, omx)
     return complex(np.sum(rule.weights * vals))
 
-
-def log_moment(beta: complex) -> complex:
-    """int_0^1 log^beta(1/x) dx = Gamma(beta + 1); needs Re(beta) > -1."""
-    beta = complex(beta)
-    if not beta.real > -1:
-        raise DomainError(f"log moment needs Re(beta) > -1, got {beta!r}")
-    return gamma(beta + 1.0)

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import sixfold.acceptance as acceptance
+import sixfold.engine as engine
 import sixfold.legendre as legendre
 import sixfold.lerch as lerch
 import sixfold.specialfn as specialfn
 from sixfold.acceptance import ALL_CRITERIA, criterion_a10_module_oracles, run_criterion
+from sixfold.jets import Jet
 
 
 @pytest.mark.parametrize(
@@ -26,6 +28,20 @@ def test_criterion(criterion, budget):
     print(f"\n{status}  {result.name}  [{result.seconds:.1f}s]  {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
     assert 0 < result.seconds < budget, "over time budget"
+
+
+def test_a1_check_sees_the_moment_path(monkeypatch):
+    # A1 reads the moment path at k = 0, so 1e-9 added to every log-gamma
+    # jet's constant term (a relative 2e-9 on the product) must show.
+    real = engine.jet_of_log_gamma
+
+    def shifted(z0, order):
+        jet = real(z0, order)
+        return Jet((jet[0] + 1e-9, *jet.coeffs[1:]))
+
+    monkeypatch.setattr(engine, "jet_of_log_gamma", shifted)
+    result = acceptance.criterion_a1_degenerate_product()
+    assert not result.passed, result.detail
 
 
 def test_a10_gamma_check_sees_the_lanczos_core(monkeypatch):

@@ -8,7 +8,7 @@ from oracles import tanh_sinh_01
 from sixfold import acceptance, engine, mellin
 from sixfold.core import DomainError, ParameterSet, PoleError, derive_exponents, validate_parameters
 from sixfold.legendre import kernel_factor_array
-from sixfold.mellin import log_moment, mellin_legendre_closed, mellin_legendre_quadrature
+from sixfold.mellin import mellin_legendre_closed, mellin_legendre_quadrature
 from sixfold.specialfn import gamma
 
 # Fixed by the independent tanh-sinh oracle in tests/oracles.py applied to
@@ -86,19 +86,6 @@ def test_strip_preconditions():
         mellin_legendre_quadrature(0.5, 1.5, 0.0)
 
 
-def test_log_moment_values():
-    assert abs(log_moment(0.0) - 1.0) < 1e-15
-    assert abs(log_moment(1.0) - 1.0) < 1e-14
-    assert abs(log_moment(0.5) - math.sqrt(math.pi) / 2.0) < 1e-13
-    oracle = tanh_sinh_01(lambda z, _: math.sqrt(-math.log(z)), level=7)
-    assert abs(log_moment(0.5).real - oracle) < 1e-12
-
-
-def test_log_moment_domain():
-    with pytest.raises(DomainError):
-        log_moment(-1.2)
-
-
 def test_product_identity_sample():
     rng = random.Random(42)
     done = 0
@@ -135,8 +122,8 @@ def test_product_identity_sample():
 @pytest.mark.parametrize("index", range(3))
 def test_a_shifted_gamma_factor_fails_every_gate(monkeypatch, index):
     # One Gamma argument of M(s; u, v), moved by 0.01, must reach the moment
-    # path, the product identity (A1) and the Mellin quadrature check (A10),
-    # since all three read the one table.
+    # path, and through it A1, and the Mellin quadrature check (A10), since
+    # both read the one table.
     real = mellin.mellin_gamma_factors
 
     def shifted(s, u, v):
