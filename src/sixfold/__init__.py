@@ -32,7 +32,7 @@ from .engine import (
     verify,
 )
 from .jets import Jet, closed_form_jet, jet_csc, jet_of_gamma
-from .legendre import assoc_legendre_p, hyp2f1, legendre_recurrence
+from .legendre import legendre_recurrence
 from .lerch import (
     lerch_apostol,
     lerch_minus_one_split,

@@ -290,8 +290,8 @@ class Integrand6D:
     betas: tuple[float, float, float, float] = field(init=False)
     log_a: float | complex = field(init=False)
     k_int: int | None = field(init=False)
-    x_series: np.ndarray = field(init=False, repr=False, compare=False)
-    y_series: np.ndarray = field(init=False, repr=False, compare=False)
+    x_series: np.ndarray | tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    y_series: np.ndarray | tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ps = self.ps

@@ -104,13 +104,22 @@ def test_a10_reads_the_circle_route_from_lerch(monkeypatch):
 
 
 def test_a10_legendre_check_sees_the_evaluator(monkeypatch):
-    # The Legendre grid compares assoc_legendre_p with the degree
-    # recurrence, so a relative defect of 1e-11 in the evaluator must show.
-    real = legendre.assoc_legendre_p
-    monkeypatch.setattr(legendre, "assoc_legendre_p", lambda v, u, x: real(v, u, x) * (1.0 + 1e-11))
+    # The Legendre grid compares the paths' kernel with the degree
+    # recurrence, so a relative defect of 1e-11 in the kernel must show.
+    real = legendre.kernel_factor_array
+    monkeypatch.setattr(legendre, "kernel_factor_array", lambda *args: real(*args) * (1.0 + 1e-11))
     result = criterion_a10_module_oracles()
     assert not result.passed
     assert "legendre" in result.detail, result.detail
+
+
+def test_a10_legendre_check_sees_the_series_cancel(monkeypatch):
+    # With the series bound raised above the grid's degree 20, the Gauss
+    # series alone serves every point; it cancels to 1.9e-9, over 1e-12.
+    monkeypatch.setattr(legendre, "_SERIES_DEGREE", 21.0)
+    result = criterion_a10_module_oracles()
+    assert not result.passed
+    assert "legendre agreement" in result.detail, result.detail
 
 
 def test_a10_jet_check_sees_the_jets(monkeypatch):

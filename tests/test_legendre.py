@@ -7,8 +7,6 @@ import pytest
 from oracles import hyp2f1_array_complex, laplace_legendre
 from sixfold.core import DomainError, ParameterSet, PoleError
 from sixfold.legendre import (
-    assoc_legendre_p,
-    hyp2f1,
     hyp2f1_array,
     kernel_factor_array,
     kernel_series,
@@ -21,18 +19,22 @@ from sixfold.specialfn import rgamma
 P_HALF_AT_05 = 0.7952489081860239
 
 
+def _hyp2f1(a, b, c, x):
+    return complex(hyp2f1_array(a, b, c, np.full(1, x))[0])
+
+
 def test_hyp2f1_at_zero():
-    assert hyp2f1(0.7 + 0.2j, -1.1, 0.9, 0.0) == 1.0
+    assert _hyp2f1(0.7 + 0.2j, -1.1, 0.9, 0.0) == 1.0
 
 
 def test_hyp2f1_log_series_point():
-    got = hyp2f1(1.0, 1.0, 2.0, 0.25)
+    got = _hyp2f1(1.0, 1.0, 2.0, 0.25)
     expect = -math.log(0.75) / 0.25
     assert abs(got - expect) < 1e-12 * expect
 
 
 def test_hyp2f1_terminating():
-    got = hyp2f1(-1.0, 2.3, 1.7, 0.3)
+    got = _hyp2f1(-1.0, 2.3, 1.7, 0.3)
     assert abs(got - (1.0 - 2.3 * 0.3 / 1.7)) < 1e-14
 
 
@@ -42,67 +44,27 @@ def _mpmath_hyp2f1(a, b, c, x):
         return complex(mpmath.hyp2f1(a, b, c, mpmath.mpf(x)))
 
 
-@pytest.mark.parametrize("a, b", [(-15, 16.5), (-12, 13.0)])
-def test_hyp2f1_terminating_non_integer_sums_in_extended_precision(a, b):
-    # A float64 sum of these cancelling series is off by 3e-9 and 4e-10
-    # relative; their parameters are real, so hyp2f1 sums them exactly.
-    ref = _mpmath_hyp2f1(a, b, 1.25, 0.45)
-    assert abs(hyp2f1(a, b, 1.25, 0.45) - ref) <= 1e-11 * abs(ref)
-
-
-@pytest.mark.parametrize("a, b", [(-15, 16.5), (-12, 13.0)])
-def test_hyp2f1_real_terminating_exact_where_long_double_is_double(monkeypatch, a, b):
-    # Where long double is double (Windows, macOS arm64) an extended-precision
-    # sum would be the float64 one; the exact sum does not depend on it.
-    ref = _mpmath_hyp2f1(a, b, 1.25, 0.45)
-    monkeypatch.setattr(np, "longdouble", np.float64)
-    monkeypatch.setattr(np, "clongdouble", np.complex128)
-    assert abs(hyp2f1(a, b, 1.25, 0.45) - ref) <= 1e-11 * abs(ref)
-
-
-@pytest.mark.parametrize("long_double_is_double", [False, True])
-def test_hyp2f1_complex_terminating_matches_mpmath(monkeypatch, long_double_is_double):
-    # Integer degree with complex order: the scalar sums the series exactly
-    # and rounds once, so long double plays no part.  Worst
-    # |err| / max(1, |F|) on these 60 draws: 0 either way; the bound allows
-    # one rounding of the reference.
-    mpmath = pytest.importorskip("mpmath")
-    if long_double_is_double:
-        monkeypatch.setattr(np, "longdouble", np.float64)
-        monkeypatch.setattr(np, "clongdouble", np.complex128)
-    bound = 2.3e-16
-    rng = random.Random(34)
-    for _ in range(60):
-        n = rng.randint(1, 20)
-        c = 1.0 - complex(rng.uniform(-2.0, 0.95), rng.uniform(-1.0, 1.0))
-        x = rng.uniform(0.0, 0.5)
-        with mpmath.workdps(30):
-            ref = complex(mpmath.hyp2f1(-n, n + 1, c, x))
-        assert abs(hyp2f1(-n, n + 1.0, c, x) - ref) <= bound * max(1.0, abs(ref)), (n, c, x)
+def _mpmath_kernel(mpmath, v, u, x):
+    """(1 - x^2)^(-u/2) P_v^u(x) in mpmath's working precision."""
+    mx, mu = mpmath.mpf(float(x)), mpmath.mpmathify(u)
+    return complex(mpmath.legenp(v, mu, mx, type=2) * (1 - mx * mx) ** (-mu / 2))
 
 
 def test_hyp2f1_c_pole():
     with pytest.raises(PoleError):
-        hyp2f1(0.5, 0.7, -2.0, 0.3)
+        _hyp2f1(0.5, 0.7, -2.0, 0.3)
 
 
 def test_hyp2f1_terminating_c_pole():
     # a = -3 terminates the series, but the ratio of its third term to its
     # second divides by c + 1 = 0.
     with pytest.raises(PoleError, match="hits a non-positive integer"):
-        hyp2f1(-3, 1, -1, 0.3)
+        _hyp2f1(-3, 1, -1, 0.3)
 
 
 def test_hyp2f1_domain():
     with pytest.raises(DomainError):
-        hyp2f1(0.5, 0.7, 1.0, 0.9)
-
-
-def test_hyp2f1_array_matches_scalar():
-    xs = np.array([0.0, 0.1, 0.25, 0.49])
-    arr = hyp2f1_array(0.3 - 0.2j, 1.4, 0.8 + 0.1j, xs)
-    for x, got in zip(xs, arr):
-        assert abs(got - hyp2f1(0.3 - 0.2j, 1.4, 0.8 + 0.1j, float(x))) < 1e-14
+        _hyp2f1(0.5, 0.7, 1.0, 0.9)
 
 
 def test_hyp2f1_array_real_series_matches_complex_reference():
@@ -129,7 +91,7 @@ def test_hyp2f1_array_near_interior_zero_matches_mpmath():
     lo, hi = 0.43, 0.44
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if (hyp2f1(-3.3, 4.3, 1.0, lo) * hyp2f1(-3.3, 4.3, 1.0, mid)).real <= 0.0:
+        if (_hyp2f1(-3.3, 4.3, 1.0, lo) * _hyp2f1(-3.3, 4.3, 1.0, mid)).real <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -199,14 +161,17 @@ def test_hyp2f1_array_matches_mpmath(monkeypatch, long_double_is_double):
 
 
 def test_kernel_factor_array_real_dtype_at_non_integer_and_integer_orders():
+    mpmath = pytest.importorskip("mpmath")
     x = np.array([0.05, 0.3, 0.7, 0.95])
-    for v, u in ((1.7, -0.6), (2.4, 0.0), (3.0, -2.0)):
+    for v, u in ((1.7, -0.6), (2.4, 0.0), (3.0, -2.0), (7.3, -1.2), (9.0, -3.0)):
         got = kernel_factor_array(v, u, x)
         assert got.dtype == np.float64
         for t, g in zip(x, got):
-            ref = assoc_legendre_p(v, u, float(t)) * (1.0 - t * t) ** (-u / 2.0)
+            with mpmath.workdps(30):
+                ref = _mpmath_kernel(mpmath, v, u, t).real
             assert abs(g - ref) <= 1e-13 * abs(ref), (v, u, t)
     assert kernel_factor_array(1.7 + 0.1j, -0.6, x).dtype == np.complex128
+    assert kernel_factor_array(7.3 + 0.1j, -0.6, x).dtype == np.complex128
 
 
 def test_kernel_factor_array_matches_mpmath():
@@ -230,54 +195,77 @@ def test_kernel_factor_array_matches_mpmath():
             assert abs(got - ref) <= bound, (v, u, t)
 
 
-def _mpmath_legenp_integer_order(mpmath, v, m, x):
-    """P_v^m(x) at an integer order m >= 0 in mpmath's working precision,
-    as (-1)^m Gamma(v+m+1) / Gamma(v-m+1) P_v^-m(x) (DLMF 14.9.3): legenp
-    at -m sums a regular Gauss series, where at +m it resolves the pole of
-    Gamma(1-m), some 100 times slower.  At 30 digits the two agree to
-    3.5e-31 relative on the draws of the test below."""
-    v = mpmath.mpf(v)
-    return (-1) ** m * mpmath.rgamma(v - m + 1) * mpmath.gamma(v + m + 1) * mpmath.legenp(v, -m, x, type=2)
+def _strip_draws(rng, count):
+    """(v, u, x) draws for the kernel past degree 4: degree in (4, 60],
+    orders on item 12's strip u = 0.5 - v and down to max(-4v, -160), one
+    draw in five complex, and x in the interior and within 1e-12..1e-3 of
+    each end."""
+    draws = []
+    for i in range(count):
+        v = rng.uniform(4.0, 60.0)
+        u = 0.5 - v if i % 2 else rng.uniform(max(-4.0 * v, -160.0), 0.5 - v)
+        if i % 5 == 4:
+            v, u = complex(v, rng.uniform(-1.0, 1.0)), complex(u, rng.uniform(-1.0, 1.0))
+        ends = [10.0 ** rng.uniform(-12.0, -3.0) for _ in range(2)]
+        x = np.array([rng.uniform(0.001, 0.999) for _ in range(3)] + ends + [1.0 - d for d in ends])
+        draws.append((v, u, x))
+    return draws
 
 
-def test_assoc_legendre_p_positive_integer_orders_match_mpmath():
-    # Positive integer orders at non-integer degree, which only the scalar
-    # function takes: one Gauss series, with no loss of digits near x = 1,
-    # against 30-digit mpmath.  Over the draws of seeds 0-199 and 2025 the
-    # worst error was 1.48e-15 relative where |P| >= (1-x^2)^(mo/2), the
-    # factor by which P_v^mo vanishes at x = 1, and 1.44e-15 of that factor
-    # where |P| is smaller: next to the interior zeros of P_v^1 at degree
-    # in (2, 2.5), where the series cancels, the relative error reached
-    # 1.5e-13.  The bound is under twice those.
+def test_kernel_factor_array_high_degree_matches_mpmath():
+    # Past degree 4 the kernel climbs the degree recurrence from two series
+    # seeds; the Gauss series alone is off by up to 2e8 of the scale on
+    # these draws.  Against 40-digit mpmath the worst error over each draw's
+    # largest |K| reads 1.4e-13 on these 120 draws (24 complex) and 2.2e-13
+    # on 200 more (seed 42); on item 12's strips, u = 0.5 - v, it reads
+    # 5.6e-15 at v = 40.5 and 3.3e-14 at 60.5, where the series alone reads
+    # 1.3e-3 and 2.8e5.
     mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(2025)
-    for mo in range(1, 6):
-        for _ in range(4):
-            v = rng.uniform(0.05, 2.5)
-            ends = [10.0 ** rng.uniform(-12.0, -3.0) for _ in range(2)]
-            for t in [rng.uniform(0.001, 0.999) for _ in range(3)] + ends + [1.0 - d for d in ends]:
-                got = assoc_legendre_p(v, float(mo), t)
-                with mpmath.workdps(30):
-                    ref = complex(_mpmath_legenp_integer_order(mpmath, v, mo, mpmath.mpf(t)))
-                bound = 2.9e-15 * max(abs(ref), ((1.0 - t) * (1.0 + t)) ** (mo / 2))
-                assert abs(got - ref) <= bound, (v, mo, t)
+    strips = [(v, 0.5 - v, np.array([0.1, 0.45, 0.9])) for v in (40.5, 60.5)]
+    draws = _strip_draws(random.Random(41), 120) + strips
+    for v, u, x in draws:
+        got = kernel_factor_array(v, u, x)
+        with mpmath.workdps(40):
+            ref = np.array([_mpmath_kernel(mpmath, v, u, t) for t in x])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (v, u)
 
 
-def test_assoc_legendre_p_on_a10_grid_matches_mpmath():
-    # A10 checks assoc_legendre_p against the degree recurrence on this grid
-    # with |err| / (1 + |P|) <= 1e-12, and reads 3.9e-14.  Against 40-digit
-    # mpmath the evaluator reads 2.9e-14 there (4.2e-13 while it ran the
-    # order recurrence) and the degree recurrence 1.3e-14; the bound is
-    # under twice the first.
+@pytest.mark.parametrize("v", [-10.5, -20.5, -30.5, -60.5])
+def test_kernel_factor_array_negative_degree_matches_mpmath(v):
+    # A degree with Re v < -1/2 is taken to -v - 1 (DLMF 14.9.5) before the
+    # series or the recurrence is chosen.  The series at v itself cancels
+    # as the degree grows: at v = -20.5 it is 2.2e-9 of the scale off and at
+    # -30.5 1.7e-3.  The worst error here reads 4.5e-15 of the scale.
     mpmath = pytest.importorskip("mpmath")
+    x = np.array([1e-9, 0.001, 0.2, 0.45, 0.7, 0.95, 1.0 - 1e-6, 1.0 - 1e-12])
+    got = kernel_factor_array(v, -0.4, x)
+    with mpmath.workdps(40):
+        ref = np.array([_mpmath_kernel(mpmath, v, -0.4, t) for t in x])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_kernel_on_a10_grid_matches_mpmath():
+    # A10 checks the kernel at order -mo, turned into P_n^mo by the Ferrers
+    # relation, against the degree recurrence on this grid with
+    # |err| / (1 + |P|) <= 1e-12, and reads 3.1e-14.  Against 40-digit
+    # mpmath the kernel reads 2.9e-14 there, as did the scalar twin it
+    # replaced, and the Gauss series alone 1.9e-9; the bound is about twice
+    # the first.
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.array((0.1, 0.3, 0.5, 0.7, 0.9))
     worst = 0.0
     for n in range(0, 21):
         for mo in range(0, min(n, 5) + 1):
-            for x in (0.1, 0.3, 0.5, 0.7, 0.9):
+            ferrers = (-1) ** mo * math.factorial(n + mo) / math.factorial(n - mo)
+            got = ferrers * (1.0 - xs * xs) ** (-mo / 2) * kernel_factor_array(n, -mo, xs)
+            for x, p in zip(xs, got):
                 with mpmath.workdps(40):
-                    ref = complex(_mpmath_legenp_integer_order(mpmath, n, mo, mpmath.mpf(x)))
-                worst = max(worst, abs(assoc_legendre_p(n, mo, x) - ref) / (1.0 + abs(ref)))
-    assert worst <= 5.8e-14, worst
+                    mx = mpmath.mpf(float(x))
+                    scale = (-1) ** mo * mpmath.gamma(n + mo + 1) / mpmath.gamma(n - mo + 1)
+                    ref = float(scale * mpmath.legenp(n, -mo, mx, type=2))
+                worst = max(worst, abs(p - ref) / (1.0 + abs(ref)))
+    assert worst <= 6e-14, worst
 
 
 def test_kernel_factor_array_does_not_depend_on_array_neighbours():
@@ -293,11 +281,15 @@ def test_kernel_factor_array_does_not_depend_on_array_neighbours():
         assert np.array_equal(whole, np.concatenate(chunks)), (v, u)
 
 
-@pytest.mark.parametrize("v, u", [(0.9, -0.6), (1.35, 0.2), (2.0, -0.4), (3.0, -1.0)])
+@pytest.mark.parametrize(
+    "v, u", [(0.9, -0.6), (1.35, 0.2), (2.0, -0.4), (3.0, -1.0), (7.3, -6.8), (12.0, -3.0)]
+)
 def test_caller_rows_give_the_allocating_bits(v, u):
-    # Non-integer degrees and the terminating series of integer ones: rows
-    # move where the kernel and its Gauss series are written, no bit.  x is
-    # read only to form 1 - x, so any of the kernel's rows may be x itself.
+    # Non-integer degrees and the terminating series of integer ones, summed
+    # as one series or, past degree 4, climbed by the degree recurrence:
+    # rows move where the kernel and its Gauss series are written, no bit.
+    # x is read only to form 1 - x, or to copy it, before any row is
+    # written, so any of the kernel's rows may be x itself.
     x = np.random.default_rng(35).uniform(0.0, 1.0, 300)
     rows = np.full((5, 300), np.nan)
     for omx in (None, 1.0 - x):
@@ -310,6 +302,8 @@ def test_caller_rows_give_the_allocating_bits(v, u):
         lent = [rows[0], rows[1], rows[2], rows[3]]
         lent[i] = rows[4]
         assert np.array_equal(kernel_factor_array(v, u, rows[4], out=tuple(lent)), want), i
+    if v > 4.0:  # the kernel sums no series of degree v
+        return
     w = (1.0 - x) / 2.0
     want = hyp2f1_array(-v, v + 1.0, 1.0 - u, w)
     got = hyp2f1_array(-v, v + 1.0, 1.0 - u, w, kernel_series(v, u), out=(rows[0], rows[1]))
@@ -333,20 +327,23 @@ def test_caller_rows_keep_the_checks():
 
 
 def test_legendre_simple_values():
-    assert abs(assoc_legendre_p(0.0, 0.0, 0.37) - 1.0) < 1e-14
-    assert abs(assoc_legendre_p(1.0, 0.0, 0.37) - 0.37) < 1e-14
-    assert abs(assoc_legendre_p(1.0, 1.0, 0.6) - (-0.8)) < 1e-14
+    # At order 0 the kernel is P_v itself; at order -1, P_1^-1 = sqrt(1 - x^2)/2
+    # times the factor sqrt(1 - x^2).
+    assert abs(kernel_factor_array(0.0, 0.0, 0.37) - 1.0) < 1e-14
+    assert abs(kernel_factor_array(1.0, 0.0, 0.37) - 0.37) < 1e-14
+    assert abs(kernel_factor_array(1.0, -1.0, 0.6) - 0.32) < 1e-14
 
 
 def test_legendre_half_degree_vs_laplace_oracle():
-    got = assoc_legendre_p(0.5, 0.0, 0.5)
+    got = kernel_factor_array(0.5, 0.0, 0.5)
     assert abs(got - P_HALF_AT_05) < 1e-11
     assert abs(laplace_legendre(0.5, 0.5) - P_HALF_AT_05) < 1e-13
 
 
 def test_legendre_domain():
+    # 1 - x = -0.5 puts the series at -0.25, outside [0, 1/2].
     with pytest.raises(DomainError):
-        assoc_legendre_p(1.0, 0.0, 1.5)
+        kernel_factor_array(1.0, 0.0, 1.5)
 
 
 def test_recurrence_explicit_values():
@@ -364,24 +361,32 @@ def test_recurrence_bounds():
 
 
 def test_degree_symmetry():
+    # The kernel at v and at -v - 1 against mpmath's P_v^u: one of the two
+    # is taken to the other (DLMF 14.9.5), and the two must be P_v^u.
+    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(21)
     for _ in range(40):
         v = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
         u = complex(rng.uniform(-2, 0.9), rng.uniform(-1, 1))
         x = rng.uniform(0.05, 0.95)
-        a = assoc_legendre_p(v, u, x)
-        b = assoc_legendre_p(-v - 1.0, u, x)
-        assert abs(a - b) <= 1e-11 * (1.0 + abs(a))
+        with mpmath.workdps(30):
+            ref = _mpmath_kernel(mpmath, v, u, x)
+        for degree in (v, -v - 1.0):
+            got = complex(kernel_factor_array(degree, u, x))
+            assert abs(got - ref) <= 1e-11 * (1.0 + abs(ref)), (degree, u, x)
 
 
 def test_kernel_factor_two_evaluation_orders():
+    # The kernel's collapsed form against P_v^u written out (DLMF 14.3.1)
+    # from the same Gauss series, then times (1 - x^2)^(-u/2).
     rng = random.Random(22)
     for _ in range(40):
         v = complex(rng.uniform(-2, 3), rng.uniform(-1, 1))
         u = complex(rng.uniform(-2, 0.9), rng.uniform(-1, 1))
         x = rng.uniform(0.02, 0.98)
         direct = complex(kernel_factor_array(v, u, x))
-        via_p = assoc_legendre_p(v, u, x) * (1.0 - x * x) ** (-u / 2.0)
+        f = _hyp2f1(-v, v + 1.0, 1.0 - u, (1.0 - x) / 2.0)
+        via_p = ((1.0 + x) / (1.0 - x)) ** (u / 2.0) * rgamma(1.0 - u) * f * (1.0 - x * x) ** (-u / 2.0)
         assert abs(direct - via_p) <= 1e-11 * (1.0 + abs(direct))
 
 
@@ -401,14 +406,10 @@ def test_kernel_rejects_positive_integer_orders(u):
 
 
 def test_negative_integer_order_consistency():
-    # P_v^{-m} = (-1)^m (v-m)!/(v+m)! P_v^m for integer degree and order
+    # P_v^{-m} = (-1)^m (v-m)!/(v+m)! P_v^m for integer degree and order:
+    # the kernel at order -m against the degree recurrence at order m.
     v, m, x = 4, 2, 0.43
-    lhs = assoc_legendre_p(float(v), float(-m), x)
-    rhs = (
-        (-1) ** m
-        * math.factorial(v - m)
-        / math.factorial(v + m)
-        * assoc_legendre_p(float(v), float(m), x)
-    )
+    lhs = kernel_factor_array(float(v), float(-m), x) * (1.0 - x * x) ** (-m / 2)
+    rhs = (-1) ** m * math.factorial(v - m) / math.factorial(v + m) * legendre_recurrence(v, m, x)[-1]
     assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
     assert rgamma(1.0 - (-m)) != 0.0
