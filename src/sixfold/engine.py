@@ -27,6 +27,7 @@ detail, never silently dropped.  ``judge`` gives the verdict.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import time
@@ -380,28 +381,32 @@ class PathResult:
     seconds: float = 0.0
 
 
-def _closed_path(case, ps_eff, ps_thm, second, qmc_spec) -> PathResult:
+def _closed_path(case, ps_eff, ps_thm, second, qmc_spec, integrand) -> PathResult:
     value = rhs_theorem(ps_thm)
     if case.needs_second_exponent:
         value = rhs_theorem(ps_thm.replace(m=second)) - value
     return PathResult("ok", value)
 
 
-# Every path, in report order: (case, ps_eff, ps_thm, second, qmc_spec) ->
-# PathResult("ok", value, err).  The entries look their callees up in this
-# module's namespace when they run, so a patched or traced callee is seen.
+# Every path, in report order: (case, ps_eff, ps_thm, second, qmc_spec,
+# integrand) -> PathResult("ok", value, err), where ``integrand()`` builds the
+# call's one ``Integrand6D`` of ps_thm on first use.  The entries look their
+# callees up in this module's namespace when they run, so a patched or traced
+# callee is seen.
 PATHS: dict[str, Callable[..., PathResult]] = {
-    "jet": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", lhs_jet(ps_thm)),
-    "moment": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", lhs_moment_expansion(ps_thm)),
-    "tensor": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult(
-        "ok", *integrate_6d_tensor(Integrand6D(ps_thm))
+    "jet": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult("ok", lhs_jet(ps_thm)),
+    "moment": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult("ok", lhs_moment_expansion(ps_thm)),
+    "tensor": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult(
+        "ok", *integrate_6d_tensor(integrand())
     ),
-    "qmc": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult(
-        "ok", *integrate_6d_qmc(Integrand6D(ps_thm), qmc_spec)
+    "qmc": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult(
+        "ok", *integrate_6d_qmc(integrand(), qmc_spec)
     ),
     "closed": _closed_path,
-    "special": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", rhs_example(case, ps_eff, second)),
-    "limit": lambda case, ps_eff, ps_thm, second, qmc_spec: PathResult("ok", *rhs_limit_full(case, ps_eff)),
+    "special": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult(
+        "ok", rhs_example(case, ps_eff, second)
+    ),
+    "limit": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult("ok", *rhs_limit_full(case, ps_eff)),
 }
 PATH_NAMES = tuple(PATHS)
 
@@ -464,8 +469,9 @@ def verify(
     pinned n (log3, arccoth_sqrt2) is not checked.  A case that needs n raises
     DomainError without one, and one that takes no n raises DomainError when
     given one.  Each path function checks its own preconditions, and the tensor
-    and qmc entries build their ``Integrand6D``, which refuses a complex strip,
-    in the same call: a path that raises ``InadmissibleError`` gets status
+    and qmc entries share one ``Integrand6D``, built by the first of them to
+    run, which refuses a complex strip in that call (and again in the other's,
+    with the same message): a path that raises ``InadmissibleError`` gets status
     "inadmissible" with the message as its detail, one that raises any other
     ``SixfoldError`` or an ``ArithmeticError``, or returns a value or err that
     is not finite (detail ``NonFiniteSampleError: ...``), gets status "error";
@@ -496,6 +502,7 @@ def verify(
         violations += [f"{name} at m=n" for name in validate_parameters(ps_thm.replace(m=second))]
     warnings = parameter_warnings(ps_thm)
 
+    integrand = functools.cache(lambda: Integrand6D(ps_thm))  # a raise is not cached
     results: dict[str, PathResult] = {}
     for path in requested:
         if violations:  # no path runs on invalid parameters
@@ -503,7 +510,7 @@ def verify(
             continue
         t0 = time.perf_counter()
         try:
-            result = PATHS[path](case, ps_eff, ps_thm, second, qmc_spec)
+            result = PATHS[path](case, ps_eff, ps_thm, second, qmc_spec, integrand)
             if not (cmath.isfinite(result.value) and math.isfinite(result.err or 0.0)):
                 raise NonFiniteSampleError(f"path returned value {result.value!r}, err {result.err!r}")
         except InadmissibleError as exc:

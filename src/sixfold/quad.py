@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 import cmath
 import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -606,56 +608,63 @@ def _qmc_means(spec: QmcSpec, args: tuple) -> list[complex]:
     share of worker r % w, where w is the number of available CPUs
     (``os.sched_getaffinity``), at most R.  It is 1, an in-process run, on
     one CPU (``taskset -c 0``), when ``spec.count`` fits one chunk (a fork
-    costs more than such a run), where the ``fork`` start method does not
-    exist, and in a daemonic process, which may not have children.  Worker 0
-    is the caller, each other a child forked after ``args`` are built, which
-    inherits them with no pickling and sends its share through a pipe.  Each
+    costs more than such a run), where there is no ``os.fork``, and in a
+    daemonic process, which may not have children (read from ``sys.modules``:
+    the package never imports ``multiprocessing``).  Worker 0 is the caller,
+    each other a child of ``os.fork`` after ``args`` are built, which inherits
+    them with no pickling, pickles its share into a pipe and leaves through
+    ``os._exit``, so no exception returns into the caller's frames.  Each
     replicate runs the same code on the same inputs wherever it runs, so the
     means are bit for bit those of one process.  So is an error: the first
     exception in index order is raised here; a worker stops at its first
     failure, so the replicates it leaves out all come after it.  A child
-    that exits without sending raises RuntimeError.  No child outlives the
-    call.  Children run only elementwise numpy code, no BLAS, so the BLAS
-    threads a fork does not copy are not missed; Python >= 3.12 still warns
-    (DeprecationWarning) about forking a process that has threads.  Trace
-    spans recorded in a child stay there."""
-    n, ctx = spec.replicates, None
+    that exits without sending raises RuntimeError with its exit code
+    (negative for a signal).  No child outlives the call: the caller SIGKILLs
+    and reaps those it has not reaped.  Children run only elementwise numpy
+    code, no BLAS, so the BLAS threads a fork does not copy are not missed;
+    Python >= 3.12 still warns (DeprecationWarning) about forking a process
+    that has threads.  Trace spans recorded in a child stay there."""
+    n = spec.replicates
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, n)
-    if spec.count > _QMC_CHUNK and workers > 1:  # a one-chunk replicate is cheaper than a fork
-        import multiprocessing  # only here: the import costs more than a small run
-
-        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
-            ctx = multiprocessing.get_context("fork")
-    workers = workers if ctx else 1
-
-    def send_share(conn, rs: range) -> None:
-        with conn:
-            conn.send(_qmc_share(rs, *args))
-
-    children = []
+    mp = sys.modules.get("multiprocessing")
+    if spec.count <= _QMC_CHUNK or not hasattr(os, "fork") or (mp and mp.current_process().daemon):
+        workers = 1
+    pids, pipes = [], []  # children not yet reaped; the read ends of their pipes
     try:
         for w in range(1, workers):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=send_share, args=(send, range(w, n, workers)), daemon=True)
-            child.start()
-            children.append((child, recv))
-            send.close()  # so recv sees EOF once the child is gone
-        shares = [_qmc_share(range(0, n, workers), *args)]
-        for w, (child, recv) in enumerate(children, 1):
+            recv, send = os.pipe()
+            pipes.append(open(recv, "rb"))
             try:
-                shares.append(recv.recv())
-            except EOFError:
-                child.join()
+                pid = os.fork()
+                if pid == 0:  # the child: send its share, then leave whatever happens
+                    code = 1
+                    try:
+                        with open(send, "wb") as pipe:
+                            pickle.dump(_qmc_share(range(w, n, workers), *args), pipe)
+                        code = 0
+                    except BaseException:
+                        sys.excepthook(*sys.exc_info())  # its traceback, as an uncaught error prints it
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(send)  # the caller's copy, so its read end sees EOF once the child is gone
+            pids.append(pid)
+        shares = [_qmc_share(range(0, n, workers), *args)]
+        for w, pipe in enumerate(pipes, 1):
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if not payload:
                 raise RuntimeError(
-                    f"QMC worker for replicates {w}::{workers} exited with code "
-                    f"{child.exitcode} without sending them"
-                ) from None
+                    f"QMC worker for replicates {w}::{workers} exited with code {code} without sending them"
+                )
+            shares.append(pickle.loads(payload))
     finally:
-        for child, recv in children:
-            recv.close()
-            child.terminate()
-            child.join()
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes
+            os.waitpid(pid, 0)
     means = []
     for r in range(n):
         mean = shares[r % workers][r // workers]
@@ -700,8 +709,9 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     (:func:`_qmc_share`).  With the base that is 1.5 MiB, within a 2 MiB
     L2 cache.
 
-    The replicates run on up to one process per available CPU and give the
-    bits of one process (:func:`_qmc_means`).
+    The replicates run on up to one process per available CPU, the others
+    made by ``os.fork`` and read back through pipes, and give the bits of
+    one process (:func:`_qmc_means`).
     """
     a = f.ps.a
     if (f.k_int is None or f.k_int < 0) and abs(a.imag) < 1e-12 and a.real > 0:

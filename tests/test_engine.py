@@ -465,6 +465,22 @@ def test_inadmissible_detail(case, pins, path, detail):
     assert rep.paths["closed"].status == "ok"
 
 
+def test_direct_paths_share_one_integrand_per_call(monkeypatch):
+    built = []
+    integrand = engine.Integrand6D
+    monkeypatch.setattr(engine, "Integrand6D", lambda ps: built.append(ps) or integrand(ps))
+    direct, spec = ("tensor", "qmc", "closed"), QmcSpec(count=1 << 10)
+    for calls in (1, 2):  # each call builds its own
+        rep = engine.verify("theorem", REFERENCE, paths=direct, qmc_spec=spec)
+        assert [rep.paths[p].status for p in direct] == ["ok"] * 3
+        assert len(built) == calls
+    # A complex strip is refused on both paths, in one call.
+    rep = engine.verify("theorem", REFERENCE.replace(m=0.4 + 0.1j), paths=direct, qmc_spec=spec)
+    assert [(rep.paths[p].status, rep.paths[p].detail) for p in direct[:2]] == [
+        ("inadmissible", "tensor and qmc paths need real strip parameters")
+    ] * 2
+
+
 def test_limit_case_without_pinned_k_is_inadmissible():
     # The limit path extrapolates to the pinned k, so a case without one has
     # no limit point.

@@ -619,6 +619,40 @@ def test_qmc_replicates_split_between_processes(monkeypatch):
         assert seen == ours, (cpus, count)
 
 
+def _assert_no_children() -> None:
+    """No child of this process is left, running or unreaped, however it was made."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_FORK_LEAVES_NO_MODULES = """
+import os, sys
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+from sixfold.core import ParameterSet
+from sixfold.quad import Integrand6D, QmcSpec, integrate_6d_qmc
+integrate_6d_qmc(Integrand6D(ParameterSet(k=3, a=0.8, m=0.4, u=-0.6, v=0.9, mu=-0.3, nu=1.6)), QmcSpec(count=1 << 15))
+print(len(forks), *sorted({"multiprocessing", "socket"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.skipif(_available_cpus() < 2, reason="needs 2 CPUs")
+def test_forked_qmc_call_imports_no_process_machinery():
+    # The workers are bare forks with pipes, so a forked call leaves
+    # multiprocessing and socket out of the caller's modules.
+    child = subprocess.run(
+        [sys.executable, "-c", _FORK_LEAVES_NO_MODULES],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(quad.__file__).parents[1])},
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    forks, *modules = child.stdout.split()
+    assert int(forks) >= 1 and modules == []
+
+
 def test_qmc_without_fork_stays_in_process(monkeypatch):
     f, spec = Integrand6D(REAL_COUPLING), QmcSpec(count=2 * quad._QMC_CHUNK)
     _pin(monkeypatch, 1)
@@ -626,11 +660,11 @@ def test_qmc_without_fork_stays_in_process(monkeypatch):
     seen = []
     share = quad._qmc_share
     monkeypatch.setattr(quad, "_qmc_share", lambda rs, *args: seen.extend(rs) or share(rs, *args))
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     _pin(monkeypatch, 2)
     assert _bits(integrate_6d_qmc(f, spec)) == want
     assert seen == list(range(8))
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 # Two chunks per replicate in the fault-injection tests.
@@ -699,7 +733,7 @@ def test_qmc_child_programming_error_propagates_from_verify(monkeypatch):
     _pin(monkeypatch, 2)
     with pytest.raises(TypeError, match="bad operand in a child"):
         verify("theorem", REFERENCE, paths=("qmc", "closed"), qmc_spec=QmcSpec(count=_INJECT_COUNT))
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 def test_qmc_child_that_dies_raises_promptly(monkeypatch):
@@ -713,11 +747,47 @@ def test_qmc_child_that_dies_raises_promptly(monkeypatch):
     _pin(monkeypatch, 2)
     with _deadline(60), pytest.raises(RuntimeError, match="exited with code 3 without sending"):
         integrate_6d_qmc(Integrand6D(REAL_COUPLING), QmcSpec(count=_INJECT_COUNT))
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 class _Abort(BaseException):
     """Stands for an interrupt: no replicate's outcome can hold it."""
+
+
+def _abort():
+    raise _Abort
+
+
+@pytest.mark.parametrize(
+    "leave, code",
+    [(_abort, 1), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+    ids=["base_exception", "sigkill"],
+)
+def test_qmc_child_that_leaves_unsent_is_reported_and_reaped(monkeypatch, leave, code):
+    # A BaseException does not climb out of the child into this test run:
+    # the child exits with code 1 and the caller alone goes on.
+    caller = os.getpid()
+    f, spec = Integrand6D(REAL_COUPLING), QmcSpec(count=_INJECT_COUNT)
+    _pin(monkeypatch, 1)
+    want = _bits(integrate_6d_qmc(f, spec))
+
+    def leave_in_child(r, out):
+        if os.getpid() != caller:
+            leave()
+
+    _inject(monkeypatch, leave_in_child)
+    _pin(monkeypatch, 2)
+    try:
+        with _deadline(60), pytest.raises(RuntimeError, match=f"exited with code {code} without sending them$"):
+            integrate_6d_qmc(f, spec)
+    finally:
+        if os.getpid() != caller:  # a child that climbed out into this test stops here, with code 42
+            os._exit(42)
+    _assert_no_children()
+    monkeypatch.undo()
+    _pin(monkeypatch, 2)
+    assert _bits(integrate_6d_qmc(f, spec)) == want
+    _assert_no_children()
 
 
 def test_qmc_children_do_not_outlive_a_failing_caller(monkeypatch):
@@ -732,7 +802,7 @@ def test_qmc_children_do_not_outlive_a_failing_caller(monkeypatch):
     _pin(monkeypatch, 2)
     with _deadline(60), pytest.raises(_Abort):
         integrate_6d_qmc(Integrand6D(REAL_COUPLING), QmcSpec(count=_INJECT_COUNT))
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 def _qmc_in_pool_worker(spec):
