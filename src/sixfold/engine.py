@@ -18,10 +18,13 @@ Paths through the identity family:
                 where the eta-line family is regular.
 
 Each path is one entry of ``PATHS``, so adding a path is one entry there.
-Its preconditions are checked once, by the function that computes the
-path, which raises ``InadmissibleError`` when one fails; ``verify``
-reports such a requested path as "inadmissible" with the message as its
-detail, never silently dropped.  ``judge`` gives the verdict.
+An entry returns only numbers, (value, err), with err None where the path
+has no estimate; ``verify`` alone builds, times and classifies each
+``PathResult``.  A path's preconditions are checked once, by the function
+that computes it, which raises ``InadmissibleError`` when one fails;
+``verify`` reports such a requested path as "inadmissible" with the
+message as its detail, never silently dropped.  ``judge`` gives the
+verdict.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .core import (
     principal_power,
     validate_parameters,
 )
-from .jets import closed_form_jet, jet_constant, jet_of_log_gamma, jet_variable
+from .jets import MAX_ORDER, closed_form_jet, jet_constant, jet_of_log_gamma, jet_variable
 from .lerch import lerch_minus_one_split, lerch_phi
 from .mellin import mellin_gamma_factors
 from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor
@@ -60,8 +63,8 @@ _LNPI = math.log(math.pi)
 
 def _pin_int_k(ps: ParameterSet) -> int:
     kk = nearest_int(ps.k, 1e-12)
-    if kk is None or not 0 <= kk <= 10:
-        raise InadmissibleError("jet paths need integer k in [0, 10]")
+    if kk is None or not 0 <= kk <= MAX_ORDER:
+        raise InadmissibleError(f"jet paths need integer k in [0, {MAX_ORDER}]")
     return kk
 
 
@@ -381,32 +384,26 @@ class PathResult:
     seconds: float = 0.0
 
 
-def _closed_path(case, ps_eff, ps_thm, second, qmc_spec, integrand) -> PathResult:
+def _closed_path(case, ps_eff, ps_thm, second, qmc_spec, integrand) -> tuple[complex, None]:
     value = rhs_theorem(ps_thm)
     if case.needs_second_exponent:
         value = rhs_theorem(ps_thm.replace(m=second)) - value
-    return PathResult("ok", value)
+    return value, None
 
 
 # Every path, in report order: (case, ps_eff, ps_thm, second, qmc_spec,
-# integrand) -> PathResult("ok", value, err), where ``integrand()`` builds the
-# call's one ``Integrand6D`` of ps_thm on first use.  The entries look their
-# callees up in this module's namespace when they run, so a patched or traced
-# callee is seen.
-PATHS: dict[str, Callable[..., PathResult]] = {
-    "jet": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult("ok", lhs_jet(ps_thm)),
-    "moment": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult("ok", lhs_moment_expansion(ps_thm)),
-    "tensor": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult(
-        "ok", *integrate_6d_tensor(integrand())
-    ),
-    "qmc": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult(
-        "ok", *integrate_6d_qmc(integrand(), qmc_spec)
-    ),
+# integrand) -> (value, err or None), where ``integrand()`` builds the call's
+# one ``Integrand6D`` of ps_thm on first use; ``verify`` makes the
+# ``PathResult``.  The entries look their callees up in this module's
+# namespace when they run, so a patched or traced callee is seen.
+PATHS: dict[str, Callable[..., tuple[complex, float | None]]] = {
+    "jet": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: (lhs_jet(ps_thm), None),
+    "moment": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: (lhs_moment_expansion(ps_thm), None),
+    "tensor": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: integrate_6d_tensor(integrand()),
+    "qmc": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: integrate_6d_qmc(integrand(), qmc_spec),
     "closed": _closed_path,
-    "special": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult(
-        "ok", rhs_example(case, ps_eff, second)
-    ),
-    "limit": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: PathResult("ok", *rhs_limit_full(case, ps_eff)),
+    "special": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: (rhs_example(case, ps_eff, second), None),
+    "limit": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: rhs_limit_full(case, ps_eff),
 }
 PATH_NAMES = tuple(PATHS)
 
@@ -510,9 +507,10 @@ def verify(
             continue
         t0 = time.perf_counter()
         try:
-            result = PATHS[path](case, ps_eff, ps_thm, second, qmc_spec, integrand)
-            if not (cmath.isfinite(result.value) and math.isfinite(result.err or 0.0)):
-                raise NonFiniteSampleError(f"path returned value {result.value!r}, err {result.err!r}")
+            value, err = PATHS[path](case, ps_eff, ps_thm, second, qmc_spec, integrand)
+            if not (cmath.isfinite(value) and math.isfinite(err or 0.0)):
+                raise NonFiniteSampleError(f"path returned value {value!r}, err {err!r}")
+            result = PathResult("ok", value, err)
         except InadmissibleError as exc:
             result = PathResult(status="inadmissible", detail=str(exc))
         except (SixfoldError, ArithmeticError) as exc:

@@ -4,6 +4,11 @@ A jet stores coefficients c_0..c_order of f(w0 + w) around w = 0, so
 coefficient j equals f^(j)(w0)/j!.  Coefficient k of the closed-form
 product jet, times k!, realizes the k-th derivative at the origin that the
 identity family's integer-k cases reduce to.
+
+Every jet has order at most ``MAX_ORDER`` = 10, which ``Jet`` enforces
+and the jet paths read: it is the largest k they admit, and the log-gamma
+jet's top coefficient needs polygamma of order MAX_ORDER - 1, whose error
+grows with its order (README, Accuracy notes).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from .core import DomainError, ParameterSet, PoleError, nearest_int
 from .specialfn import log_gamma, polygamma
 
-MAX_ORDER = 12
+MAX_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -124,17 +129,11 @@ def jet_of_gamma(z0: complex, order: int) -> Jet:
     """Taylor jet of Gamma(z0 + w) via exp of the log-gamma jet.
 
     The log-gamma jet has coefficient j = polygamma(j-1, z0)/j! for j >= 1.
-    The order is capped at 10, the largest k the jet paths admit; polygamma
-    goes on to n = 12, but its error grows with n (README, Accuracy notes).
     """
-    if order > 10:
-        raise DomainError("gamma jets capped at order 10")
     return jet_of_log_gamma(z0, order).exp()
 
 
 def jet_of_log_gamma(z0: complex, order: int) -> Jet:
-    if order > 11:
-        raise DomainError("log-gamma jets capped at order 11")
     coeffs = [log_gamma(z0)]
     fact = 1.0
     for j in range(1, order + 1):

@@ -39,7 +39,7 @@ import cmath
 import os
 import pickle
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -271,7 +271,6 @@ class QmcSpec:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Integrand6D:
     """Separable pieces of the transformed integrand on (0,1)^2 x (0,inf)^4.
 
@@ -284,28 +283,21 @@ class Integrand6D:
     within 1e-12 of one, else None), and the Gauss-series coefficients of
     the x and y kernels (``kernel_series``), which every node array of the
     path reuses.  Each direct path checks its other preconditions itself
-    and assembles its own sum from the pieces.
+    and assembles its own sum from the pieces.  Nothing assigns to these
+    attributes after construction.
     """
 
-    ps: ParameterSet
-    m: float = field(init=False)
-    betas: tuple[float, float, float, float] = field(init=False)
-    log_a: float | complex = field(init=False)
-    k_int: int | None = field(init=False)
-    x_series: np.ndarray | tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    y_series: np.ndarray | tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ps = self.ps
+    def __init__(self, ps: ParameterSet) -> None:
         if not all(abs(getattr(ps, name).imag) < 1e-12 for name in ("m", "u", "v", "mu", "nu")):
             raise InadmissibleError("tensor and qmc paths need real strip parameters")
         log_a = cmath.log(ps.a)
-        object.__setattr__(self, "m", ps.m.real)
-        object.__setattr__(self, "betas", tuple(b.real for b in derive_exponents(ps)))
-        object.__setattr__(self, "log_a", log_a.real if log_a.imag == 0.0 else log_a)
-        object.__setattr__(self, "k_int", nearest_int(ps.k, 1e-12))
-        object.__setattr__(self, "x_series", kernel_series(ps.v.real, ps.u.real))
-        object.__setattr__(self, "y_series", kernel_series(ps.nu.real, ps.mu.real))
+        self.ps = ps
+        self.m = ps.m.real
+        self.betas = tuple(b.real for b in derive_exponents(ps))
+        self.log_a = log_a.real if log_a.imag == 0.0 else log_a
+        self.k_int = nearest_int(ps.k, 1e-12)
+        self.x_series = kernel_series(ps.v.real, ps.u.real)
+        self.y_series = kernel_series(ps.nu.real, ps.mu.real)
 
     # -- separable pieces -------------------------------------------------
 

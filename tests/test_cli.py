@@ -193,6 +193,16 @@ def test_verify_config_file(tmp_path, capsys):
     assert payload["case"] == "apery"
 
 
+def test_verify_config_skips_comment_and_blank_lines(tmp_path, capsys):
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text("case = apery\npaths = closed,special\nformat = json\n")
+    commented.write_text("# apery's analytic paths\ncase = apery\n\n  \npaths = closed,special\nformat = json\n")
+    assert main(["verify", "--config", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main(["verify", "--config", str(commented)]) == 0
+    assert capsys.readouterr() == expected
+
+
 _FLAG_ONLY_REFUSALS = {
     # A config line is the argument --timings=true, which argparse refuses
     # for a flag that takes no value.

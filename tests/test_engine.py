@@ -411,6 +411,22 @@ def test_path_table_order_is_the_report_order():
         assert all(p in names for p in case.paths), case.tag
 
 
+def test_path_entries_return_value_and_err():
+    # An entry returns only numbers; verify builds every PathResult.
+    ps = ParameterSet(k=2, a=1.5, m=0.4, u=-0.3, v=1.2, mu=-0.1, nu=0.9)
+    spec = QmcSpec(count=1 << 10)
+    value, err = engine.PATHS["jet"](engine.catalog_case("theorem"), ps, ps, None, spec, lambda: None)
+    assert value == engine.lhs_jet(ps) and err is None
+    runs = {path: "theorem" for path in ("jet", "moment", "tensor", "qmc", "closed")}
+    runs.update(special="degenerate", limit="log2_limit")
+    for path, tag in runs.items():
+        case = engine.catalog_case(tag)
+        ps_eff = ps.replace(**case.pins)
+        ps_thm = engine.theorem_parameters(case, ps_eff)
+        value, err = engine.PATHS[path](case, ps_eff, ps_thm, None, spec, lambda: engine.Integrand6D(ps_thm))
+        assert cmath.isfinite(value) and (err is None or math.isfinite(err)), path
+
+
 def test_catalog_case_returns_an_entry_unchanged():
     case = engine.catalog_case("apery")
     assert engine.catalog_case(case) is case

@@ -7,12 +7,14 @@ import pytest
 from sixfold.acceptance import taylor_coefficients
 from sixfold.core import DomainError, ParameterSet, PoleError
 from sixfold.jets import (
+    MAX_ORDER,
     Jet,
     closed_form_jet,
     jet_constant,
     jet_csc,
     jet_exp_linear,
     jet_of_gamma,
+    jet_of_log_gamma,
     jet_variable,
 )
 from sixfold.specialfn import EULER_GAMMA, digamma, gamma
@@ -155,3 +157,13 @@ def test_order_cap():
         Jet((1.0,) * 14)
     with pytest.raises(DomainError):
         jet_of_gamma(1.0, 11)
+
+
+def test_one_order_bound():
+    # MAX_ORDER, the jet paths' largest k, bounds every jet.
+    assert MAX_ORDER == 10
+    assert len(jet_of_log_gamma(1.0, MAX_ORDER).coeffs) == 11
+    with pytest.raises(DomainError, match="capped at 10"):
+        jet_of_log_gamma(1.0, 11)
+    with pytest.raises(DomainError, match="capped at 10"):
+        Jet((1.0,) * 12)
