@@ -39,6 +39,13 @@ class InadmissibleError(UnsupportedRegimeError):
     "inadmissible" with the message as its detail."""
 
 
+def refuse(reason: str | None) -> None:
+    """Raise InadmissibleError(reason) unless reason is None: the guard of
+    every public path function, given its refusal predicate's answer."""
+    if reason is not None:
+        raise InadmissibleError(reason)
+
+
 class NonFiniteSampleError(SixfoldError):
     """An integrand sample produced NaN/Inf; coordinates are in the message."""
 

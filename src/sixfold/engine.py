@@ -17,14 +17,16 @@ Paths through the identity family:
                 the removable points k -> -1, and to apery's k = -3,
                 where the eta-line family is regular.
 
-Each path is one entry of ``PATHS``, so adding a path is one entry there.
-An entry returns only numbers, (value, err), with err None where the path
-has no estimate; ``verify`` alone builds, times and classifies each
-``PathResult``.  A path's preconditions are checked once, by the function
-that computes it, which raises ``InadmissibleError`` when one fails;
-``verify`` reports such a requested path as "inadmissible" with the
-message as its detail, never silently dropped.  ``judge`` gives the
-verdict.
+Each path is one ``Path`` record in ``PATHS``, so adding a path is one
+entry there.  Both halves of a record take the call's one ``PathCall``:
+``admit`` is a pure refusal predicate, the reason the path does not run
+or None, and ``run`` returns only numbers, (value, err), with err None
+where the path has no estimate.  ``verify`` asks ``admit`` before any path
+runs, reports a refused path as "inadmissible" with the reason as its
+detail, never silently dropped, and alone builds, times and classifies
+each ``PathResult``.  Each public path function raises its own
+predicate's reason as ``InadmissibleError`` (``core.refuse``), so a
+library caller is refused as ``verify`` is.  ``judge`` gives the verdict.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     PARAM_NAMES,
     DomainError,
-    InadmissibleError,
     NonFiniteSampleError,
     ParameterSet,
     PoleError,
@@ -50,27 +52,28 @@ from .core import (
     nearest_int,
     parameter_warnings,
     principal_power,
+    refuse,
     validate_parameters,
 )
 from .jets import MAX_ORDER, closed_form_jet, jet_constant, jet_of_log_gamma, jet_variable
 from .lerch import lerch_minus_one_split, lerch_phi
 from .mellin import mellin_gamma_factors
-from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor
+from .quad import Integrand6D, QmcSpec, integrate_6d_qmc, integrate_6d_tensor, qmc_refusal, tensor_refusal
 from .specialfn import digamma, riemann_zeta
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 
-def _pin_int_k(ps: ParameterSet) -> int:
+def jet_refusal(ps: ParameterSet) -> str | None:
+    """Why the jet and moment paths do not run at ``ps``, or None."""
     kk = nearest_int(ps.k, 1e-12)
-    if kk is None or not 0 <= kk <= MAX_ORDER:
-        raise InadmissibleError(f"jet paths need integer k in [0, {MAX_ORDER}]")
-    return kk
+    return None if kk is not None and 0 <= kk <= MAX_ORDER else f"jet paths need integer k in [0, {MAX_ORDER}]"
 
 
 def lhs_jet(ps: ParameterSet) -> complex:
     """k! * coefficient k of the collapsed closed-form jet."""
-    kk = _pin_int_k(ps)
+    refuse(jet_refusal(ps))
+    kk = nearest_int(ps.k, 1e-12)
     jet = closed_form_jet(ps, kk)
     return math.factorial(kk) * jet[kk]
 
@@ -88,7 +91,8 @@ def lhs_moment_expansion(ps: ParameterSet) -> complex:
     lose about k*log10(1/margin) digits on this path; see
     core.parameter_warnings.
     """
-    kk = _pin_int_k(ps)
+    refuse(jet_refusal(ps))
+    kk = nearest_int(ps.k, 1e-12)
     exq = derive_exponents(ps)
     log_jet = jet_constant(_LNPI + (ps.u + ps.mu - 1.0) * _LN2, kk)
     log_jet = log_jet + jet_variable(0.0, kk).scale(cmath.log(ps.a))
@@ -319,11 +323,15 @@ def theorem_parameters(case: IdentityCase, ps: ParameterSet) -> ParameterSet:
     return ps
 
 
+def special_refusal(case: IdentityCase) -> str | None:
+    """Why the special path does not run for ``case``, or None."""
+    return "the general case has no separate elementary form" if case.special is None else None
+
+
 def rhs_example(case: IdentityCase | str, ps: ParameterSet, second: complex | None = None) -> complex:
     """Per-case elementary closed form."""
     case = catalog_case(case)
-    if case.special is None:
-        raise InadmissibleError("the general case has no separate elementary form")
+    refuse(special_refusal(case))
     return case.special(ps, second)
 
 
@@ -332,6 +340,13 @@ def rhs_example(case: IdentityCase | str, ps: ParameterSet, second: complex | No
 # ----------------------------------------------------------------------
 
 _RICHARDSON_EPS = (0.08, 0.04, 0.02, 0.01)
+
+
+def limit_refusal(case: IdentityCase) -> str | None:
+    """Why the limit path does not run for ``case``, or None."""
+    if case.limit is None:
+        return "no limit family for this case"
+    return None if "k" in case.pins else "the limit path needs a pinned k"
 
 
 def rhs_limit_full(case: IdentityCase | str, ps: ParameterSet) -> tuple[complex, float]:
@@ -344,10 +359,7 @@ def rhs_limit_full(case: IdentityCase | str, ps: ParameterSet) -> tuple[complex,
     extrapolation level.
     """
     case = catalog_case(case)
-    if case.limit is None:
-        raise InadmissibleError("no limit family for this case")
-    if "k" not in case.pins:
-        raise InadmissibleError("the limit path needs a pinned k")
+    refuse(limit_refusal(case))
     k0, family = case.pins["k"], catalog_case(case.limit).special
     eps = _RICHARDSON_EPS
     sym = [
@@ -384,26 +396,51 @@ class PathResult:
     seconds: float = 0.0
 
 
-def _closed_path(case, ps_eff, ps_thm, second, qmc_spec, integrand) -> tuple[complex, None]:
-    value = rhs_theorem(ps_thm)
-    if case.needs_second_exponent:
-        value = rhs_theorem(ps_thm.replace(m=second)) - value
+@dataclass(frozen=True)
+class PathCall:
+    """What every path of one ``verify`` call reads: the case, its
+    parameters with the pins applied (``ps``) and mapped onto the general
+    identity (``thm``), the second exponent and the qmc path's sampling."""
+
+    case: IdentityCase
+    ps: ParameterSet
+    thm: ParameterSet
+    second: complex | None
+    qmc_spec: QmcSpec
+
+    @functools.cached_property
+    def integrand(self) -> Integrand6D:
+        """The call's one ``Integrand6D`` of ``thm``, built on first use."""
+        return Integrand6D(self.thm)
+
+
+class Path(NamedTuple):
+    """One path: ``admit(call)``, the reason it does not run or None, and
+    ``run(call) -> (value, err or None)``."""
+
+    admit: Callable[[PathCall], str | None]
+    run: Callable[[PathCall], tuple[complex, float | None]]
+
+
+def _closed_path(call: PathCall) -> tuple[complex, None]:
+    value = rhs_theorem(call.thm)
+    if call.case.needs_second_exponent:
+        value = rhs_theorem(call.thm.replace(m=call.second)) - value
     return value, None
 
 
-# Every path, in report order: (case, ps_eff, ps_thm, second, qmc_spec,
-# integrand) -> (value, err or None), where ``integrand()`` builds the call's
-# one ``Integrand6D`` of ps_thm on first use; ``verify`` makes the
-# ``PathResult``.  The entries look their callees up in this module's
-# namespace when they run, so a patched or traced callee is seen.
-PATHS: dict[str, Callable[..., tuple[complex, float | None]]] = {
-    "jet": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: (lhs_jet(ps_thm), None),
-    "moment": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: (lhs_moment_expansion(ps_thm), None),
-    "tensor": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: integrate_6d_tensor(integrand()),
-    "qmc": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: integrate_6d_qmc(integrand(), qmc_spec),
-    "closed": _closed_path,
-    "special": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: (rhs_example(case, ps_eff, second), None),
-    "limit": lambda case, ps_eff, ps_thm, second, qmc_spec, integrand: rhs_limit_full(case, ps_eff),
+# Every path, in report order.  The entries look their callees up in this
+# module's namespace when they run, so a patched or traced callee is seen.
+PATHS: dict[str, Path] = {
+    "jet": Path(lambda call: jet_refusal(call.thm), lambda call: (lhs_jet(call.thm), None)),
+    "moment": Path(lambda call: jet_refusal(call.thm), lambda call: (lhs_moment_expansion(call.thm), None)),
+    "tensor": Path(lambda call: tensor_refusal(call.thm), lambda call: integrate_6d_tensor(call.integrand)),
+    "qmc": Path(lambda call: qmc_refusal(call.thm), lambda call: integrate_6d_qmc(call.integrand, call.qmc_spec)),
+    "closed": Path(lambda call: None, _closed_path),
+    "special": Path(
+        lambda call: special_refusal(call.case), lambda call: (rhs_example(call.case, call.ps, call.second), None)
+    ),
+    "limit": Path(lambda call: limit_refusal(call.case), lambda call: rhs_limit_full(call.case, call.ps)),
 }
 PATH_NAMES = tuple(PATHS)
 
@@ -465,14 +502,13 @@ def verify(
     " at m=n": the difference is of two integrals, and both must converge.  A
     pinned n (log3, arccoth_sqrt2) is not checked.  A case that needs n raises
     DomainError without one, and one that takes no n raises DomainError when
-    given one.  Each path function checks its own preconditions, and the tensor
-    and qmc entries share one ``Integrand6D``, built by the first of them to
-    run, which refuses a complex strip in that call (and again in the other's,
-    with the same message): a path that raises ``InadmissibleError`` gets status
-    "inadmissible" with the message as its detail, one that raises any other
-    ``SixfoldError`` or an ``ArithmeticError``, or returns a value or err that
-    is not finite (detail ``NonFiniteSampleError: ...``), gets status "error";
-    any other exception is a bug and propagates.
+    given one.  Every path reads one ``PathCall``, whose ``Integrand6D`` the
+    tensor and qmc paths share.  A path whose ``admit`` gives a reason does
+    not run: it gets status "inadmissible", the reason as its detail and 0.0
+    seconds.  An admitted path that raises a ``SixfoldError`` or an
+    ``ArithmeticError``, or returns a value or err that is not finite (detail
+    ``NonFiniteSampleError: ...``), gets status "error"; any other exception
+    is a bug and propagates.
     """
     case = catalog_case(case)
     ps_eff = ps.replace(**case.pins) if case.pins else ps
@@ -499,20 +535,22 @@ def verify(
         violations += [f"{name} at m=n" for name in validate_parameters(ps_thm.replace(m=second))]
     warnings = parameter_warnings(ps_thm)
 
-    integrand = functools.cache(lambda: Integrand6D(ps_thm))  # a raise is not cached
+    call = PathCall(case, ps_eff, ps_thm, second, qmc_spec)
     results: dict[str, PathResult] = {}
     for path in requested:
         if violations:  # no path runs on invalid parameters
             results[path] = PathResult("error", detail="parameters invalid")
             continue
+        reason = PATHS[path].admit(call)
+        if reason is not None:
+            results[path] = PathResult("inadmissible", detail=reason)
+            continue
         t0 = time.perf_counter()
         try:
-            value, err = PATHS[path](case, ps_eff, ps_thm, second, qmc_spec, integrand)
+            value, err = PATHS[path].run(call)
             if not (cmath.isfinite(value) and math.isfinite(err or 0.0)):
                 raise NonFiniteSampleError(f"path returned value {value!r}, err {err!r}")
             result = PathResult("ok", value, err)
-        except InadmissibleError as exc:
-            result = PathResult(status="inadmissible", detail=str(exc))
         except (SixfoldError, ArithmeticError) as exc:
             result = PathResult(status="error", detail=f"{type(exc).__name__}: {exc}")
         result.seconds = time.perf_counter() - t0

@@ -20,9 +20,13 @@ which underflows as Re beta -> -1.
 
 Both direct paths integrate over a real strip: ``Integrand6D`` refuses
 strip parameters with an imaginary part of 1e-12 or more, and takes the real
-parts of the others once.  The Legendre kernels and log-axis weights run in
-float64, and complex numbers enter only through log a and the coupling S^k,
-which QMC too forms in float64, as real and imaginary parts.
+parts of the others once.  Each refusal is a pure predicate of the
+parameters that gives its reason or None (``strip_refusal``,
+``tensor_refusal``, ``qmc_refusal``); ``Integrand6D`` and both paths raise
+their own predicate's reason as InadmissibleError before any work.  The
+Legendre kernels and log-axis weights run in float64, and complex numbers
+enter only through log a and the coupling S^k, which QMC too forms in
+float64, as real and imaginary parts.
 Both paths return (value, error estimate).  ``integrate_6d_tensor`` sums
 the full tensor-product quadrature of the integrand at the two levels of
 its plan, ``_TENSOR_PLAN``, its error |fine - coarse|; for integer k >= 0
@@ -46,11 +50,11 @@ import numpy as np
 
 from .core import (
     DomainError,
-    InadmissibleError,
     NonFiniteSampleError,
     ParameterSet,
     derive_exponents,
     nearest_int,
+    refuse,
 )
 from .legendre import kernel_factor_array, kernel_series
 
@@ -271,25 +275,51 @@ class QmcSpec:
 # ----------------------------------------------------------------------
 
 
+def strip_refusal(ps: ParameterSet) -> str | None:
+    """Why neither direct path runs at ``ps``, or None: both need m, u, v,
+    mu and nu real to within 1e-12."""
+    real = all(abs(getattr(ps, name).imag) < 1e-12 for name in ("m", "u", "v", "mu", "nu"))
+    return None if real else "tensor and qmc paths need real strip parameters"
+
+
+def tensor_refusal(ps: ParameterSet) -> str | None:
+    """Why the tensor path does not run at ``ps``, or None: a real strip,
+    then integer k >= 0."""
+    kk = nearest_int(ps.k, 1e-12)
+    return strip_refusal(ps) or (None if kk is not None and kk >= 0 else "tensor path needs integer k >= 0")
+
+
+def qmc_refusal(ps: ParameterSet) -> str | None:
+    """Why the qmc path does not run at ``ps``, or None: a real strip, then,
+    unless k is a non-negative integer, a off the positive real axis."""
+    kk = nearest_int(ps.k, 1e-12)
+    if (kk is None or kk < 0) and abs(ps.a.imag) < 1e-12 and ps.a.real > 0:
+        return strip_refusal(ps) or (
+            "k is not a non-negative integer and a is on the positive real "
+            "axis: the coupling log vanishes inside the domain, where S^k "
+            "has a pole or branch point without a principal-value meaning"
+        )
+    return strip_refusal(ps)
+
+
 class Integrand6D:
     """Separable pieces of the transformed integrand on (0,1)^2 x (0,inf)^4.
 
     The one place that knows the integrand is real.  Construction refuses a
-    complex strip: unless m, u, v, mu and nu are real to within 1e-12, it
-    raises InadmissibleError before any series is set up.  Both direct
-    paths read the numbers taken here once: Re m, the real parts ``betas``
-    of the log-axis exponents (p, q, t, z), ``log_a`` (a float when its
-    imaginary part is 0), ``k_int``, the one accessor for k (an int when
-    within 1e-12 of one, else None), and the Gauss-series coefficients of
-    the x and y kernels (``kernel_series``), which every node array of the
-    path reuses.  Each direct path checks its other preconditions itself
-    and assembles its own sum from the pieces.  Nothing assigns to these
-    attributes after construction.
+    complex strip (``strip_refusal``, raised as InadmissibleError) before
+    any series is set up.  Both direct paths read the numbers taken here
+    once: Re m, the real parts ``betas`` of the log-axis exponents (p, q,
+    t, z), ``log_a`` (a float when its imaginary part is 0), ``k_int``, the
+    one accessor for k (an int when within 1e-12 of one, else None), and
+    the Gauss-series coefficients of the x and y kernels
+    (``kernel_series``), which every node array of the path reuses.  Each
+    direct path's own predicate, ``tensor_refusal`` or ``qmc_refusal``,
+    says what else it needs, and the path assembles its own sum from the
+    pieces.  Nothing assigns to these attributes after construction.
     """
 
     def __init__(self, ps: ParameterSet) -> None:
-        if not all(abs(getattr(ps, name).imag) < 1e-12 for name in ("m", "u", "v", "mu", "nu")):
-            raise InadmissibleError("tensor and qmc paths need real strip parameters")
+        refuse(strip_refusal(ps))
         log_a = cmath.log(ps.a)
         self.ps = ps
         self.m = ps.m.real
@@ -404,23 +434,17 @@ class Integrand6D:
 _TENSOR_PLAN = ((5, 32), (4, 24))
 
 
-def _tensor_k(f: Integrand6D) -> int:
-    """k, once the tensor path's precondition is checked."""
-    kk = f.k_int
-    if kk is None or kk < 0:
-        raise InadmissibleError("tensor path needs integer k >= 0")
-    return kk
-
-
 def integrate_6d_tensor(f: Integrand6D) -> tuple[complex, float]:
     """Tensor-product quadrature of the transformed integrand, and its error.
 
-    Requires integer k >= 0 (else InadmissibleError); ``Integrand6D``
-    admits only real strip parameters.  Each level of ``_TENSOR_PLAN``
-    builds one ``tanh_sinh`` rule, taken on x and y and as every log axis's
-    head, and one ``gauss_laguerre`` rule for the log axes' tails; the
-    value is the fine sum, the error |fine - coarse|.
+    ``tensor_refusal`` is checked first, before any rule is built: a
+    non-integer or negative k raises InadmissibleError with its message.
+    Each level of ``_TENSOR_PLAN`` builds one ``tanh_sinh`` rule, taken on
+    x and y and as every log axis's head, and one ``gauss_laguerre`` rule
+    for the log axes' tails; the value is the fine sum, the error
+    |fine - coarse|.
     """
+    refuse(tensor_refusal(f.ps))
     sums = []
     for level, n in _TENSOR_PLAN:
         ts, lag = tanh_sinh(level), gauss_laguerre(n)
@@ -446,7 +470,8 @@ def _tensor_sum(f: Integrand6D, rules: tuple[Rule1D, ...]) -> complex:
     on two; the whole-grid product split between two threads moves the
     last bits at complex log a.
     """
-    kk = _tensor_k(f)
+    refuse(tensor_refusal(f.ps))
+    kk = f.k_int
     rx, ry, rp, rq, rt, rz = rules
 
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
@@ -679,11 +704,11 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     weight is bounded up to logarithms.  Strip parameters are real
     (``Integrand6D`` refuses others and drops imaginary parts below 1e-12):
     the kernels, weights and the coupling S^k run in float64, S^k last
-    (``Integrand6D.coupling``), with no complex array anywhere.  Unless k
-    is a non-negative integer, a must be off the positive real axis, else
-    InadmissibleError.  The value is the mean of ``spec.replicates``
-    digitally shifted replicates, the standard error their scatter;
-    bit-for-bit reproducible for a fixed spec.
+    (``Integrand6D.coupling``), with no complex array anywhere.
+    ``qmc_refusal`` is checked first: unless k is a non-negative integer, a
+    on the positive real axis raises InadmissibleError.  The value is the
+    mean of ``spec.replicates`` digitally shifted replicates, the standard
+    error their scatter; bit-for-bit reproducible for a fixed spec.
 
     The points run through the pipeline in chunks of 2^14 (``_sobol_offset``),
     so memory does not grow with ``spec.count``, and the chunk size moves no
@@ -705,13 +730,7 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     made by ``os.fork`` and read back through pipes, and give the bits of
     one process (:func:`_qmc_means`).
     """
-    a = f.ps.a
-    if (f.k_int is None or f.k_int < 0) and abs(a.imag) < 1e-12 and a.real > 0:
-        raise InadmissibleError(
-            "k is not a non-negative integer and a is on the positive real "
-            "axis: the coupling log vanishes inside the domain, where S^k "
-            "has a pole or branch point without a principal-value meaning"
-        )
+    refuse(qmc_refusal(f.ps))
     if min(f.betas) <= -1.0:
         raise DomainError("integrate_6d_qmc needs Re(beta) > -1 on every log axis")
     base = sobol_points(min(_QMC_CHUNK, spec.count))

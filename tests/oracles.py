@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from sixfold.quad import _SOBOL_BITS, _splitmix64_stream, _tensor_k, sobol_points
+from sixfold.core import refuse
+from sixfold.quad import _SOBOL_BITS, _splitmix64_stream, sobol_points, tensor_refusal
 
 # 50-term Stirling series coefficients B_2j / (2j (2j-1)) as exact fractions
 # of the tabulated Bernoulli numbers; generated on the fly with Fraction so
@@ -212,7 +213,8 @@ def integrate_6d_brute(f, rules) -> complex:
 
     O(prod n_i) work; keep the rules tiny.
     """
-    kk = _tensor_k(f)
+    refuse(tensor_refusal(f.ps))
+    kk = f.k_int
     rx, ry, rp, rq, rt, rz = rules
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
     ay = ry.weights * f.y_factor(ry.nodes, ry.complement)
@@ -243,7 +245,8 @@ def tensor_sum_whole_grid(f, rules) -> complex:
     arrays of c0 = log a + ln x - ln y and of its Horner polynomial, then
     ax @ acc @ ay.  The reference for the sum made 32 columns at a time,
     which must give its bits where BLAS runs one thread."""
-    kk = _tensor_k(f)
+    refuse(tensor_refusal(f.ps))
+    kk = f.k_int
     rx, ry, rp, rq, rt, rz = rules
     ax = rx.weights * f.x_factor(rx.nodes, rx.complement)
     ay = ry.weights * f.y_factor(ry.nodes, ry.complement)

@@ -3,15 +3,18 @@ import dataclasses
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from sixfold import engine
+from sixfold import engine, quad
 from sixfold.acceptance import taylor_coefficients
 from sixfold.core import (
     DomainError,
     InadmissibleError,
     ParameterSet,
+    SixfoldError,
     Tolerances,
     validate_parameters,
 )
@@ -270,8 +273,9 @@ def test_verify_propagates_programming_errors(monkeypatch):
 def _count_path_runs(monkeypatch) -> list:
     """Record the name of every ``PATHS`` entry that runs."""
     calls = []
-    for name, run in list(engine.PATHS.items()):
-        monkeypatch.setitem(engine.PATHS, name, lambda *a, name=name, run=run: calls.append(name) or run(*a))
+    for name, entry in list(engine.PATHS.items()):
+        run = lambda call, name=name, run=entry.run: calls.append(name) or run(call)
+        monkeypatch.setitem(engine.PATHS, name, entry._replace(run=run))
     return calls
 
 
@@ -415,7 +419,7 @@ def test_path_entries_return_value_and_err():
     # An entry returns only numbers; verify builds every PathResult.
     ps = ParameterSet(k=2, a=1.5, m=0.4, u=-0.3, v=1.2, mu=-0.1, nu=0.9)
     spec = QmcSpec(count=1 << 10)
-    value, err = engine.PATHS["jet"](engine.catalog_case("theorem"), ps, ps, None, spec, lambda: None)
+    value, err = engine.PATHS["jet"].run(engine.PathCall(engine.catalog_case("theorem"), ps, ps, None, spec))
     assert value == engine.lhs_jet(ps) and err is None
     runs = {path: "theorem" for path in ("jet", "moment", "tensor", "qmc", "closed")}
     runs.update(special="degenerate", limit="log2_limit")
@@ -423,7 +427,7 @@ def test_path_entries_return_value_and_err():
         case = engine.catalog_case(tag)
         ps_eff = ps.replace(**case.pins)
         ps_thm = engine.theorem_parameters(case, ps_eff)
-        value, err = engine.PATHS[path](case, ps_eff, ps_thm, None, spec, lambda: engine.Integrand6D(ps_thm))
+        value, err = engine.PATHS[path].run(engine.PathCall(case, ps_eff, ps_thm, None, spec))
         assert cmath.isfinite(value) and (err is None or math.isfinite(err)), path
 
 
@@ -490,11 +494,13 @@ def test_direct_paths_share_one_integrand_per_call(monkeypatch):
         rep = engine.verify("theorem", REFERENCE, paths=direct, qmc_spec=spec)
         assert [rep.paths[p].status for p in direct] == ["ok"] * 3
         assert len(built) == calls
-    # A complex strip is refused on both paths, in one call.
+    # A complex strip is refused on both paths, in one call, and neither
+    # builds an integrand.
     rep = engine.verify("theorem", REFERENCE.replace(m=0.4 + 0.1j), paths=direct, qmc_spec=spec)
     assert [(rep.paths[p].status, rep.paths[p].detail) for p in direct[:2]] == [
         ("inadmissible", "tensor and qmc paths need real strip parameters")
     ] * 2
+    assert len(built) == 2
 
 
 def test_limit_case_without_pinned_k_is_inadmissible():
@@ -513,6 +519,132 @@ def test_path_functions_raise_inadmissible():
         engine.lhs_moment_expansion(REFERENCE.replace(k=11))
     with pytest.raises(InadmissibleError, match="no limit family"):
         engine.rhs_limit_full("theorem", REFERENCE)
+
+
+_STRIP = ("m", "u", "v", "mu", "nu")
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _admission_draw(rng, case):
+    """One valid call of ``case`` on every path, as (ps, second, report): k
+    an integer in [0, 10], negative, above 10, or 5e-13 or 2e-12 from one,
+    real or complex; a on or off the positive axis (an alt-form Re a = 1/2
+    maps onto it); now and then one strip parameter complex, by 0.1, 2e-12
+    or 5e-13, either side of the 1e-12 tolerance."""
+    while True:
+        k = rng.choice((
+            float(rng.randint(0, 10)),
+            float(rng.randint(-4, -1)),
+            float(rng.randint(11, 14)),
+            complex(rng.randint(0, 10) + rng.choice((5e-13, 2e-12)), rng.choice((0.0, 5e-13, 2e-12))),
+            rng.uniform(-3.0, 6.0),
+            complex(rng.uniform(-2.0, 4.0), rng.uniform(-1.0, 1.0)),
+        ))
+        if case.alt_form:
+            a = rng.choice((0.5, complex(0.5, rng.uniform(-1, 1)), complex(rng.uniform(0.05, 1), rng.uniform(-1, 1))))
+        else:
+            a = rng.choice((rng.uniform(0.2, 3.0), -rng.uniform(0.2, 3.0), complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+        ps = ParameterSet(
+            k=k,
+            a=a,
+            m=rng.uniform(0.05, 0.95),
+            u=rng.uniform(-2.0, 0.95),
+            v=rng.uniform(0.05, 2.5),
+            mu=rng.uniform(-2.0, 0.95),
+            nu=rng.uniform(0.05, 2.5),
+        )
+        if rng.random() < 0.2:
+            name = rng.choice(_STRIP)
+            ps = ps.replace(**{name: getattr(ps, name) + rng.choice((0.1j, 2e-12j, 5e-13j))})
+        second = rng.uniform(0.05, 0.95) if case.needs_second_exponent and case.second_exponent is None else None
+        report = engine.verify(case, ps, paths=engine.PATH_NAMES, second=second, qmc_spec=QmcSpec(count=1 << 10))
+        if report.verdict != "invalid_parameters":
+            return ps, second, report
+
+
+def _expected_refusals(case, thm) -> dict:
+    """Each path's refusal at the general-identity parameters ``thm``, as
+    README's table states it, written apart from the predicates."""
+    kk = round(thm.k.real)
+    whole = max(abs(thm.k.imag), abs(thm.k.real - kk)) <= 1e-12
+    real_strip = max(abs(getattr(thm, n).imag) for n in _STRIP) < 1e-12
+    strip = None if real_strip else "tensor and qmc paths need real strip parameters"
+    jet = None if whole and 0 <= kk <= 10 else "jet paths need integer k in [0, 10]"
+    on_axis = abs(thm.a.imag) < 1e-12 and thm.a.real > 0
+    return {
+        "jet": jet,
+        "moment": jet,
+        "tensor": strip or (None if whole and kk >= 0 else "tensor path needs integer k >= 0"),
+        "qmc": strip or (_QMC_ON_POSITIVE_A if on_axis and not (whole and kk >= 0) else None),
+        "closed": None,
+        "special": None if case.special else "the general case has no separate elementary form",
+        "limit": (
+            "no limit family for this case" if case.limit is None
+            else None if "k" in case.pins else "the limit path needs a pinned k"
+        ),
+    }
+
+
+class _PastTheGuard(Exception):
+    """Raised by a patched rule builder: the path got past its guard."""
+
+
+def _refusal_raised(fn, *args):
+    """The message of the InadmissibleError ``fn(*args)`` raises, else None."""
+    try:
+        fn(*args)
+    except InadmissibleError as exc:
+        return str(exc)
+    except (_PastTheGuard, SixfoldError, ArithmeticError):
+        pass
+    return None
+
+
+def test_admission_predicates_agree_with_verify_and_the_guards(monkeypatch):
+    # 300 seeded calls over every case, and log2_limit with k unpinned: each
+    # path's admit, asked without building anything, gives the refusal
+    # README's table states, verify reports it, and the path's public guard
+    # raises it exactly when admit gives it.
+    rows = _README.read_text(encoding="utf-8").split("| path | reasons `admit` gives |")[1].split("\n\n")[0]
+    table = {m[0]: set(m[1:]) for m in (re.findall(r"`([^`]+)`", row) for row in rows.splitlines()[2:])}
+    cases = (*engine.CATALOG, dataclasses.replace(engine.catalog_case("log2_limit"), pins={"m": 1.0, "a": 1.0}))
+    rng, spec, calls = random.Random(46), QmcSpec(count=1 << 10), []
+    seen = {path: set() for path in engine.PATH_NAMES}
+    for i in range(300):
+        case = cases[i % len(cases)]
+        ps, second, report = _admission_draw(rng, case)
+        call = engine.PathCall(case, report.params, engine.theorem_parameters(case, report.params), second, spec)
+        reasons = {path: entry.admit(call) for path, entry in engine.PATHS.items()}
+        assert "integrand" not in vars(call)
+        assert reasons == _expected_refusals(case, call.thm), (case.tag, ps)
+        for path, reason in reasons.items():
+            result = report.paths[path]
+            if reason is not None:
+                assert (result.status, result.detail) == ("inadmissible", reason)
+                seen[path].add(reason)
+            else:
+                assert result.status != "inadmissible" and "Inadmissible" not in result.detail, (path, result)
+        calls.append((call, reasons))
+    assert seen == table
+
+    def past_the_guard(*args):
+        raise _PastTheGuard
+
+    monkeypatch.setattr(quad, "tanh_sinh", past_the_guard)
+    monkeypatch.setattr(quad, "sobol_points", past_the_guard)
+    for call, reasons in calls:
+        assert _refusal_raised(engine.lhs_jet, call.thm) == reasons["jet"]
+        assert _refusal_raised(engine.lhs_moment_expansion, call.thm) == reasons["moment"]
+        assert _refusal_raised(engine.rhs_example, call.case, call.ps, call.second) == reasons["special"]
+        assert _refusal_raised(engine.rhs_limit_full, call.case, call.ps) == reasons["limit"]
+        strip = quad.strip_refusal(call.thm)
+        assert _refusal_raised(quad.Integrand6D, call.thm) == strip
+        if strip is None:
+            f = quad.Integrand6D(call.thm)
+            assert _refusal_raised(quad.integrate_6d_tensor, f) == reasons["tensor"]
+            assert _refusal_raised(quad.integrate_6d_qmc, f, spec) == reasons["qmc"]
+        else:
+            assert reasons["tensor"] == reasons["qmc"] == strip
 
 
 @pytest.mark.parametrize("a", [-2.0, 0.3 + 1.1j], ids=["negative", "complex"])

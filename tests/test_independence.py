@@ -102,15 +102,15 @@ def recorded():
 
         return core
 
-    def run_as(path, fn):
-        def entry(*args):
+    def run_as(path, entry):
+        def run(call):
             running[0] = path
             try:
-                return fn(*args)
+                return entry.run(call)
             finally:
                 running[0] = None
 
-        return entry
+        return entry._replace(run=run)
 
     modules = [m for n, m in list(sys.modules.items()) if n == "sixfold" or n.startswith("sixfold.")]
     calls = []

@@ -296,6 +296,16 @@ def test_tensor_rejects_non_integer_k():
         integrate_6d_tensor(Integrand6D(REFERENCE.replace(k=0.5)))
 
 
+def test_tensor_refuses_before_building_rules(monkeypatch):
+    # The refusal comes first: no rule is built for a k the path refuses.
+    def fail(*args):
+        raise AssertionError("rule built for a refused k")
+
+    monkeypatch.setattr(quad, "tanh_sinh", fail)
+    with pytest.raises(InadmissibleError, match="tensor path needs integer k >= 0"):
+        integrate_6d_tensor(Integrand6D(REFERENCE.replace(k=1.5)))
+
+
 def test_direct_paths_raise_inadmissible():
     # A complex strip is refused where both direct paths build their integrand.
     with pytest.raises(InadmissibleError, match="tensor and qmc paths need real strip parameters"):
