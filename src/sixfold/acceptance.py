@@ -1,16 +1,18 @@
 """Acceptance criteria, runnable as a suite (CLI selftest) or via pytest.
 
-Each criterion function returns a CriterionResult; tolerances are pinned
+Each criterion is a check that returns ``(passed, detail)``; ``_criterion``
+names it, times it and builds its CriterionResult.  Tolerances are pinned
 here, not configurable.  Comparisons against values that can be exactly
 zero use the scale-aware form |x - y| <= tol * (1 + max(|x|, |y|)).
 
 ``ALL_CRITERIA`` pairs each criterion with its wall-time budget and its
-``selftest --only`` keywords; ``run_criterion`` does all the timing.
+``selftest --only`` keywords.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import time
@@ -35,7 +37,26 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0  # wall time, set by run_criterion
+    seconds: float
+
+
+def _criterion(name: str):
+    """Make a check returning ``(passed, detail)`` into a criterion.
+
+    The criterion keeps the check's ``__name__``, runs and times it, and
+    returns its result as a CriterionResult called ``name``.
+    """
+
+    def make(check):
+        @functools.wraps(check)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = check()
+            return CriterionResult(name, passed, detail, time.perf_counter() - t0)
+
+        return criterion
+
+    return make
 
 
 def _random_valid_parameters(rng: random.Random) -> ParameterSet:
@@ -51,19 +72,15 @@ def _random_valid_parameters(rng: random.Random) -> ParameterSet:
             return ps
 
 
-def criterion_a1_degenerate_product() -> CriterionResult:
+@_criterion("A1 degenerate product identity (50 random strips, rel 1e-10)")
+def criterion_a1_degenerate_product():
     rng = random.Random(101)
     worst = 0.0
     for _ in range(50):
         ps = _random_valid_parameters(rng)
         lhs, rhs = engine.lhs_moment_expansion(ps), engine.rhs_example("degenerate", ps)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    ok = worst <= 1e-10
-    return CriterionResult(
-        "A1 degenerate product identity (50 random strips, rel 1e-10)",
-        ok,
-        f"worst rel {worst:.3e}",
-    )
+    return worst <= 1e-10, f"worst rel {worst:.3e}"
 
 
 def _a2_grid():
@@ -74,35 +91,28 @@ def _a2_grid():
                     yield ParameterSet(k=k, a=a, m=m, u=u, v=v, mu=mu, nu=nu)
 
 
-def criterion_a2_theorem_integer_k() -> CriterionResult:
+@_criterion("A2 jet vs Lerch closed form, k=0..6 grid (rel 1e-9)")
+def criterion_a2_theorem_integer_k():
     worst = 0.0
     for ps in _a2_grid():
         l = engine.lhs_jet(ps)
         r = engine.rhs_theorem(ps)
         worst = max(worst, abs(l - r) / (1.0 + abs(r)))
-    ok = worst <= 1e-9
-    return CriterionResult(
-        "A2 jet vs Lerch closed form, k=0..6 grid (rel 1e-9)",
-        ok,
-        f"worst scaled diff {worst:.3e}",
-    )
+    return worst <= 1e-9, f"worst scaled diff {worst:.3e}"
 
 
-def criterion_a3_path_independence() -> CriterionResult:
+@_criterion("A3 moment-product jet vs collapsed jet (rel 1e-9)")
+def criterion_a3_path_independence():
     worst = 0.0
     for ps in _a2_grid():
         l = engine.lhs_jet(ps)
         m_val = engine.lhs_moment_expansion(ps)
         worst = max(worst, abs(l - m_val) / (1.0 + abs(l)))
-    ok = worst <= 1e-9
-    return CriterionResult(
-        "A3 moment-product jet vs collapsed jet (rel 1e-9)",
-        ok,
-        f"worst scaled diff {worst:.3e}",
-    )
+    return worst <= 1e-9, f"worst scaled diff {worst:.3e}"
 
 
-def criterion_a4_direct_6d() -> CriterionResult:
+@_criterion("A4 direct 6-D tensor (rel 1e-4) and QMC (3 stderr), k=0,1,2")
+def criterion_a4_direct_6d():
     details = []
     ok = True
     base = ParameterSet(a=1.0, m=0.5, u=0.0, v=1.0, mu=0.0, nu=1.0)
@@ -127,88 +137,68 @@ def criterion_a4_direct_6d() -> CriterionResult:
         )
         if k == 0:
             ok = ok and abs(closed - 4.9348022) < 1e-6
-    return CriterionResult(
-        "A4 direct 6-D tensor (rel 1e-4) and QMC (3 stderr), k=0,1,2",
-        ok,
-        "; ".join(details),
-    )
+    return ok, "; ".join(details)
 
 
-def criterion_a5_zeta_line() -> CriterionResult:
+@_criterion("A5 zeta line: Lerch path vs zeta closed form, k in {1/2,2,3,4} (rel 1e-8)")
+def criterion_a5_zeta_line():
     worst = 0.0
     for k in (0.5, 2.0, 3.0, 4.0):
         ps = ParameterSet(k=k, a=1.0, m=1.0, u=0.0, v=1.0, mu=0.0, nu=1.0)
         closed = engine.rhs_theorem(engine.theorem_parameters(engine.catalog_case("eta_zeta_line"), ps))
         special = engine.rhs_example("eta_zeta_line", ps)
         worst = max(worst, abs(closed - special) / (1.0 + max(abs(closed), abs(special))))
-    ok = worst <= 1e-8
-    return CriterionResult(
-        "A5 zeta line: Lerch path vs zeta closed form, k in {1/2,2,3,4} (rel 1e-8)",
-        ok,
-        f"worst scaled diff {worst:.3e}",
-    )
+    return worst <= 1e-8, f"worst scaled diff {worst:.3e}"
 
 
-def criterion_a6_apery() -> CriterionResult:
+@_criterion("A6 Apery point: k=-3 value 3i zeta(3)/(32 pi) (rel 1e-9)")
+def criterion_a6_apery():
     ps = ParameterSet(k=-3.0, a=1.0, m=1.0, u=0.0, v=1.0, mu=0.0, nu=1.0)
     closed = engine.rhs_theorem(engine.theorem_parameters(engine.catalog_case("apery"), ps))
     target = 3j * riemann_zeta(3.0).real / (32.0 * math.pi)
     rel = abs(closed - target) / abs(target)
     sanity = abs(target - 0.0358712j) < 1e-7
-    ok = rel <= 1e-9 and sanity
-    return CriterionResult(
-        "A6 Apery point: k=-3 value 3i zeta(3)/(32 pi) (rel 1e-9)",
-        ok,
-        f"rel {rel:.3e}, value {closed:.10g}",
-    )
+    return rel <= 1e-9 and sanity, f"rel {rel:.3e}, value {closed:.10g}"
 
 
-def criterion_a7_log2_limit() -> CriterionResult:
+@_criterion("A7 log(2) limit via Richardson at k -> -1 (1e-6)")
+def criterion_a7_log2_limit():
     ps = ParameterSet(k=-1.0, a=1.0, m=1.0, u=0.0, v=1.0, mu=0.0, nu=1.0)
     limit, est = engine.rhs_limit_full("log2_limit", ps)
     target = -1j * math.pi * math.log(2.0) / 2.0
     diff = abs(limit - target)
-    ok = diff <= 1e-6
-    return CriterionResult(
-        "A7 log(2) limit via Richardson at k -> -1 (1e-6)",
-        ok,
-        f"diff {diff:.3e} (estimate {est:.1e})",
-    )
+    return diff <= 1e-6, f"diff {diff:.3e} (estimate {est:.1e})"
 
 
-def criterion_a8_harmonic_limit() -> CriterionResult:
+@_criterion("A8 harmonic limit: Richardson (rel 1e-9) and 2^22-point QMC (3 stderr)")
+def criterion_a8_harmonic_limit():
     ps = ParameterSet(k=-1.0, a=-2.0, m=0.5, u=0.0, v=1.0, mu=0.0, nu=1.0)
     case = engine.catalog_case("harmonic_limit")
     special = engine.rhs_example(case, ps)
     limit, _ = engine.rhs_limit_full(case, ps)
     rel = abs(limit - special) / (1.0 + abs(special))
-    lim_ok = rel <= 1e-9
     qmc_val, stderr = integrate_6d_qmc(Integrand6D(ps), QmcSpec(count=1 << 22, shift_seed=808))
-    q_ok = abs(qmc_val - special) <= 3.0 * stderr + 1e-9
-    ok = lim_ok and q_ok
-    return CriterionResult(
-        "A8 harmonic limit: Richardson (rel 1e-9) and 2^22-point QMC (3 stderr)",
-        ok,
-        f"limit rel {rel:.3e}; qmc diff {abs(qmc_val - special):.2e} vs 3se {3*stderr:.2e}",
-    )
+    q_diff = abs(qmc_val - special)
+    passed = rel <= 1e-9 and q_diff <= 3.0 * stderr + 1e-9
+    return passed, f"limit rel {rel:.3e}; qmc diff {q_diff:.2e} vs 3se {3*stderr:.2e}"
 
 
-def criterion_a9_difference_identities() -> CriterionResult:
+@_criterion("A9 difference identities at (1/2,1/3) and (1/2,1/4) (1e-12)")
+def criterion_a9_difference_identities():
     ps = ParameterSet(k=-1.0, a=1.0, m=0.5, u=0.0, v=1.0, mu=0.0, nu=1.0)
     val3 = engine.rhs_example("difference_arctanh", ps, second=1.0 / 3.0)
     val4 = engine.rhs_example("difference_arctanh", ps, second=0.25)
     t3 = -math.pi * math.log(3.0) / 4.0
     t4 = -math.pi * math.log(1.0 + math.sqrt(2.0)) / 2.0
     d3, d4 = abs(val3 - t3), abs(val4 - t4)
-    ok = d3 <= 1e-12 and d4 <= 1e-12
-    return CriterionResult(
-        "A9 difference identities at (1/2,1/3) and (1/2,1/4) (1e-12)",
-        ok,
-        f"log3 diff {d3:.2e}, arccoth diff {d4:.2e}",
-    )
+    return d3 <= 1e-12 and d4 <= 1e-12, f"log3 diff {d3:.2e}, arccoth diff {d4:.2e}"
 
 
-def criterion_a10_module_oracles() -> CriterionResult:
+@_criterion(
+    "A10 module oracles (lerch 1e-14, legendre 1e-12, mellin 1e-7, "
+    "gamma 1e-11, jets 1e-12)"
+)
+def criterion_a10_module_oracles():
     problems = []
 
     # Lerch, rel 1e-14: on the circle, where the Laplace form runs, against
@@ -310,16 +300,11 @@ def criterion_a10_module_oracles() -> CriterionResult:
     if worst_j > 1e-12:
         problems.append(f"jet Cauchy coefficients {worst_j:.2e}")
 
-    ok = not problems
-    detail = "; ".join(problems) if problems else (
+    if problems:
+        return False, "; ".join(problems)
+    return True, (
         f"lerch {worst:.1e}, legendre {worst_p:.1e}, mellin {worst_m:.1e}, "
         f"gamma {worst_g:.1e}, jets {worst_j:.1e}"
-    )
-    return CriterionResult(
-        "A10 module oracles (lerch 1e-14, legendre 1e-12, mellin 1e-7, "
-        "gamma 1e-11, jets 1e-12)",
-        ok,
-        detail,
     )
 
 
@@ -352,18 +337,10 @@ ALL_CRITERIA = (
 )
 
 
-def run_criterion(criterion) -> CriterionResult:
-    """Run one criterion and record its wall time in ``seconds``."""
-    t0 = time.perf_counter()
-    result = criterion()
-    result.seconds = time.perf_counter() - t0
-    return result
-
-
 def run_suite(only: str | None = None) -> list[CriterionResult]:
     """Run, in order, the criteria whose name or keywords contain ``only``."""
     return [
-        run_criterion(fn)
+        fn()
         for fn, _, keywords in ALL_CRITERIA
         if not only or only.lower() in f"{fn.__name__} {keywords}".lower()
     ]

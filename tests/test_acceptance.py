@@ -13,7 +13,7 @@ import sixfold.engine as engine
 import sixfold.legendre as legendre
 import sixfold.lerch as lerch
 import sixfold.specialfn as specialfn
-from sixfold.acceptance import ALL_CRITERIA, criterion_a10_module_oracles, run_criterion
+from sixfold.acceptance import ALL_CRITERIA, criterion_a10_module_oracles
 from sixfold.jets import Jet
 
 
@@ -23,7 +23,7 @@ from sixfold.jets import Jet
     ids=[fn.__name__ for fn, _, _ in ALL_CRITERIA],
 )
 def test_criterion(criterion, budget):
-    result = run_criterion(criterion)
+    result = criterion()
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status}  {result.name}  [{result.seconds:.1f}s]  {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
