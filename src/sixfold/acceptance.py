@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import random
 import time
@@ -30,6 +31,7 @@ _A2_COMBOS = ((0.0, 1.0, 0.0, 1.0), (-0.3, 1.2, -0.1, 0.9), (0.5, 0.75, -0.2, 1.
 _A2_GRID_A = (0.5, 1.0, 1.5, math.e)
 _A2_GRID_M = (0.3, 0.5, 0.7)
 _CAUCHY_POINTS = 32  # samples on the circle in taylor_coefficients
+_DRAWS = 1000  # attempt limit of each seeded draw loop that skips draws
 
 
 @dataclass
@@ -59,25 +61,28 @@ def _criterion(name: str):
     return make
 
 
-def _random_valid_parameters(rng: random.Random) -> ParameterSet:
-    while True:
-        ps = ParameterSet(
+def _random_strips(rng: random.Random, count: int) -> list[ParameterSet]:
+    """The first ``count`` valid strips among at most ``_DRAWS`` draws."""
+    draws = (
+        ParameterSet(
             m=rng.uniform(0.05, 0.95),
             u=rng.uniform(-2.0, 0.95),
             v=rng.uniform(0.05, 2.5),
             mu=rng.uniform(-2.0, 0.95),
             nu=rng.uniform(0.05, 2.5),
         )
-        if not validate_parameters(ps):
-            return ps
+        for _ in range(_DRAWS)
+    )
+    return list(itertools.islice((ps for ps in draws if not validate_parameters(ps)), count))
 
 
 @_criterion("A1 degenerate product identity (50 random strips, rel 1e-10)")
 def criterion_a1_degenerate_product():
-    rng = random.Random(101)
+    strips = _random_strips(random.Random(101), 50)
+    if len(strips) < 50:
+        return False, f"only {len(strips)} of 50 strips valid in {_DRAWS} draws"
     worst = 0.0
-    for _ in range(50):
-        ps = _random_valid_parameters(rng)
+    for ps in strips:
         lhs, rhs = engine.lhs_moment_expansion(ps), engine.rhs_example("degenerate", ps)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst <= 1e-10, f"worst rel {worst:.3e}"
@@ -161,13 +166,13 @@ def criterion_a6_apery():
     return rel <= 1e-9 and sanity, f"rel {rel:.3e}, value {closed:.10g}"
 
 
-@_criterion("A7 log(2) limit via Richardson at k -> -1 (1e-6)")
+@_criterion("A7 log(2) limit via Richardson at k -> -1 (1e-12)")
 def criterion_a7_log2_limit():
     ps = ParameterSet(k=-1.0, a=1.0, m=1.0, u=0.0, v=1.0, mu=0.0, nu=1.0)
     limit, est = engine.rhs_limit_full("log2_limit", ps)
     target = -1j * math.pi * math.log(2.0) / 2.0
     diff = abs(limit - target)
-    return diff <= 1e-6, f"diff {diff:.3e} (estimate {est:.1e})"
+    return diff <= 1e-12, f"diff {diff:.3e} (estimate {est:.1e})"
 
 
 @_criterion("A8 harmonic limit: Richardson (rel 1e-9) and 2^22-point QMC (3 stderr)")
@@ -251,7 +256,9 @@ def criterion_a10_module_oracles():
     rng = random.Random(77)
     worst_m = 0.0
     done_r = done_c = 0
-    while done_r < 50 or done_c < 20:
+    for _ in range(_DRAWS):
+        if done_r >= 50 and done_c >= 20:
+            break
         if done_r < 50:
             s = rng.uniform(0.1, 3.0)
             u = rng.uniform(-2.0, 0.9)
@@ -269,6 +276,9 @@ def criterion_a10_module_oracles():
             done_c += 1
         else:
             done_r += 1
+    if done_r < 50 or done_c < 20:
+        usable = done_r + done_c
+        problems.append(f"mellin: only {usable} of 70 points with |closed| >= 1e-10 in {_DRAWS} draws")
     if worst_m > 1e-7:
         problems.append(f"mellin agreement {worst_m:.2e}")
 
@@ -338,9 +348,13 @@ ALL_CRITERIA = (
 
 
 def run_suite(only: str | None = None) -> list[CriterionResult]:
-    """Run, in order, the criteria whose name or keywords contain ``only``."""
+    """Run, in order, the criteria that have ``only`` as a whole word.
+
+    The words are the function name split on ``_`` and the keywords split
+    on spaces, so ``a1`` selects A1 and not A10.
+    """
     return [
         fn()
         for fn, _, keywords in ALL_CRITERIA
-        if not only or only.lower() in f"{fn.__name__} {keywords}".lower()
+        if not only or only.lower() in (*fn.__name__.split("_"), *keywords.split())
     ]

@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--timings", action="store_true", help="include wall times in the report")
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("--only", default=None, help="run only criteria whose name contains this")
+    p_self.add_argument("--only", default=None, help="run only criteria with this word in their name or keywords")
     return parser
 
 

@@ -12,6 +12,7 @@ import sixfold.acceptance as acceptance
 import sixfold.engine as engine
 import sixfold.legendre as legendre
 import sixfold.lerch as lerch
+import sixfold.mellin as mellin
 import sixfold.specialfn as specialfn
 from sixfold.acceptance import ALL_CRITERIA, criterion_a10_module_oracles
 from sixfold.jets import Jet
@@ -42,6 +43,40 @@ def test_a1_check_sees_the_moment_path(monkeypatch):
     monkeypatch.setattr(engine, "jet_of_log_gamma", shifted)
     result = acceptance.criterion_a1_degenerate_product()
     assert not result.passed, result.detail
+
+
+def test_a1_strip_draw_stops_at_its_limit(monkeypatch):
+    # With every strip refused, A1 must fail after its draw limit, naming
+    # the cause, rather than draw forever.
+    monkeypatch.setattr(acceptance, "validate_parameters", lambda ps: ["refused"])
+    result = acceptance.criterion_a1_degenerate_product()
+    assert not result.passed
+    assert result.detail == "only 0 of 50 strips valid in 1000 draws"
+
+
+@pytest.mark.parametrize(
+    ("name", "defect"),
+    [
+        ("riemann_zeta", lambda real: lambda s: real(s) * (1.0 + 1e-9)),
+        ("_RICHARDSON_EPS", lambda eps: eps[:-1]),
+    ],
+    ids=["zeta_scaled", "richardson_level_dropped"],
+)
+def test_a7_sees_limit_defects(monkeypatch, name, defect):
+    # A7 reads 9.0e-15.  A relative 1e-9 in the zeta its family reads, or
+    # Richardson one level short, moves the limit by about 1e-9.
+    monkeypatch.setattr(engine, name, defect(getattr(engine, name)))
+    result = acceptance.criterion_a7_log2_limit()
+    assert not result.passed, result.detail
+
+
+def test_a10_mellin_draw_stops_at_its_limit(monkeypatch):
+    # With every closed value skipped as near zero, A10's Mellin draw must
+    # stop at its limit and name the cause rather than draw forever.
+    monkeypatch.setattr(mellin, "mellin_legendre_closed", lambda s, u, v: 0.0)
+    result = criterion_a10_module_oracles()
+    assert not result.passed
+    assert "mellin: only 0 of 70 points with |closed| >= 1e-10 in 1000 draws" in result.detail
 
 
 def test_a10_gamma_check_sees_the_lanczos_core(monkeypatch):

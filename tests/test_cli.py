@@ -405,7 +405,7 @@ def test_bad_numeric_value_exit_two(capsys, tmp_path, flag, value, message):
 
 @pytest.mark.parametrize(
     ("only", "expected"),
-    [("lerch", ["A2", "A5", "A6", "A10"]), ("mellin", ["A1", "A3", "A10"])],
+    [("lerch", ["A2", "A5", "A6", "A10"]), ("mellin", ["A1", "A3", "A10"]), ("a1", ["A1"])],
 )
 def test_selftest_only_matches_keywords(capsys, only, expected):
     assert main(["selftest", "--only", only]) == 0
