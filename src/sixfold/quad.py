@@ -6,6 +6,9 @@ with weight e^-x, and ``log_axis_rule``, which joins the two for the
 log-power axes.  Tanh-sinh levels nest bit for bit: ``tanh_sinh_nesting``
 picks out of one level the nodes of the level below and the nodes the
 level adds, so a caller that needs two levels builds one rule.
+``gauss_laguerre`` solves a LAPACK eigenproblem; the tensor path reads its
+two Gauss-Laguerre rules from constants instead, so no direct path calls
+LAPACK.
 
 The six-dimensional integrand, after substituting L = log(1/.) on the four
 log-power axes, factors as
@@ -56,6 +59,7 @@ from .core import (
     nearest_int,
     refuse,
 )
+from ._laguerre import LAGUERRE_24, LAGUERRE_32
 from .legendre import kernel_factor_array, kernel_series
 
 _MAX_LEVEL = 12
@@ -116,7 +120,9 @@ def gauss_laguerre(n: int) -> Rule1D:
     """Gauss-Laguerre rule: integrates f against e^-x on (0, inf).
 
     Golub-Welsch on the Jacobi matrix; the weights are the squared first
-    eigenvector components, so the rule applied to f = 1 returns 1.
+    eigenvector components, so the rule applied to f = 1 returns 1.  The
+    tensor path does not call it: it holds the two rules it needs as
+    constants (``_TENSOR_PLAN``).
     """
     if not 1 <= n <= _MAX_NODES:
         raise DomainError(f"gauss_laguerre n must be in [1, {_MAX_NODES}]")
@@ -216,15 +222,23 @@ def _direction_numbers() -> np.ndarray:
 def sobol_points(count: int) -> np.ndarray:
     """First ``count`` points of the 6-dimensional Sobol sequence (unshifted),
     axis-major: shape (6, count), one row of uint32 words per axis, the
-    layout :func:`integrate_6d_qmc` reads; column 0 is the zero point."""
+    layout :func:`integrate_6d_qmc` reads; column 0 is the zero point.
+
+    Point i XORs the direction rows over the set bits of its Gray code
+    gray(i) = i ^ (i >> 1).  The Gray code is reflected: for t < 2^j,
+    gray(2^j + t) = 2^j ^ gray(2^j - 1 - t).  So the points 2^j ..
+    2^(j+1) - 1 are the first 2^j points in reverse order XOR direction row
+    j.  Each doubling is one XOR per axis into the result; per axis, source
+    and destination are disjoint runs of one row, so numpy makes no
+    temporary copy, as it would for the two overlapping 2-D views."""
     v = _direction_numbers()
     if count < 1:
         raise DomainError("count must be positive")
     out = np.zeros((_SOBOL_DIM, count), dtype=np.uint32)
-    idx = np.arange(1, count, dtype=np.uint64)
-    low = (idx & (~idx + np.uint64(1))).astype(np.float64)
-    ctz = np.frexp(low)[1] - 1  # exact for powers of two
-    np.bitwise_xor.accumulate(v[ctz].T, axis=1, out=out[:, 1:])
+    for row, direction in zip(out, v.T):
+        for j in range((count - 1).bit_length()):
+            n = 1 << j  # slicing stops both sides of the last doubling at count
+            np.bitwise_xor(row[n - 1 :: -1][: count - n], direction[j], out=row[n : 2 * n])
     return out
 
 
@@ -429,9 +443,19 @@ class Integrand6D:
             im += prod
 
 
-# The tensor path's plan: (tanh-sinh level, Gauss-Laguerre nodes) of its
-# fine and its coarse rule.
-_TENSOR_PLAN = ((5, 32), (4, 24))
+# The tensor path's plan: (tanh-sinh level, Gauss-Laguerre rule) of its fine
+# and its coarse rule, the Laguerre rules of n = 32 and n = 24 nodes held as
+# constants (``_laguerre``), so the tensor path calls no LAPACK.
+_TENSOR_PLAN = ((5, LAGUERRE_32), (4, LAGUERRE_24))
+
+
+def _tensor_levels() -> list[tuple[Rule1D, Rule1D]]:
+    """The (tanh-sinh, Gauss-Laguerre) rule pair of each level of
+    ``_TENSOR_PLAN``, fine first."""
+    return [
+        (tanh_sinh(level), Rule1D(nodes=np.array(nodes), weights=np.array(weights)))
+        for level, (nodes, weights) in _TENSOR_PLAN
+    ]
 
 
 def integrate_6d_tensor(f: Integrand6D) -> tuple[complex, float]:
@@ -440,14 +464,14 @@ def integrate_6d_tensor(f: Integrand6D) -> tuple[complex, float]:
     ``tensor_refusal`` is checked first, before any rule is built: a
     non-integer or negative k raises InadmissibleError with its message.
     Each level of ``_TENSOR_PLAN`` builds one ``tanh_sinh`` rule, taken on
-    x and y and as every log axis's head, and one ``gauss_laguerre`` rule
-    for the log axes' tails; the value is the fine sum, the error
-    |fine - coarse|.
+    x and y and as every log axis's head, and reads its Gauss-Laguerre rule
+    for the log axes' tails from the plan's constants, the doubles of
+    ``gauss_laguerre`` with numpy 2.4's bundled OpenBLAS, so the path calls
+    no LAPACK; the value is the fine sum, the error |fine - coarse|.
     """
     refuse(tensor_refusal(f.ps))
     sums = []
-    for level, n in _TENSOR_PLAN:
-        ts, lag = tanh_sinh(level), gauss_laguerre(n)
+    for ts, lag in _tensor_levels():
         sums.append(_tensor_sum(f, (ts, ts) + tuple(log_axis_rule(b, ts, lag) for b in f.betas)))
     fine, coarse = sums
     return fine, abs(fine - coarse)

@@ -6,7 +6,8 @@ tail bounds instead of Euler-Maclaurin for zeta values, Abel summation for
 divergent alternating series, the Laplace integral for Legendre functions,
 literal enumeration for the regrouped tensor sum and the whole grid for
 its blocks of columns, plain unbuffered arithmetic for the buffered QMC
-pipeline.  Derivatives and jet
+pipeline, the sequential Sobol recurrence for the doubling that builds the
+points.  Derivatives and jet
 coefficients are checked against Cauchy-formula Taylor coefficients,
 ``sixfold.acceptance.taylor_coefficients`` (the trapezoid rule on a
 circle), rather than central differences: they need no extended precision.
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from sixfold.core import refuse
-from sixfold.quad import _SOBOL_BITS, _splitmix64_stream, sobol_points, tensor_refusal
+from sixfold.quad import _SOBOL_BITS, _direction_numbers, _splitmix64_stream, sobol_points, tensor_refusal
 
 # 50-term Stirling series coefficients B_2j / (2j (2j-1)) as exact fractions
 # of the tabulated Bernoulli numbers; generated on the fly with Fraction so
@@ -264,6 +265,19 @@ def tensor_sum_whole_grid(f, rules) -> complex:
         acc *= c0
         acc += math.perm(kk, r) * joint[r]
     return complex(ax @ acc @ ay)
+
+
+def sobol_antonov_saleev(count: int) -> np.ndarray:
+    """The first ``count`` Sobol points one at a time, in Python integers, by
+    Antonov and Saleev's recurrence: point i is point i - 1 XOR direction row
+    ctz(i), the number of trailing zero bits of i.  Axis-major uint32, shape
+    (6, count), like ``quad.sobol_points``, whose reflected doubling it checks."""
+    direction = _direction_numbers().tolist()
+    points = [[0] * len(direction[0])]
+    for i in range(1, count):
+        row = direction[(i & -i).bit_length() - 1]
+        points.append([p ^ d for p, d in zip(points[-1], row)])
+    return np.array(points, dtype=np.uint32).T
 
 
 def _coupling_power(f, s_vals: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ pass/fail report per criterion (the CLI ``sixfold selftest`` prints the
 same lines).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,27 @@ from sixfold.acceptance import ALL_CRITERIA, criterion_a10_module_oracles
 from sixfold.jets import Jet
 
 
+_NUM = r"-?\d\.\d+e[-+]\d\d"
+_A4_STEP = rf"k={{}}: tensor diff {_NUM}, qmc diff {_NUM} vs 3se {_NUM}"
+# What each passing criterion's detail must read, number formats included:
+# a criterion that skips a step it reports, such as A4 stopping after k = 0,
+# fails here even where every step it ran passed.
+_DETAIL = {
+    "criterion_a1_degenerate_product": rf"worst rel {_NUM}",
+    "criterion_a2_theorem_integer_k": rf"worst scaled diff {_NUM}",
+    "criterion_a3_path_independence": rf"worst scaled diff {_NUM}",
+    "criterion_a4_direct_6d": "; ".join(_A4_STEP.format(k) for k in (0, 1, 2)),
+    "criterion_a5_zeta_line": rf"worst scaled diff {_NUM}",
+    "criterion_a6_apery": rf"rel {_NUM}, value \S+j",
+    "criterion_a7_log2_limit": rf"diff {_NUM} \(estimate \d\.\de[-+]\d\d\)",
+    "criterion_a8_harmonic_limit": rf"limit rel {_NUM}; qmc diff {_NUM} vs 3se {_NUM}",
+    "criterion_a9_difference_identities": rf"log3 diff {_NUM}, arccoth diff {_NUM}",
+    "criterion_a10_module_oracles": ", ".join(
+        rf"{name} \d\.\de[-+]\d\d" for name in ("lerch", "legendre", "mellin", "gamma", "jets")
+    ),
+}
+
+
 @pytest.mark.parametrize(
     ("criterion", "budget"),
     [(fn, budget) for fn, budget, _ in ALL_CRITERIA],
@@ -28,6 +51,7 @@ def test_criterion(criterion, budget):
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status}  {result.name}  [{result.seconds:.1f}s]  {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+    assert re.fullmatch(_DETAIL[criterion.__name__], result.detail), result.detail
     assert 0 < result.seconds < budget, "over time budget"
 
 

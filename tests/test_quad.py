@@ -18,7 +18,7 @@ import pytest
 
 import sixfold.quad as quad
 from goldens import AVX2, AVX512, BASELINE, golden, kernel_set
-from oracles import integrate_6d_brute, qmc_reference
+from oracles import integrate_6d_brute, qmc_reference, sobol_antonov_saleev
 from sixfold.core import (
     DomainError,
     InadmissibleError,
@@ -115,6 +115,20 @@ def test_gauss_laguerre_weight_positivity():
     assert np.all(rule.weights > 0)
 
 
+@pytest.mark.parametrize("level", [0, 1], ids=["fine", "coarse"])
+def test_tensor_laguerre_constants(level):
+    # The plan's constant rules are gauss_laguerre's, to within what another
+    # LAPACK build may move, and integrate x^j against e^-x to j!.
+    lag = quad._tensor_levels()[level][1]
+    ref = gauss_laguerre(len(lag.nodes))
+    assert len(lag.nodes) == (32, 24)[level]
+    assert np.all(np.abs(lag.nodes - ref.nodes) <= 1e-12 * ref.nodes)
+    assert np.all(np.abs(lag.weights - ref.weights) <= 1e-15)
+    for j in range(21):
+        expect = math.factorial(j)
+        assert abs(np.sum(lag.weights * lag.nodes**j) - expect) <= 1e-11 * expect, j
+
+
 def test_log_axis_rule_moments():
     # power moments and the log moments Gamma'(b+1), Gamma''(b+1); at
     # alpha = -0.99 the smallest nodes underflow and only ln L carries them
@@ -171,6 +185,14 @@ def test_sobol_first_points():
     assert pts.dtype == np.uint32 and pts.shape == (6, 8)
     assert np.array_equal(pts.T.astype(np.float64) * 2.0**-32, SOBOL_FIRST_8)
     assert np.array_equal(sobol_points(1), np.zeros((6, 1)))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 1000, 12345])
+def test_sobol_points_match_the_sequential_recurrence(count):
+    # Counts that are not powers of two end inside a doubling.
+    pts = sobol_points(count)
+    assert pts.dtype == np.uint32
+    assert np.array_equal(pts, sobol_antonov_saleev(count))
 
 
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 12, 1 << 14])
@@ -285,7 +307,13 @@ _TENSOR_GOLDEN = {
 
 
 @pytest.mark.parametrize("case", list(_TENSOR_GOLDEN))
-def test_tensor_golden_values(case):
+def test_tensor_golden_values(monkeypatch, case):
+    # The values were recorded with the Laguerre rules of LAPACK's eigh; the
+    # plan's constants give them with no LAPACK call.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the tensor path called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
     ps, hexes = _TENSOR_GOLDEN[case]
     tensor = verify("theorem", ps, paths=("tensor",)).paths["tensor"]
     assert (tensor.value.real.hex(), tensor.value.imag.hex(), tensor.err.hex()) == golden(hexes)
@@ -536,11 +564,10 @@ _WHOLE_GRID_SUMS = """
 import json, sys
 from oracles import tensor_sum_whole_grid
 from sixfold.core import ParameterSet
-from sixfold.quad import _TENSOR_PLAN, Integrand6D, gauss_laguerre, log_axis_rule, tanh_sinh
+from sixfold.quad import Integrand6D, _tensor_levels, log_axis_rule
 for fields in json.load(sys.stdin):
     f = Integrand6D(ParameterSet(**{name: complex(*z) for name, z in fields.items()}))
-    for level, n in _TENSOR_PLAN:
-        ts, lag = tanh_sinh(level), gauss_laguerre(n)
+    for ts, lag in _tensor_levels():
         total = tensor_sum_whole_grid(f, (ts, ts) + tuple(log_axis_rule(b, ts, lag) for b in f.betas))
         print(total.real.hex(), total.imag.hex())
 """
@@ -557,8 +584,8 @@ def test_tensor_sum_matches_whole_grid():
     got = []
     for ps in strips:
         f = Integrand6D(ps)
-        for level, n in quad._TENSOR_PLAN:
-            total = _tensor_sum(f, _rules(f.betas, level, n))
+        for ts, lag in quad._tensor_levels():
+            total = _tensor_sum(f, (ts, ts) + tuple(log_axis_rule(b, ts, lag) for b in f.betas))
             got.append(f"{total.real.hex()} {total.imag.hex()}")
     names = ("k", "a", "m", "u", "v", "mu", "nu")
     fields = [{name: (getattr(ps, name).real, getattr(ps, name).imag) for name in names} for ps in strips]
