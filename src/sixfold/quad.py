@@ -465,9 +465,9 @@ def integrate_6d_tensor(f: Integrand6D) -> tuple[complex, float]:
     non-integer or negative k raises InadmissibleError with its message.
     Each level of ``_TENSOR_PLAN`` builds one ``tanh_sinh`` rule, taken on
     x and y and as every log axis's head, and reads its Gauss-Laguerre rule
-    for the log axes' tails from the plan's constants, the doubles of
-    ``gauss_laguerre`` with numpy 2.4's bundled OpenBLAS, so the path calls
-    no LAPACK; the value is the fine sum, the error |fine - coarse|.
+    for the log axes' tails from the plan's constants (``_laguerre``), so
+    the path calls no LAPACK; the value is the fine sum, the error
+    |fine - coarse|.
     """
     refuse(tensor_refusal(f.ps))
     sums = []
