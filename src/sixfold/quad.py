@@ -36,7 +36,9 @@ its plan, ``_TENSOR_PLAN``, its error |fine - coarse|; for integer k >= 0
 the sum is reorganized exactly (binomial regrouping of S^k inside the
 finite sum) so it runs in milliseconds instead of hours.
 ``integrate_6d_qmc`` is a digitally-shifted Sobol estimator with a
-replicate-based standard error.
+replicate-based standard error; a replicate's mean has the bits of one
+``np.sum`` over its samples, divided by their count, whatever the chunk
+size and worker count.
 """
 
 from __future__ import annotations
@@ -190,12 +192,10 @@ _SOBOL_PRIMITIVE = (
 )
 # One per integration axis (x, y, p, q, t, z).
 _SOBOL_DIM = len(_SOBOL_PRIMITIVE) + 1
-# QMC points per pass, and per block, whose chunk sums are added in numpy's
-# pairwise order; both powers of two, the first no larger than the second.
-# A pass's working set, the 384 KiB Sobol base, eight float64 rows of
-# 128 KiB and a uint32 word row, is 1.5 MiB: it fits a 2 MiB L2 cache.
+# QMC points per pass, a power of two.  A pass's working set, the 384 KiB
+# Sobol base, eight float64 rows of 128 KiB and a uint32 word row, is
+# 1.5 MiB: it fits a 2 MiB L2 cache.
 _QMC_CHUNK = 1 << 14
-_QMC_BLOCK = 1 << 17
 
 
 def _direction_numbers() -> np.ndarray:
@@ -556,11 +556,13 @@ def _qmc_share(
     scratch rows, idle by then.  Everything is real: ``f.coupling`` writes
     the Re and, where log a is complex, the Im of each sample into two rows
     free by then, each summed by its own ``np.sum`` as soon as the chunk is
-    made.  The chunk sums of a block are added in halves, the first half's
-    sum plus the second's, recursively: for a power-of-two length that is
-    the order of numpy's pairwise sum, so each block sum has the bits of one
-    ``np.sum`` over the whole block, and no block is ever held."""
-    chunk, block = base.shape[1], min(_QMC_BLOCK, spec.count)
+    made.  The chunk sums are merged as numpy's pairwise sum merges its
+    halves: after chunk i, counting from 1, the last two partial sums are
+    added, left + right, once per factor 2 in i.  For a power-of-two count
+    the one sum left has the bits of one ``np.sum`` over the replicate's
+    samples, which are never held, and the mean is that sum over
+    ``spec.count``."""
+    chunk = base.shape[1]
     px = 1.0 / f.m
     py = 1.0 / (1.0 - f.m)
     word = np.empty(chunk, dtype=np.uint32)
@@ -583,10 +585,9 @@ def _qmc_share(
         shift = np.array(
             [s >> (64 - _SOBOL_BITS) for s in shifts[r * 6 : r * 6 + 6]], dtype=np.uint32
         )
-        sums: list[complex] = []
-        parts: list[complex] = []  # the chunk sums of the block being made
+        sums: list[complex] = []  # the partial sums not yet merged, in point order
         try:
-            for c0 in range(0, spec.count, chunk):
+            for i, c0 in enumerate(range(0, spec.count, chunk), 1):
                 mask = shift ^ _sobol_offset(direction, c0)
                 # Log of the four log-axis weights L^beta e^(-L) dL/dT over
                 # the sampling density e^(-T): the head weight plus T, and
@@ -629,17 +630,14 @@ def _qmc_share(
                 if not all(np.isfinite(v, out=flags).all() for v in vals):
                     bad = int(np.argmin(np.isfinite(vals).all(axis=0))) + c0
                     raise NonFiniteSampleError(f"non-finite QMC sample at point {bad}")
-                parts.append(complex(*(np.sum(v) for v in vals)))
-                if len(parts) * chunk >= block:  # numpy's pairwise order over the block
-                    while len(parts) > 1:
-                        parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
-                    sums.append(parts.pop())
+                sums.append(complex(*(np.sum(v) for v in vals)))
+                while i % 2 == 0:  # one merge per factor 2 in i: numpy's pairwise order
+                    sums[-2:] = [sums[-2] + sums[-1]]
+                    i //= 2
         except Exception as exc:  # the caller raises it, in replicate order
             out.append(exc)
             break
-        out.append(
-            complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums)) / spec.count
-        )
+        out.append(sums[0] / spec.count)
     return out
 
 
@@ -737,10 +735,10 @@ def integrate_6d_qmc(f: Integrand6D, spec: QmcSpec) -> tuple[complex, float]:
     The points run through the pipeline in chunks of 2^14 (``_sobol_offset``),
     so memory does not grow with ``spec.count``, and the chunk size moves no
     bit: every per-point step is elementwise, each chunk is summed by
-    ``np.sum`` as it is made, the chunk sums of each 2^17-point block are
-    added in numpy's pairwise order, so the block sum is that of one
-    ``np.sum`` over the block, and the block sums of a replicate are added
-    by ``math.fsum``.  That includes the Legendre kernels' Gauss series, a
+    ``np.sum`` as it is made, and the chunk sums are merged in numpy's
+    pairwise order, so a replicate's mean has the bits of one ``np.sum``
+    over its samples, divided by ``spec.count``, whatever the chunk size
+    and worker count.  That includes the Legendre kernels' Gauss series, a
     Horner sum about (1-x)/2 = 1/4 (``legendre.hyp2f1_array``) whose
     coefficients and term count ``f`` takes once, before any chunk.  The
     Sobol base is axis-major uint32, one row of 2^14 words per axis.  Each

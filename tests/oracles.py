@@ -292,47 +292,37 @@ def _coupling_power(f, s_vals: np.ndarray) -> np.ndarray:
     return 1.0 / out if kk < 0 else out
 
 
-def qmc_reference(f, spec, chunk: int = 1 << 14, block: int = 1 << 17) -> tuple[complex, float]:
+def qmc_reference(f, spec) -> tuple[complex, float]:
     """The QMC estimate and standard error in plain, unbuffered arithmetic,
     in one process: point-major uint64 Sobol words from the whole sequence,
     the log-axis head and tail picked by ``np.where``, S in complex
-    arithmetic where log a is complex, and each block summed by one
-    ``np.sum`` over its concatenated chunks.  The reference for the
-    estimator's buffered pipeline, which must give its bits."""
+    arithmetic where log a is complex, and each replicate summed by one
+    ``np.sum`` over all its samples.  The reference for the estimator's
+    buffered pipeline, which must give its bits."""
     points = sobol_points(spec.count).T.astype(np.uint64)
     shifts = _splitmix64_stream(spec.shift_seed, spec.replicates * 6)
-    chunk, block = min(chunk, spec.count), min(block, spec.count)
     px, py = 1.0 / f.m, 1.0 / (1.0 - f.m)
     means = []
     for r in range(spec.replicates):
         words = shifts[6 * r : 6 * r + 6]
         shift = np.array([s >> (64 - _SOBOL_BITS) for s in words], dtype=np.uint64)
-        sums, parts = [], []
-        for c0 in range(0, spec.count, chunk):
-            pts = np.bitwise_xor(points[c0 : c0 + chunk], shift)
-            u = (pts.astype(np.float64) + 0.5) * 2.0**-_SOBOL_BITS
-            lnu_x, lnu_y = np.log(u[:, 0]), np.log(u[:, 1])
-            vals = (px * py) * f.x_kernel(np.exp(px * lnu_x)) * f.y_kernel(np.exp(py * lnu_y))
-            log_w = np.zeros(len(u))
-            ln_ell = []
-            for i, beta in enumerate(f.betas):
-                t_exp = -np.log(u[:, 2 + i])
-                ln_t = np.log(t_exp)
-                head = t_exp <= 1.0
-                c = 1.0 / (1.0 + beta)
-                head_ln = c * np.minimum(ln_t, 0.0)
-                head_lw = math.log(c) - np.exp(head_ln)
-                ln_ell.append(np.where(head, head_ln, ln_t))
-                log_w += np.where(head, head_lw + t_exp, beta * ln_t)
-            s_vals = f.log_a + px * lnu_x - py * lnu_y + 0.5 * (
-                ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1]
-            )
-            parts.append(vals * np.exp(log_w) * _coupling_power(f, s_vals))
-            if (c0 + chunk) % block == 0:
-                sums.append(complex(np.sum(np.concatenate(parts))))
-                parts.clear()
-        total = complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums))
-        means.append(total / spec.count)
+        u = (np.bitwise_xor(points, shift).astype(np.float64) + 0.5) * 2.0**-_SOBOL_BITS
+        lnu_x, lnu_y = np.log(u[:, 0]), np.log(u[:, 1])
+        vals = (px * py) * f.x_kernel(np.exp(px * lnu_x)) * f.y_kernel(np.exp(py * lnu_y))
+        log_w = np.zeros(len(u))
+        ln_ell = []
+        for i, beta in enumerate(f.betas):
+            t_exp = -np.log(u[:, 2 + i])
+            ln_t = np.log(t_exp)
+            head = t_exp <= 1.0
+            c = 1.0 / (1.0 + beta)
+            head_ln = c * np.minimum(ln_t, 0.0)
+            head_lw = math.log(c) - np.exp(head_ln)
+            ln_ell.append(np.where(head, head_ln, ln_t))
+            log_w += np.where(head, head_lw + t_exp, beta * ln_t)
+        s_vals = f.log_a + px * lnu_x - py * lnu_y + 0.5 * (ln_ell[2] + ln_ell[3] - ln_ell[0] - ln_ell[1])
+        samples = vals * np.exp(log_w) * _coupling_power(f, s_vals)
+        means.append(complex(np.sum(samples)) / spec.count)
     mean = sum(means) / len(means)
     var = sum(abs(m - mean) ** 2 for m in means) / (len(means) - 1)
     return mean, math.sqrt(var / len(means))

@@ -371,14 +371,16 @@ def test_qmc_reproducible_bit_for_bit():
 
 
 def test_qmc_chunk_size_leaves_value_unchanged(monkeypatch):
-    # One 2^15-point chunk is the whole block, evaluated in a single pass.
+    # One 2^15-point chunk is the whole replicate, summed in a single pass.
+    # At 2^19 points, 32 or 128 chunk sums are merged pairwise, five or
+    # seven merge levels deep.
     f = Integrand6D(COMPLEX_COUPLING)
-    spec = QmcSpec(count=1 << 15)
-    results = []
-    for chunk in (1 << 15, 1 << 14, 1 << 12, 1 << 10):
-        monkeypatch.setattr(quad, "_QMC_CHUNK", chunk)
-        results.append(integrate_6d_qmc(f, spec))
-    assert results[1:] == results[:1] * 3
+    for count, chunks in ((1 << 15, (1 << 15, 1 << 14, 1 << 12, 1 << 10)), (1 << 19, (1 << 14, 1 << 12))):
+        results = []
+        for chunk in chunks:
+            monkeypatch.setattr(quad, "_QMC_CHUNK", chunk)
+            results.append(integrate_6d_qmc(f, QmcSpec(count=count)))
+        assert results[1:] == results[:1] * (len(chunks) - 1), count
 
 
 def _halving_sum(parts: list) -> float:
@@ -390,20 +392,22 @@ def _halving_sum(parts: list) -> float:
 
 
 def test_np_sum_of_a_power_of_two_block_is_the_halving_sum_of_its_chunks():
-    # The QMC estimator sums each chunk as it is made and adds a block's
-    # chunk sums in halves; that gives the bits of one np.sum over the block
-    # only while numpy's pairwise sum splits a power-of-two length in halves.
-    # Terms of either sign across 40 decades make every order round apart.
+    # The QMC estimator sums each chunk as it is made and merges a
+    # replicate's chunk sums in halves; that gives the bits of one np.sum
+    # over the replicate only while numpy's pairwise sum splits a
+    # power-of-two length in halves, up to A8's 2^22 points.  Terms of either
+    # sign across 40 decades make every order round apart.  Past 2^17,
+    # chunks of 2^14 and more keep the test fast.
     rng = np.random.default_rng(34)
-    for b in range(10, 18):
+    for b in range(10, 23):
         size = 1 << b
-        block = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-20.0, 20.0, size)
-        want = np.sum(block)
-        for c in range(10, b + 1):
+        samples = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-20.0, 20.0, size)
+        want = np.sum(samples)
+        for c in range(10 if b <= 17 else 14, b + 1):
             chunk = 1 << c
-            got = _halving_sum([np.sum(block[i : i + chunk]) for i in range(0, size, chunk)])
+            got = _halving_sum([np.sum(samples[i : i + chunk]) for i in range(0, size, chunk)])
             assert got.hex() == want.hex(), (
-                f"numpy {np.__version__}: np.sum of a 2^{b} block is not the halving sum of its 2^{c} chunks"
+                f"numpy {np.__version__}: np.sum of 2^{b} samples is not the halving sum of its 2^{c} chunks"
             )
 
 
@@ -427,9 +431,9 @@ def _peak_bytes(call) -> int:
 
 
 def test_qmc_memory_does_not_grow_with_count(monkeypatch):
-    # One CPU keeps every replicate in this process.  A 2^17-point block of
-    # Re and Im samples would hold 2 MiB at 2^18 points against 512 KiB at
-    # 2^15; chunk sums hold a few numbers whatever the count.
+    # One CPU keeps every replicate in this process.  A replicate's Re and
+    # Im samples would hold 4 MiB at 2^18 points against 512 KiB at 2^15;
+    # its partial sums hold a few numbers whatever the count.
     _pin(monkeypatch, 1)
     f = Integrand6D(COMPLEX_COUPLING)
     peaks = [_peak_bytes(lambda: integrate_6d_qmc(f, QmcSpec(count=count))) for count in (1 << 15, 1 << 18)]
@@ -478,7 +482,7 @@ _GOLDEN = {
     ),
     "complex_coupling": (
         COMPLEX_COUPLING,
-        1 << 18,  # two 2^17-point blocks
+        1 << 18,  # 16 chunk sums merged pairwise
         {
             AVX512: ("-0x1.aba46553dfc0dp+3", "-0x1.4df9d8a09cf1cp+5", "0x1.561182b485bf9p-5"),
             AVX2: ("-0x1.aba46553dfc0ep+3", "-0x1.4df9d8a09cf1cp+5", "0x1.561182b485bdap-5"),
@@ -494,8 +498,8 @@ _GOLDEN = {
     ids=[*_GOLDEN, *(f"{case}-one_cpu" for case in _GOLDEN)],
 )
 def test_qmc_golden_values(monkeypatch, case, one_cpu):
-    # Recorded in one process with the estimator that summed each block in
-    # one pass; the default CPU set spreads the replicates over processes.
+    # Recorded in one process with the estimator that summed each replicate
+    # by one np.sum; the default CPU set spreads the replicates over processes.
     ps, count, hexes = _GOLDEN[case]
     if one_cpu:
         _pin(monkeypatch, 1)
@@ -535,7 +539,7 @@ _REFERENCE_STRIPS = {
     **{
         f"a_positive_k{k}": (_valid_strip(k, k, a), count)
         for k, a, count in (
-            (0, 0.3, 1 << 15),
+            (0, 0.3, 1 << 19),  # 32 chunk sums merged pairwise
             (1, 0.8, 1 << 10),
             (2, 1.7, 1 << 15),
             (3, 2.9, 1 << 10),
@@ -544,7 +548,7 @@ _REFERENCE_STRIPS = {
             (6, 1.2, 1 << 15),
         )
     },
-    "a_negative_k2.6": (_valid_strip(7, 2.6, -1.9), 1 << 18),  # two blocks
+    "a_negative_k2.6": (_valid_strip(7, 2.6, -1.9), 1 << 18),  # 16 chunk sums
     "a_complex_k3.3": (_valid_strip(8, 3.3, 0.7 - 2.1j), 1 << 15),
     "k_minus1_m_half": (_valid_strip(9, -1, -2.3, m=0.5), 1 << 15),
     "k_minus3_m_half": (_valid_strip(10, -3, 1.1 + 0.9j, m=0.5), 1 << 10),
