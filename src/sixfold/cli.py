@@ -217,8 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     results = acceptance.run_suite(only=args.only)
     if not results:
-        print(f"no criteria match {args.only!r}", file=sys.stderr)
-        return 2
+        raise DomainError(f"no criteria match {args.only!r}")
     all_ok = True
     for res in results:
         mark = "PASS" if res.passed else "FAIL"

@@ -26,7 +26,13 @@ runs, reports a refused path as "inadmissible" with the reason as its
 detail, never silently dropped, and alone builds, times and classifies
 each ``PathResult``.  Each public path function raises its own
 predicate's reason as ``InadmissibleError`` (``core.refuse``), so a
-library caller is refused as ``verify`` is.  ``judge`` gives the verdict.
+library caller is refused as ``verify`` is.
+
+``judge`` gives the decision as one ``Decision`` record: the verdict and a
+``PairRow`` per pair of "ok" paths, holding its abs and rel diffs, its bound
+abs_tol + rel_tol max(|a|, |b|) + 3 (err_a + err_b) and its margin
+abs / bound.  No other code forms a pair bound.  The report stores the
+record; its ``verdict`` and ``diffs`` are views of it.
 """
 
 from __future__ import annotations
@@ -445,6 +451,34 @@ PATHS: dict[str, Path] = {
 PATH_NAMES = tuple(PATHS)
 
 
+class PairRow(NamedTuple):
+    """One pair of "ok" values a, b: ``name`` "a|b", ``abs`` = |a - b|,
+    ``rel`` = abs / max(|a|, |b|) (0 where both are 0), ``bound`` =
+    abs_tol + rel_tol max(|a|, |b|) + 3 (err_a + err_b) and ``margin`` =
+    abs / bound, the pair passing iff its margin is at most 1."""
+
+    name: str
+    abs: float
+    rel: float
+    bound: float
+    margin: float
+
+
+class Decision(NamedTuple):
+    """What ``judge`` decides: the verdict and one ``PairRow`` per pair of
+    "ok" paths, in report order."""
+
+    verdict: str
+    pairs: tuple[PairRow, ...]
+
+
+def _margin(d: float, bound: float) -> float:
+    """A pair's margin abs / bound, by the rules in ``judge``'s docstring."""
+    if not (math.isfinite(d) and math.isfinite(bound)):
+        return math.inf
+    return 0.0 if d == 0.0 else d / bound if bound else math.inf
+
+
 @dataclass
 class VerificationReport:
     case: str
@@ -452,32 +486,44 @@ class VerificationReport:
     second_exponent: complex | None
     tolerances: Tolerances
     paths: dict[str, PathResult]
-    diffs: dict[str, dict[str, float]]
-    verdict: str
+    decision: Decision
     violations: list[str]
     warnings: list[str]
+
+    @property
+    def verdict(self) -> str:
+        """``decision``'s verdict, or "invalid_parameters" where any
+        parameter check failed (no path then runs)."""
+        return "invalid_parameters" if self.violations else self.decision.verdict
+
+    @property
+    def diffs(self) -> dict[str, dict[str, float]]:
+        """Each pair row's abs and rel diffs, by name, in report order."""
+        return {row.name: {"abs": row.abs, "rel": row.rel} for row in self.decision.pairs}
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
 
-def judge(results: dict[str, PathResult], tol: Tolerances) -> tuple[str, dict[str, dict[str, float]]]:
-    """The verdict and pair diffs of one run's path results: "pass" iff each
-    pair of "ok" values a, b (in report order, as in ``diffs``) has
-    |a - b| <= abs_tol + rel_tol max(|a|, |b|) + 3 (err_a + err_b) and that
-    bound is finite, so a NaN or infinite value or err never passes; fewer than
-    two "ok" pass vacuously, or "fail" if a path erred."""
+def judge(results: dict[str, PathResult], tol: Tolerances) -> Decision:
+    """The ``Decision`` on one run's path results: one ``PairRow`` per pair of
+    "ok" values a, b, in report order, and the verdict "pass" iff every
+    row's margin is at most 1, or, below two "ok" values, iff no path erred.
+
+    A row's margin is inf where abs or the bound is not finite, else 0 where
+    abs is 0, else inf where the bound is 0, else abs / bound.  So a row
+    passes iff abs <= bound < inf, and a NaN or infinite value or err never
+    passes."""
     ok = [(name, r) for name, r in results.items() if r.status == "ok"]
-    agree = len(ok) > 1 or all(r.status != "error" for r in results.values())
-    diffs = {}
+    rows = []
     for (na, ra), (nb, rb) in itertools.combinations(ok, 2):
         d = abs(ra.value - rb.value)
         scale = max(abs(ra.value), abs(rb.value))
-        diffs[f"{na}|{nb}"] = {"abs": d, "rel": d / scale if scale else 0.0}
         bound = tol.abs_tol + tol.rel_tol * scale + 3.0 * ((ra.err or 0.0) + (rb.err or 0.0))
-        agree &= d <= bound < math.inf
-    return ("pass" if agree else "fail"), diffs
+        rows.append(PairRow(f"{na}|{nb}", d, d / scale if scale else 0.0, bound, _margin(d, bound)))
+    agree = all(row.margin <= 1.0 for row in rows) if rows else all(r.status != "error" for r in results.values())
+    return Decision("pass" if agree else "fail", tuple(rows))
 
 
 def verify(
@@ -495,8 +541,10 @@ def verify(
     raises DomainError.  ``tol`` and ``qmc_spec`` (the qmc path's sampling)
     default to ``Tolerances()`` and ``QmcSpec()``, which hold the defaults.
 
-    ``judge`` gives the verdict and diffs.  Parameter-strip violations, and for
-    an alt-form case an a outside 0 < Re(a) <= 1, its domain, short-circuit to
+    ``judge`` gives the report's ``decision``, which its ``verdict`` and
+    ``diffs`` read; ``verdict`` reads "invalid_parameters" instead where a
+    parameter check failed.  Parameter-strip violations, and for an alt-form
+    case an a outside 0 < Re(a) <= 1, its domain, short-circuit to
     "invalid_parameters".  So does a caller's second exponent n at which the
     strip fails with m replaced by n, each violation named with the suffix
     " at m=n": the difference is of two integrals, and both must converge.  A
@@ -556,15 +604,13 @@ def verify(
         result.seconds = time.perf_counter() - t0
         results[path] = result
 
-    verdict, diffs = judge(results, tol)
     return VerificationReport(
         case=case.tag,
         params=ps_eff,
         second_exponent=second,
         tolerances=tol,
         paths=results,
-        diffs=diffs,
-        verdict="invalid_parameters" if violations else verdict,
+        decision=judge(results, tol),
         violations=violations,
         warnings=warnings,
     )

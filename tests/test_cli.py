@@ -150,6 +150,20 @@ def test_verify_json_deterministic(capsys):
     assert first == second
 
 
+def test_default_report_schema(capsys):
+    # The default JSON report's keys, each diff's keys and the CSV header are
+    # pinned, so a field of the engine's pair rows cannot reach a default
+    # report unasked.
+    args = ["verify", "--case", "theorem", "--paths", "jet,moment,closed", "--format"]
+    assert main([*args, "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"case", "params", "paths", "diffs", "verdict", "violations", "warnings", "tolerances"}
+    assert list(payload["diffs"]) == ["jet|closed", "jet|moment", "moment|closed"]
+    assert all(set(d) == {"abs", "rel"} for d in payload["diffs"].values())
+    assert main([*args, "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "case,path,status,value_re,value_im,err,verdict,detail"
+
+
 def test_verify_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SIXFOLD_OUTPUT_DIR", str(tmp_path))
     code = main(
@@ -315,6 +329,7 @@ def test_selftest_only_filter(capsys):
 
 def test_selftest_unknown_filter(capsys):
     assert main(["selftest", "--only", "zzz"]) == 2
+    assert capsys.readouterr() == ("", "error: no criteria match 'zzz'\n")
 
 
 def test_verify_numeric_path_failure_exit_three(capsys):

@@ -326,24 +326,25 @@ _ERR = engine.PathResult("error", detail="DomainError: no convergence")
 
 def test_judge_passes_when_every_pair_agrees():
     results = {"jet": _ok(0.0), "moment": _ok(0.0), "closed": _ok(1e-12j)}
-    verdict, diffs = engine.judge(results, Tolerances(abs_tol=1e-12, rel_tol=1e-8))
-    assert verdict == "pass"
-    assert diffs == {
-        "jet|moment": {"abs": 0.0, "rel": 0.0},
-        "jet|closed": {"abs": 1e-12, "rel": 1.0},
-        "moment|closed": {"abs": 1e-12, "rel": 1.0},
-    }
+    decision = engine.judge(results, Tolerances(abs_tol=1e-12, rel_tol=1e-8))
+    assert decision.verdict == "pass"
+    assert [(row.name, row.abs, row.rel) for row in decision.pairs] == [
+        ("jet|moment", 0.0, 0.0),
+        ("jet|closed", 1e-12, 1.0),
+        ("moment|closed", 1e-12, 1.0),
+    ]
+    assert decision.pairs[0].margin == 0.0
 
 
 def test_judge_fails_on_one_disagreeing_pair():
     # qmc's error estimate covers its distance to both others, but jet and
     # closed, which have none, differ.
     results = {"jet": _ok(1.0), "qmc": _ok(1.5, 0.2), "closed": _ok(2.0)}
-    verdict, diffs = engine.judge(results, Tolerances())
-    assert verdict == "fail"
-    assert diffs["jet|closed"] == {"abs": 1.0, "rel": 0.5}
-    assert engine.judge({p: results[p] for p in ("jet", "qmc")}, Tolerances())[0] == "pass"
-    assert engine.judge({p: results[p] for p in ("qmc", "closed")}, Tolerances())[0] == "pass"
+    decision = engine.judge(results, Tolerances())
+    assert decision.verdict == "fail"
+    assert decision.pairs[1][:3] == ("jet|closed", 1.0, 0.5)
+    assert engine.judge({p: results[p] for p in ("jet", "qmc")}, Tolerances()).verdict == "pass"
+    assert engine.judge({p: results[p] for p in ("qmc", "closed")}, Tolerances()).verdict == "pass"
 
 
 @pytest.mark.parametrize(
@@ -352,7 +353,7 @@ def test_judge_fails_on_one_disagreeing_pair():
     ids=["none computed", "one computed"],
 )
 def test_judge_passes_vacuously_below_two_computed(results):
-    assert engine.judge(results, Tolerances()) == ("pass", {})
+    assert engine.judge(results, Tolerances()) == ("pass", ())
 
 
 @pytest.mark.parametrize(
@@ -361,13 +362,15 @@ def test_judge_passes_vacuously_below_two_computed(results):
     ids=["none computed", "one computed"],
 )
 def test_judge_fails_below_two_computed_when_a_path_errored(results):
-    assert engine.judge(results, Tolerances()) == ("fail", {})
+    assert engine.judge(results, Tolerances()) == ("fail", ())
 
 
 def test_judge_passes_two_agreeing_paths_beside_an_error():
     # The error sets only the CLI's exit code 3.
     results = {"jet": _ok(2.0), "moment": _ERR, "closed": _ok(2.0)}
-    assert engine.judge(results, Tolerances()) == ("pass", {"jet|closed": {"abs": 0.0, "rel": 0.0}})
+    decision = engine.judge(results, Tolerances())
+    assert decision.verdict == "pass"
+    assert [row[:3] for row in decision.pairs] == [("jet|closed", 0.0, 0.0)]
 
 
 def test_judge_bound_is_inclusive():
@@ -375,10 +378,12 @@ def test_judge_bound_is_inclusive():
     # and so is each difference (7 - b for b in [3.5, 7]).
     tol = Tolerances(abs_tol=0.25, rel_tol=0.25)
     at_bound = {"qmc": _ok(7.0, 0.25), "tensor": _ok(3.5, 0.25)}
-    assert engine.judge(at_bound, tol) == ("pass", {"qmc|tensor": {"abs": 3.5, "rel": 0.5}})
+    assert engine.judge(at_bound, tol) == ("pass", (("qmc|tensor", 3.5, 0.5, 3.5, 1.0),))
     above = {"qmc": _ok(7.0, 0.25), "tensor": _ok(math.nextafter(3.5, 0.0), 0.25)}
-    verdict, diffs = engine.judge(above, tol)
-    assert verdict == "fail" and diffs["qmc|tensor"]["abs"] == math.nextafter(3.5, 4.0)
+    decision = engine.judge(above, tol)
+    (row,) = decision.pairs
+    assert decision.verdict == "fail" and row.abs == math.nextafter(3.5, 4.0)
+    assert row.bound == 3.5 and row.margin > 1.0
 
 
 @pytest.mark.parametrize(
@@ -395,14 +400,18 @@ def test_judge_bound_is_inclusive():
 )
 def test_judge_never_passes_nan(a, b, err):
     # An infinite value or err makes the bound infinite, which no pair meets.
+    # Where abs is 0 (the estimate cases), a NaN or infinite bound still
+    # gives an infinite margin: that rule comes before the one for abs 0.
     results = {"jet": _ok(a), "qmc": _ok(b, err)}
-    assert engine.judge(results, Tolerances(abs_tol=1e300, rel_tol=1e300))[0] == "fail"
+    decision = engine.judge(results, Tolerances(abs_tol=1e300, rel_tol=1e300))
+    assert decision.verdict == "fail"
+    assert [row.margin for row in decision.pairs] == [math.inf]
 
 
 def test_judge_diffs_follow_report_order():
     results = {"qmc": _ok(1.0), "jet": _ok(1.0), "tensor": _OFF, "closed": _ok(1.0), "limit": _ok(1.0)}
-    _, diffs = engine.judge(results, Tolerances())
-    assert list(diffs) == ["qmc|jet", "qmc|closed", "qmc|limit", "jet|closed", "jet|limit", "closed|limit"]
+    names = [row.name for row in engine.judge(results, Tolerances()).pairs]
+    assert names == ["qmc|jet", "qmc|closed", "qmc|limit", "jet|closed", "jet|limit", "closed|limit"]
 
 
 def test_path_table_order_is_the_report_order():

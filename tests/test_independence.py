@@ -185,7 +185,21 @@ def test_readme_table_matches_the_recorder(recorded):
 
 def test_judge_reproduces_every_recorded_verdict(recorded):
     # The verdict is a function of the path results alone: judge, given a
-    # report's own results, returns its verdict and its diffs, in its order.
+    # report's own results, returns its verdict and its pair rows, in order.
+    # Each row's bound is the documented one, recomputed here from the
+    # report's values and errs, and the verdict is "pass" exactly when every
+    # margin is at most 1, or, below two "ok" paths, when none erred.
     for case, kind, report, _ in recorded:
-        verdict, diffs = engine.judge(report.paths, report.tolerances)
-        assert (verdict, list(diffs.items())) == (report.verdict, list(report.diffs.items())), (case, kind)
+        decision = engine.judge(report.paths, report.tolerances)
+        assert (decision, decision.verdict) == (report.decision, report.verdict), (case, kind)
+        ok = {p: r for p, r in report.paths.items() if r.status == "ok"}
+        tol = report.tolerances
+        for row in decision.pairs:
+            a, b = (ok[p] for p in row.name.split("|"))
+            scale = max(abs(a.value), abs(b.value))
+            assert row.bound == tol.abs_tol + tol.rel_tol * scale + 3.0 * ((a.err or 0.0) + (b.err or 0.0)), row
+        if len(ok) < 2:
+            expected = all(r.status != "error" for r in report.paths.values())
+        else:
+            expected = all(row.margin <= 1.0 for row in decision.pairs)
+        assert (report.verdict == "pass") == expected, (case, kind)
