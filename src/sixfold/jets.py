@@ -34,22 +34,18 @@ class Jet:
             raise DomainError("jet needs at least the constant coefficient")
         if len(self.coeffs) - 1 > MAX_ORDER:
             raise DomainError(f"jet order capped at {MAX_ORDER}")
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        for c in coeffs:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise DomainError(f"non-finite jet coefficient {c!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _finite(tuple(complex(c) for c in self.coeffs)))
 
     def __getitem__(self, j: int) -> complex:
         return self.coeffs[j]
 
     def __add__(self, other: "Jet") -> "Jet":
         _check_orders(self, other)
-        return Jet(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _jet(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Jet") -> "Jet":
         _check_orders(self, other)
-        return Jet(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _jet(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "Jet") -> "Jet":
         _check_orders(self, other)
@@ -60,10 +56,10 @@ class Jet:
                 continue
             for j in range(n - i):
                 out[i + j] += a * other.coeffs[j]
-        return Jet(tuple(out))
+        return _jet(tuple(out))
 
     def scale(self, c: complex) -> "Jet":
-        return Jet(tuple(c * a for a in self.coeffs))
+        return _jet(tuple(c * a for a in self.coeffs))
 
     def stretch(self, sigma: complex) -> "Jet":
         """Jet of w -> f(sigma * w): coefficient j picks up sigma^j."""
@@ -72,7 +68,7 @@ class Jet:
         for a in self.coeffs:
             out.append(a * p)
             p *= sigma
-        return Jet(tuple(out))
+        return _jet(tuple(out))
 
     def reciprocal(self) -> "Jet":
         if self.coeffs[0] == 0:
@@ -85,7 +81,7 @@ class Jet:
             for i in range(1, j + 1):
                 s += self.coeffs[i] * out[j - i]
             out[j] = -s * out[0]
-        return Jet(tuple(out))
+        return _jet(tuple(out))
 
     def exp(self) -> "Jet":
         n = len(self.coeffs)
@@ -96,7 +92,24 @@ class Jet:
             for i in range(1, j + 1):
                 s += i * self.coeffs[i] * out[j - i]
             out[j] = s / j
-        return Jet(tuple(out))
+        return _jet(tuple(out))
+
+
+def _finite(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
+    """``coeffs``, or DomainError naming the first non-finite one."""
+    if not all(map(cmath.isfinite, coeffs)):
+        bad = next(c for c in coeffs if not cmath.isfinite(c))
+        raise DomainError(f"non-finite jet coefficient {bad!r}")
+    return coeffs
+
+
+def _jet(coeffs: tuple[complex, ...]) -> Jet:
+    """Jet arithmetic's constructor: its coefficients are already Python
+    complex numbers and its order that of an operand, so only finiteness is
+    checked."""
+    jet = object.__new__(Jet)
+    object.__setattr__(jet, "coeffs", _finite(coeffs))
+    return jet
 
 
 def _check_orders(a: Jet, b: Jet) -> None:

@@ -15,12 +15,14 @@
 * every other z with |z| <= 1 (Re(v) > 0): a rotated-contour Abel-Plana
   representation, entire in s, evaluated by nested tanh-sinh levels from
   5 up to 8, stopping when two levels agree; the difference of the last
-  two levels is the error estimate.  Each call builds one rule per level
-  from 6 up: a level's coarser neighbour is read from its own nodes
-  (``quad.tanh_sinh_nesting``).  It tracks the quadrature error, which
-  dominates as Re(v) -> 0, not rounding, which grows as z -> 1 (README,
-  Accuracy notes, has the measured figures).  Below |z| = 0.05 it sums
-  the tail z Phi(z, s, v + 1) after the first term v^(-s).
+  two levels is the error estimate.  Level 6 is built once, at import,
+  and shared read-only by both routes; a call builds one rule per level it
+  refines to above 6, and reads each level's coarser neighbour from its
+  own nodes (``quad.tanh_sinh_nesting``).  It tracks the quadrature
+  error, which dominates as Re(v) -> 0, not rounding, which grows as
+  z -> 1 (README, Accuracy notes, has the measured figures).  Below
+  |z| = 0.05 it sums the tail z Phi(z, s, v + 1) after the first term
+  v^(-s).
 
 One cross-check oracle is kept: the defining power series, which shares
 no code with the routes above.
@@ -34,7 +36,7 @@ import math
 import numpy as np
 
 from .core import DomainError, PoleError, UnsupportedRegimeError, nearest_int, principal_power
-from .quad import tanh_sinh, tanh_sinh_nesting
+from .quad import Rule1D, tanh_sinh, tanh_sinh_nesting
 from .specialfn import digamma, hurwitz_zeta, rgamma
 
 _MAX_SERIES_TERMS = 200_000
@@ -49,6 +51,19 @@ _ABEL_PLANA_MAX_LEVEL = 8
 _LAPLACE_MIN_RE_S = 0.5
 _LAPLACE_MAX_IM_S = 3.0
 _LAPLACE_MIN_RE_V = 0.3
+
+
+def _read_only(rule: Rule1D) -> Rule1D:
+    """``rule`` with its arrays marked read-only, so that it can be shared."""
+    for array in (rule.nodes, rule.weights, rule.complement):
+        array.setflags(write=False)
+    return rule
+
+
+# Tanh-sinh level 6 and its nesting slices, built once: both unit-circle
+# routes sum every node of it, and most Abel-Plana calls stop there.
+_LEVEL_6 = _read_only(tanh_sinh(6))
+_LEVEL_6_NESTING = tanh_sinh_nesting(_LEVEL_6)
 
 
 def _laplace_route(s: complex, v: complex) -> bool:
@@ -163,11 +178,12 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
     The integrands run in numpy arrays with no complex log: the three logs,
     log(v + u e^(i phi)) and log(v +- it), come from real parts
     (``_log``), several times cheaper than numpy's complex log.  Every node
-    of ``tanh_sinh(6)`` is evaluated in one pass, since most calls stop at
-    level 6 (244 of the 268 in one benchmark sweep): level 5 is its even
-    nodes at twice their weights.  Levels 7 and 8 evaluate only the nodes
-    they add.  Each form of the boundary integrand is computed only where
-    it is used.
+    of the shared level-6 rule (``_LEVEL_6``) is evaluated in one pass,
+    since most calls stop at level 6 (244 of the 268 in one benchmark
+    sweep): level 5 is its even nodes at twice their weights.  Levels 7
+    and 8 are built only when a call refines to them, and evaluate only
+    the nodes they add.  Each form of the boundary integrand is computed
+    only where it is used.
     """
     flip = cmath.phase(z) < 0.0
     if flip:  # Phi(conj z, conj s, conj v) = conj Phi(z, s, v)
@@ -226,8 +242,8 @@ def _abel_plana_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]
         )
 
     # Level 5 is the even nodes of level 6 at twice their weights.
-    rule = tanh_sinh(6)
-    coarse, added = tanh_sinh_nesting(rule)
+    rule = _LEVEL_6
+    coarse, added = _LEVEL_6_NESTING
     i0, j_int = terms(rule.nodes, rule.weights)
     total, mass = sums(2.0 * i0[coarse], 2.0 * j_int[coarse])
     new = sums(i0[added], j_int[added])
@@ -257,20 +273,20 @@ def _laplace_phi(z: complex, s: complex, v: complex) -> tuple[complex, float]:
     cos(arg v) times their distance from the real axis.  The half turn
     keeps both factors at cos(arg(v)/2) > 0.7.  One tanh-sinh
     rule sums both panels: (0, 1], and [1, 1 + 46/Re(c v)], over which
-    e^(-c v x) falls by e^-46.  Every node of ``tanh_sinh(6)`` is
-    evaluated in one pass, and level 5 is read from its even nodes;
-    returns S_6 and |S_6 - S_5| as its error estimate.  That difference
-    measures the error of level 5, and near z = 1 it overstates the error
-    of S_6 by orders of magnitude: over 40 points, 4.3e-8 against at most
-    1.0e-11 relative at |z - 1| = 1e-6, and 1.9e-11 against 1.2e-13 at
-    1e-4 (README, Accuracy notes).
+    e^(-c v x) falls by e^-46.  Every node of the shared level-6 rule
+    (``_LEVEL_6``) is evaluated in one pass, and level 5 is read from its
+    even nodes; returns S_6 and |S_6 - S_5| as its error estimate.  That
+    difference measures the error of level 5, and near z = 1 it overstates
+    the error of S_6 by orders of magnitude: over 40 points, 4.3e-8
+    against at most 1.0e-11 relative at |z - 1| = 1e-6, and 1.9e-11
+    against 1.2e-13 at 1e-4 (README, Accuracy notes).
     """
     half = -0.5 * cmath.phase(v)
     turn = cmath.exp(1j * half)
     rate = v * turn
     span = 46.0 / rate.real
-    rule = tanh_sinh(6)
-    coarse, added = tanh_sinh_nesting(rule)
+    rule = _LEVEL_6
+    coarse, added = _LEVEL_6_NESTING
     x = np.stack([rule.nodes, 1.0 + span * rule.nodes])
     w = np.stack([rule.weights, span * rule.weights])
     terms = w * np.exp((s - 1.0) * np.log(x) - rate * x) / (1.0 - z * np.exp(-turn * x))

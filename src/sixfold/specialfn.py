@@ -36,6 +36,9 @@ _BERNOULLI = (
     8553103.0 / 6.0,
 )
 
+# Euler-Maclaurin coefficients B_2k/(2k)!, k = 1..13, of hurwitz_zeta.
+_EULER_MACLAURIN = tuple(b / math.factorial(j) for j, b in zip(range(2, 28, 2), _BERNOULLI))
+
 # Stirling-series coefficients B_j (j+n-1)! / j! of psi^(n), j = 2, 4, ..., 26,
 # one row per order n = 0..12.
 _STIRLING = tuple(
@@ -194,10 +197,11 @@ def _polygamma(n: int, z: complex) -> complex:
     fact_n = math.factorial(n)
     sign = -1.0 if n % 2 == 0 else 1.0  # (-1)^(n-1)
     radius = 10.0 + 1.5 * n
+    step, power = sign * fact_n, n + 1
     acc = 0.0 + 0.0j
     while abs(z) < radius or z.real < 0.5:
         # psi^(n)(z) = psi^(n)(z+1) + (-1)^(n+1) n! / z^(n+1)
-        acc += sign * fact_n / z ** (n + 1)
+        acc += step / z**power
         z += 1.0
 
     zinv = 1.0 / z
@@ -280,11 +284,18 @@ def hurwitz_zeta(s: complex, v: complex) -> complex:
         # destroys digits instead of buying accuracy.
         n_shift = max(1, int(math.ceil(5.0 - v.real)) + 1)
 
-    # Direct terms, Neumaier-compensated.
+    # Direct terms, Neumaier-compensated; (v+j)^s as ``_pow_split`` forms it,
+    # with its split of s made once.
+    s_int = round(s.real)
+    s_frac = s - s_int
     acc = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     for j in range(n_shift):
-        term = 1.0 / _pow_split(v + j, s)
+        base = v + j
+        power = base**s_int if s_int else 1.0 + 0.0j
+        if s_frac != 0:
+            power *= cmath.exp(s_frac * cmath.log(base))
+        term = 1.0 / power
         new = acc + term
         if abs(acc) >= abs(term):
             comp += (acc - new) + term
@@ -301,9 +312,8 @@ def hurwitz_zeta(s: complex, v: complex) -> complex:
     # sum_k B_2k/(2k)! * (s)_{2k-1} * w^(-s-2k+1)
     poch = s  # (s)_1
     term = wpow * winv  # w^(-s-1)
-    for idx, b in enumerate(_BERNOULLI):
-        j = 2 * (idx + 1)
-        contrib = b / math.factorial(j) * poch * term
+    for j, coeff in zip(range(2, 28, 2), _EULER_MACLAURIN):
+        contrib = coeff * poch * term
         acc += contrib
         if abs(contrib) <= 1e-17 * abs(acc):
             break

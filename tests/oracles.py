@@ -7,10 +7,11 @@ divergent alternating series, the Laplace integral for Legendre functions,
 literal enumeration for the regrouped tensor sum and the whole grid for
 its blocks of columns, plain unbuffered arithmetic for the buffered QMC
 pipeline, the sequential Sobol recurrence for the doubling that builds the
-points.  Derivatives and jet
-coefficients are checked against Cauchy-formula Taylor coefficients,
-``sixfold.acceptance.taylor_coefficients`` (the trapezoid rule on a
-circle), rather than central differences: they need no extended precision.
+points, a rule built per call for the Laplace form's shared one.
+Derivatives and jet coefficients are checked against Cauchy-formula Taylor
+coefficients, ``sixfold.acceptance.taylor_coefficients`` (the trapezoid
+rule on a circle), rather than central differences: they need no extended
+precision.
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ import math
 import numpy as np
 
 from sixfold.core import refuse
-from sixfold.quad import _SOBOL_BITS, _direction_numbers, _splitmix64_stream, sobol_points, tensor_refusal
+from sixfold.quad import (
+    _SOBOL_BITS,
+    _direction_numbers,
+    _splitmix64_stream,
+    sobol_points,
+    tanh_sinh,
+    tanh_sinh_nesting,
+    tensor_refusal,
+)
+from sixfold.specialfn import rgamma
 
 # 50-term Stirling series coefficients B_2j / (2j (2j-1)) as exact fractions
 # of the tabulated Bernoulli numbers; generated on the fly with Fraction so
@@ -326,3 +336,25 @@ def qmc_reference(f, spec) -> tuple[complex, float]:
     mean = sum(means) / len(means)
     var = sum(abs(m - mean) ** 2 for m in means) / (len(means) - 1)
     return mean, math.sqrt(var / len(means))
+
+
+def laplace_reference(z: complex, s: complex, v: complex) -> tuple[complex, float]:
+    """The Laplace-form Lerch sum and its estimate |S_6 - S_5|, built from a
+    fresh ``tanh_sinh(6)`` on every call: the ray turned by -arg(v)/2, the
+    panels (0, 1] and [1, 1 + 46/Re(c v)] stacked, level 5 read from the
+    even nodes at twice the weights.  The reference for ``_laplace_phi``,
+    which reads a shared, read-only level-6 rule and must give its bits on
+    every kernel set."""
+    half = -0.5 * cmath.phase(v)
+    turn = cmath.exp(1j * half)
+    rate = v * turn
+    span = 46.0 / rate.real
+    rule = tanh_sinh(6)
+    coarse, added = tanh_sinh_nesting(rule)
+    x = np.stack([rule.nodes, 1.0 + span * rule.nodes])
+    w = np.stack([rule.weights, span * rule.weights])
+    terms = w * np.exp((s - 1.0) * np.log(x) - rate * x) / (1.0 - z * np.exp(-turn * x))
+    prev = np.sum(2.0 * terms[:, coarse])
+    total = 0.5 * prev + np.sum(terms[:, added].ravel())
+    scale = rgamma(s) * cmath.exp(1j * half * s)
+    return complex(scale * total), float(abs(scale * (total - prev)))

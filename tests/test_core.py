@@ -141,6 +141,12 @@ def test_parameter_set_replace_immutable():
     assert ps.m == 0.5 + 0j
     assert ps2.m == 0.3 + 0j
     assert math.isfinite(ps2.m.real)
+    # A float or an int is stored as a complex number, as the constructor does.
+    assert type(ps2.m) is complex and type(ps.replace(k=2).k) is complex
+    copy = ps.replace()
+    assert copy == ps and copy is not ps
+    with pytest.raises(TypeError, match="unexpected keyword argument 'x'"):
+        ps.replace(x=1.0)
 
 
 @pytest.mark.parametrize("n", [-3, 0, 7])

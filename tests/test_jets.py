@@ -44,6 +44,18 @@ def test_reciprocal_zero_constant_term():
 def test_product_overflow_is_a_domain_error():
     with pytest.raises(DomainError, match="non-finite jet coefficient"):
         Jet((1e200, 0)) * Jet((1e200, 0))
+    # Every arithmetic route checks its result, and the error names the
+    # first non-finite coefficient.
+    overflows = {
+        "scale": (lambda: Jet((1.0, -1e200, 1e300)).scale(1e200), "(-inf+0j)"),
+        "stretch": (lambda: Jet((1.0, 1.0, 1.0)).stretch(1e200), "(inf+nanj)"),
+        "add": (lambda: Jet((1.0, 1e308)) + Jet((1.0, 1e308)), "(inf+0j)"),
+        "exp": (lambda: Jet((0.0, 1e200, 0.0)).exp(), "(inf+nanj)"),
+    }
+    for name, (overflow, first) in overflows.items():
+        with pytest.raises(DomainError) as err:
+            overflow()
+        assert str(err.value) == f"non-finite jet coefficient {first}", name
 
 
 def test_mul_commutative_associative():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from goldens import AVX2, AVX512, BASELINE, golden
-from oracles import abel_sum_alternating, alternating_sum
+from oracles import abel_sum_alternating, alternating_sum, laplace_reference
 from sixfold.core import DomainError, PoleError, UnsupportedRegimeError, principal_power
 from sixfold.lerch import (
     _abel_plana_phi,
@@ -397,13 +397,13 @@ def _turn(frac):
 
 
 # One point on each Lerch route: the function called, its arguments, the
-# tanh-sinh levels it builds, and the hex of (value, estimate) per numpy
-# kernel set (goldens.py).  The AVX512 values were recorded when level 5
+# tanh-sinh levels above 6 it builds, and the hex of (value, estimate) per
+# numpy kernel set (goldens.py).  The AVX512 values were recorded when level 5
 # and level 6's added nodes were built as two rules: a level-5 term is
 # exactly twice the level-6 term at its node, so no bit may move.
 _LERCH_GOLDEN = {
     "laplace_difference_cases": (
-        "lerch_unit_circle_full", (_turn(0.1), 1.0, 0.5), [6],
+        "lerch_unit_circle_full", (_turn(0.1), 1.0, 0.5), [],
         {
             AVX512: ("0x1.1e74ebf431582p+1", "0x1.d9559913dd470p-1", "0x1.07e0f66afed09p-51"),
             AVX2: ("0x1.1e74ebf431582p+1", "0x1.d9559913dd470p-1", "0x1.0000000000002p-53"),
@@ -411,7 +411,7 @@ _LERCH_GOLDEN = {
         },
     ),
     "laplace_near_one": (
-        "lerch_unit_circle_full", (cmath.exp(1e-4j), 1.0, 0.5), [6],
+        "lerch_unit_circle_full", (cmath.exp(1e-4j), 1.0, 0.5), [],
         {
             AVX512: ("0x1.53184667ced2ap+3", "0x1.91fcfc21d9469p+0", "0x1.741604da8d31dp-44"),
             AVX2: ("0x1.53184667ced2ap+3", "0x1.91fcfc21d9469p+0", "0x1.74fa825c9a68ep-44"),
@@ -419,7 +419,7 @@ _LERCH_GOLDEN = {
         },
     ),
     "laplace_complex": (
-        "lerch_unit_circle_full", (_turn(0.71), 1.7 + 0.8j, 0.9 - 0.4j), [6],
+        "lerch_unit_circle_full", (_turn(0.71), 1.7 + 0.8j, 0.9 - 0.4j), [],
         {
             AVX512: ("0x1.b67bed42ab0b1p-2", "0x1.5859cba9346dfp-2", "0x1.386b1a674fab3p-53"),
             AVX2: ("0x1.b67bed42ab0b1p-2", "0x1.5859cba9346ddp-2", "0x1.386b1a674fab3p-53"),
@@ -427,7 +427,7 @@ _LERCH_GOLDEN = {
         },
     ),
     "abel_plana_level_6": (
-        "lerch_unit_circle_full", (_turn(0.8), -2.2 + 0.4j, 1.4 - 0.6j), [6],
+        "lerch_unit_circle_full", (_turn(0.8), -2.2 + 0.4j, 1.4 - 0.6j), [],
         {
             AVX512: ("-0x1.5938eaac5ff3bp+0", "0x1.84b6933a3d779p-1", "0x1.6a09e667f3bcdp-52"),
             AVX2: ("-0x1.5938eaac5ff3bp+0", "0x1.84b6933a3d779p-1", "0x1.6a09e667f3bcdp-52"),
@@ -435,7 +435,7 @@ _LERCH_GOLDEN = {
         },
     ),
     "abel_plana_level_7": (
-        "lerch_unit_circle_full", (_turn(0.918), -0.29 - 2.82j, 0.38 - 0.85j), [6, 7],
+        "lerch_unit_circle_full", (_turn(0.918), -0.29 - 2.82j, 0.38 - 0.85j), [7],
         {
             AVX512: ("0x1.c011356ad21b9p+4", "0x1.79f8deb5c46fcp+3", "0x1.cd82b446159f3p-47"),
             AVX2: ("0x1.c011356ad21bbp+4", "0x1.79f8deb5c46fep+3", "0x1.1e3779b97f4a8p-47"),
@@ -443,7 +443,7 @@ _LERCH_GOLDEN = {
         },
     ),
     "abel_plana_level_8": (
-        "lerch_unit_circle_full", (_turn(0.585), -4.13 + 2.17j, 0.16 + 1.21j), [6, 7, 8],
+        "lerch_unit_circle_full", (_turn(0.585), -4.13 + 2.17j, 0.16 + 1.21j), [7, 8],
         {
             AVX512: ("0x1.ee57560570602p+5", "-0x1.db3f0373826d1p+3", "0x1.c000000000000p-49"),
             AVX2: ("0x1.ee57560570602p+5", "-0x1.db3f0373826d5p+3", "0x1.8154be2773526p-47"),
@@ -451,7 +451,7 @@ _LERCH_GOLDEN = {
         },
     ),
     "disk": (
-        "_abel_plana_phi", (0.6 * _turn(-0.23), 2.4 - 1.1j, 0.7 + 0.5j), [6],
+        "_abel_plana_phi", (0.6 * _turn(-0.23), 2.4 - 1.1j, 0.7 + 0.5j), [],
         {
             AVX512: ("-0x1.391873d459488p-4", "-0x1.b3ae9c2c5f646p-1", "0x1.8154be2773526p-53"),
             AVX2: ("-0x1.391873d459485p-4", "-0x1.b3ae9c2c5f646p-1", "0x1.176d9090c79a8p-53"),
@@ -459,7 +459,7 @@ _LERCH_GOLDEN = {
         },
     ),
     "peel": (
-        "lerch_phi", (0.02 * _turn(0.37), -2.6 + 0.9j, 1.3 - 0.2j), [6],
+        "lerch_phi", (0.02 * _turn(0.37), -2.6 + 0.9j, 1.3 - 0.2j), [],
         {
             AVX512: ("0x1.73444269b30dfp+0", "-0x1.d20c155fe28f6p-1"),
             AVX2: ("0x1.73444269b30dfp+0", "-0x1.d20c155fe28f6p-1"),
@@ -479,10 +479,36 @@ def test_lerch_golden_bits(case):
     assert (value.real.hex(), value.imag.hex(), *(e.hex() for e in estimate)) == golden(hexes)
 
 
+def _hex(value, estimate):
+    return value.real.hex(), value.imag.hex(), estimate.hex()
+
+
+def test_laplace_matches_reference():
+    # Machine-relative, so it holds on every kernel set: the Laplace form on
+    # its shared level-6 rule gives the bits of a reference that builds its
+    # own, at the three Laplace golden points and at 40 seeded points of
+    # the route.
+    import sixfold.lerch as lerch
+
+    laplace = [case for case in _LERCH_GOLDEN if case.startswith("laplace_")]
+    assert len(laplace) == 3
+    points = [tuple(map(complex, _LERCH_GOLDEN[case][1])) for case in laplace]
+    rng = random.Random(71)
+    for _ in range(40):
+        angle = math.exp(rng.uniform(math.log(1e-5), math.log(math.pi)))
+        z = cmath.exp(1j * rng.choice((1.0, -1.0)) * angle)
+        s = complex(rng.uniform(0.5 + 1e-9, 4.0), rng.uniform(-3.0, 3.0))
+        points.append((z, s, complex(rng.uniform(0.3, 2.5), rng.uniform(-1.0, 1.0))))
+    for z, s, v in points:
+        assert lerch._laplace_route(s, v), (z, s, v)
+        assert _hex(*lerch._laplace_phi(z, s, v)) == _hex(*laplace_reference(z, s, v)), (z, s, v)
+
+
 @pytest.mark.parametrize("case", list(_LERCH_GOLDEN))
 def test_lerch_builds_one_rule_per_level(case, monkeypatch):
-    # Each level's coarse nodes are read from the finer rule, so a call
-    # builds level 6 and one rule per level it refines to.
+    # Level 6 is built once, at import, and shared read-only; each level's
+    # coarse nodes are read from the finer rule, so a call builds one rule
+    # per level it refines to above 6.
     import sixfold.lerch as lerch
 
     name, args, levels, _ = _LERCH_GOLDEN[case]
@@ -491,3 +517,7 @@ def test_lerch_builds_one_rule_per_level(case, monkeypatch):
     monkeypatch.setattr(lerch, "tanh_sinh", lambda level: built.append(level) or real(level))
     getattr(lerch, name)(*args)
     assert built == levels
+    shared = lerch._LEVEL_6
+    for array in (shared.nodes, shared.weights, shared.complement):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
