@@ -141,6 +141,25 @@ def validate_parameters(ps: ParameterSet) -> list[str]:
     are strict with no epsilon margin; callers operating within 1e-8 of a
     boundary can consult :func:`parameter_warnings`.
     """
+    return _violations(ps, _strip_margins(ps))
+
+
+def parameter_warnings(ps: ParameterSet) -> list[str]:
+    """Non-fatal advisories: the stricter half-strip conditions, boundary
+    proximity (within 1e-8) of any strip inequality, exponents near -1,
+    where the tensor path degrades at higher k, and, last, m within 0.01
+    of the csc pole at an integer."""
+    return _advisories(ps, _strip_margins(ps))
+
+
+def check_parameters(ps: ParameterSet) -> tuple[list[str], list[str]]:
+    """``(validate_parameters(ps), parameter_warnings(ps))`` from one pass
+    over the strip margins."""
+    margins = _strip_margins(ps)
+    return _violations(ps, margins), _advisories(ps, margins)
+
+
+def _violations(ps: ParameterSet, margins: dict[str, float]) -> list[str]:
     violations = [
         f"finite({name})" for name in PARAM_NAMES if not cmath.isfinite(getattr(ps, name))
     ]
@@ -148,34 +167,29 @@ def validate_parameters(ps: ParameterSet) -> list[str]:
         return violations
     if ps.a == 0:
         violations.append("a != 0")
-    violations += [name for name, margin in _strip_margins(ps).items() if not margin > 0]
+    violations += [name for name, margin in margins.items() if not margin > 0]
     return violations
 
 
-def parameter_warnings(ps: ParameterSet) -> list[str]:
-    """Non-fatal advisories: the stricter half-strip conditions, boundary
-    proximity (within 1e-8) of any strip inequality, exponents near the
-    Gamma pole that degrade the moment path, and, last, m within 0.01 of
-    the csc pole at an integer."""
+def _advisories(ps: ParameterSet, margins: dict[str, float]) -> list[str]:
     warnings: list[str] = []
     if not ps.u.real < ps.m.real < 0.5:
         warnings.append("strict-strip Re(u)<Re(m)<1/2 not satisfied")
     if not ps.m.real < ps.v.real:
         warnings.append("strict-strip Re(m)<Re(v) not satisfied")
 
-    margins = _strip_margins(ps)
     for name, margin in margins.items():
         if 0 < margin < _BOUNDARY_WARN:
             warnings.append(f"within 1e-8 of boundary: {name}")
 
-    # Gamma-family factors are differentiated at beta+1; near the pole at 0
-    # their derivatives scale like j!/margin^j, so high-order coefficient
-    # paths lose roughly j*log10(1/margin) digits.
+    # As Re(beta) -> -1 the tensor path's joint log moments cancel: at
+    # Re(beta)+1 below 1e-2 and k >= 3 most of its values are off by more
+    # than rel_tol.  The moment path skips the Gamma factors at beta+1.
     for name, margin in margins.items():
         if name.startswith("Re(beta") and 0 < margin < 1e-2:
             warnings.append(
                 f"{name.removesuffix('>-1')}+1 = {margin:.2e}: expect degraded accuracy on the "
-                "factor-product (moment) path at higher k"
+                "tensor path at higher k"
             )
 
     if 0 < margins["0<Re(m)<1"] < 0.01:

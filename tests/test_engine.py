@@ -901,8 +901,122 @@ def test_hurwitz_zeta_form_pass_only_on_true_values(k):
             dict(k=5, a=1.3862600457342664, m=0.36655500163898386, u=-1.9413397824314975,
                  v=1.0029070974300365, mu=-0.9929366006666676, nu=2.4810993987367786),
         ),
+        # The calls below sit near Re beta = -1, where the moment path read
+        # jet|moment 1.3e-8 to 6.8e-5 while it evaluated the Gamma factors
+        # that cancel.  analytic_sweep seed 3, call 1166: Re beta_p + 1 = 2.1e-3.
+        (
+            "theorem",
+            dict(k=5, a=-0.6050013294690896, m=0.6033422916054085, u=-0.7667532333612825,
+                 v=0.9829720714728922, mu=0.7034754985519744, nu=0.6890052210530284),
+        ),
+        # Seed 2, call 1669: Re beta_p + 1 = 2.4e-4, jet|moment read 6.8e-5.
+        (
+            "eta_zeta_line",
+            dict(k=5, m=0.2931849934299605, u=-0.5491274010136582, v=1.855298126383771,
+                 mu=-0.08115871043667289, nu=1.5806867005330587),
+        ),
+        # Seed 4, call 1630: Re beta_z + 1 = 5.5e-4, jet|moment read 4.3e-7.
+        (
+            "hurwitz_zeta_form",
+            dict(k=4, a=0.3884344344517941, m=0.6182828511966518, u=-0.5009986508382622,
+                 v=1.9998911736416742, mu=-1.5465900064293763, nu=1.5871247797754393),
+        ),
+        # Seed 4, call 2306: Re beta_p + 1 = 1.2e-2, no advisory, jet|moment read 1.5e-7.
+        (
+            "alt_lerch",
+            dict(k=6, a=0.4850899933369885, m=0.8876442754388745, u=0.02691377669935724,
+                 v=0.8917874269564948, mu=0.1849657642788558, nu=1.3459870400692644),
+        ),
+        # Seed 6, calls 2123 and 2354: jet|moment read 4.2e-8 and 1.3e-8.
+        (
+            "theorem",
+            dict(k=4, a=-0.8406861125809431, m=0.13250094662171222, u=0.3446163595640521,
+                 v=0.7840317544430505, mu=-0.35358070496272176, nu=2.1624895992043793),
+        ),
+        (
+            "theorem",
+            dict(k=3, a=-2.9298714419388365, m=0.49273512095273475, u=-1.8865450180718006,
+                 v=2.436900868272608, mu=-0.027979400600349313, nu=1.530103225661501),
+        ),
     ],
 )
 def test_moment_path_sums_one_log_jet(tag, params):
     rep = engine.verify(tag, ParameterSet(**params), paths=("jet", "moment", "closed"))
     assert rep.verdict == "pass", rep.diffs
+
+
+def _near_pole_strips(rng, count):
+    """Valid strips with Re beta_z + 1 or Re beta_p + 1 in (1e-3, 3e-2),
+    integer k in 4..10 and a of either sign."""
+    out = []
+    while len(out) < count:
+        m, u, mu = rng.uniform(0.05, 0.95), rng.uniform(-2.0, 0.95), rng.uniform(-2.0, 0.95)
+        v, nu = rng.uniform(0.05, 2.5), rng.uniform(0.05, 2.5)
+        margin = math.exp(rng.uniform(math.log(1e-3), math.log(3e-2)))
+        if rng.random() < 0.5:
+            v = m - u + 1.0 - 2.0 * margin  # beta_z + 1 = margin
+        else:
+            nu = 2.0 - mu - m - 2.0 * margin  # beta_p + 1 = margin
+        a = rng.choice((1.0, -1.0)) * math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+        ps = ParameterSet(k=rng.randint(4, 10), a=a, m=m, u=u, v=v, mu=mu, nu=nu)
+        if not validate_parameters(ps):
+            out.append(ps)
+    return out
+
+
+def test_moment_path_exact_near_the_gamma_poles():
+    # The jets of the Gamma factors at beta + 1 grow like 1/(beta+1)^j;
+    # evaluated and cancelled, their rounding read up to 6e8 relative here.
+    for ps in _near_pole_strips(random.Random(53), 300):
+        jet, moment = engine.lhs_jet(ps), engine.lhs_moment_expansion(ps)
+        assert abs(moment - jet) <= 1e-12 * abs(jet), ps
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_a_shifted_exponent_reaches_the_moment_path(monkeypatch, index):
+    # A beta moved by 0.01 no longer matches its Mellin factor, so both are
+    # evaluated and the defect shows.
+    real = engine.derive_exponents
+
+    def shifted(ps):
+        exq = real(ps)
+        return exq._replace(**{exq._fields[index]: exq[index] + 0.01})
+
+    monkeypatch.setattr(engine, "derive_exponents", shifted)
+    ps = ParameterSet(k=3, a=1.5, m=0.4, u=-0.3, v=1.2, mu=-0.1, nu=0.9)
+    rep = engine.verify("theorem", ps, paths=("jet", "moment", "closed"))
+    assert rep.verdict == "fail"
+    assert rep.diffs["jet|moment"]["rel"] > 1e-3
+
+
+def test_moment_path_evaluates_only_the_uncancelled_factors(monkeypatch):
+    # Real and complex strips whose orders and degrees reach 1e6: every Gamma
+    # moment pairs with its Mellin factor, and only Gamma(m + w) and
+    # Gamma(1 - m - w) are evaluated.
+    rng = random.Random(29)
+
+    def size():
+        return 10.0 ** rng.uniform(-2.0, 6.0)
+
+    def imag():
+        return rng.choice((0.0, rng.uniform(-1.0, 1.0) * size()))
+
+    seen = []
+    real = engine.jet_of_log_gamma
+    monkeypatch.setattr(engine, "jet_of_log_gamma", lambda z0, order: seen.append(z0) or real(z0, order))
+    done = 0
+    while done < 2000:
+        m = complex(rng.uniform(0.01, 0.99), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+        u, mu = 1.0 - size(), 1.0 - size()
+        # Re v in (Re m, Re(m - u) + 1) and Re nu in (Re m, 2 - Re(mu + m)):
+        # Re beta_z and Re beta_p above -1.
+        v = m.real + rng.random() * (1.0 - u)
+        nu = m.real + rng.random() * (2.0 - mu - 2.0 * m.real)
+        ps = ParameterSet(k=rng.randint(0, 3), a=-1.5, m=m, u=complex(u, imag()), v=complex(v, imag()),
+                          mu=complex(mu, imag()), nu=complex(nu, imag()))
+        if validate_parameters(ps):
+            continue
+        seen.clear()
+        engine.lhs_moment_expansion(ps)
+        assert seen == [ps.m, 1.0 - ps.m], ps
+        done += 1
