@@ -2,7 +2,10 @@
 
 Every quantity in this package is a plain Python ``complex`` in double
 precision.  The strip conditions attached to the identity family live here,
-together with the four log-power exponents derived from a parameter set.
+together with the four log-power exponents derived from a parameter set and
+the two facts every path reads off it: ``ParameterSet.k_int``, k as an int
+or None, and ``ParameterSet.log_a``, the principal log of a, which raises
+DomainError at a = 0.  ``check_parameters`` is the one pass over the strip.
 """
 
 from __future__ import annotations
@@ -89,6 +92,21 @@ class ParameterSet:
             fields[name] = complex(value)
         return copy
 
+    # The two facts every path reads are worked out on each read, never
+    # stored: ``replace`` copies the fields, so a stored fact would go stale.
+    @property
+    def k_int(self) -> int | None:
+        """k as an int when within 1e-12 of one, else None; a non-finite k
+        raises DomainError (``nearest_int``)."""
+        return nearest_int(self.k, 1e-12)
+
+    @property
+    def log_a(self) -> complex:
+        """The principal log of a; a = 0 raises DomainError."""
+        if self.a == 0:
+            raise DomainError("a must be non-zero")
+        return cmath.log(self.a)
+
 
 class ExponentQuad(NamedTuple):
     """The four log-power exponents derived from a ParameterSet, in axis
@@ -139,39 +157,31 @@ def validate_parameters(ps: ParameterSet) -> list[str]:
 
     Never raises: non-finite inputs are reported as violations.  Inequalities
     are strict with no epsilon margin; callers operating within 1e-8 of a
-    boundary can consult :func:`parameter_warnings`.
+    boundary can consult :func:`parameter_warnings`.  The first result of
+    :func:`check_parameters`.
     """
-    return _violations(ps, _strip_margins(ps))
+    return check_parameters(ps)[0]
 
 
 def parameter_warnings(ps: ParameterSet) -> list[str]:
     """Non-fatal advisories: the stricter half-strip conditions, boundary
     proximity (within 1e-8) of any strip inequality, exponents near -1,
     where the tensor path degrades at higher k, and, last, m within 0.01
-    of the csc pole at an integer."""
-    return _advisories(ps, _strip_margins(ps))
+    of the csc pole at an integer.  The second result of
+    :func:`check_parameters`."""
+    return check_parameters(ps)[1]
 
 
 def check_parameters(ps: ParameterSet) -> tuple[list[str], list[str]]:
-    """``(validate_parameters(ps), parameter_warnings(ps))`` from one pass
-    over the strip margins."""
+    """``(validate_parameters(ps), parameter_warnings(ps))``: the strip
+    check, in one pass over the strip margins."""
     margins = _strip_margins(ps)
-    return _violations(ps, margins), _advisories(ps, margins)
+    violations = [f"finite({name})" for name in PARAM_NAMES if not cmath.isfinite(getattr(ps, name))]
+    if not violations:
+        if ps.a == 0:
+            violations.append("a != 0")
+        violations += [name for name, margin in margins.items() if not margin > 0]
 
-
-def _violations(ps: ParameterSet, margins: dict[str, float]) -> list[str]:
-    violations = [
-        f"finite({name})" for name in PARAM_NAMES if not cmath.isfinite(getattr(ps, name))
-    ]
-    if violations:
-        return violations
-    if ps.a == 0:
-        violations.append("a != 0")
-    violations += [name for name, margin in margins.items() if not margin > 0]
-    return violations
-
-
-def _advisories(ps: ParameterSet, margins: dict[str, float]) -> list[str]:
     warnings: list[str] = []
     if not ps.u.real < ps.m.real < 0.5:
         warnings.append("strict-strip Re(u)<Re(m)<1/2 not satisfied")
@@ -194,7 +204,7 @@ def _advisories(ps: ParameterSet, margins: dict[str, float]) -> list[str]:
 
     if 0 < margins["0<Re(m)<1"] < 0.01:
         warnings.append("m within 0.01 of the csc pole at an integer")
-    return warnings
+    return violations, warnings
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ from .core import (
     Tolerances,
     check_parameters,
     derive_exponents,
-    nearest_int,
     principal_power,
     refuse,
     validate_parameters,
@@ -80,14 +79,14 @@ _CANCEL_TOL = 8.0 * 2.0**-53
 
 def jet_refusal(ps: ParameterSet) -> str | None:
     """Why the jet and moment paths do not run at ``ps``, or None."""
-    kk = nearest_int(ps.k, 1e-12)
+    kk = ps.k_int
     return None if kk is not None and 0 <= kk <= MAX_ORDER else f"jet paths need integer k in [0, {MAX_ORDER}]"
 
 
 def lhs_jet(ps: ParameterSet) -> complex:
     """k! * coefficient k of the collapsed closed-form jet."""
     refuse(jet_refusal(ps))
-    kk = nearest_int(ps.k, 1e-12)
+    kk = ps.k_int
     jet = closed_form_jet(ps, kk)
     return math.factorial(kk) * jet[kk]
 
@@ -112,10 +111,10 @@ def lhs_moment_expansion(ps: ParameterSet) -> complex:
     like 1/(beta+1)^j.
     """
     refuse(jet_refusal(ps))
-    kk = nearest_int(ps.k, 1e-12)
+    kk = ps.k_int
     exq = derive_exponents(ps)
     log_jet = jet_constant(_LNPI + (ps.u + ps.mu - 1.0) * _LN2, kk)
-    log_jet = log_jet + jet_variable(0.0, kk).scale(cmath.log(ps.a))
+    log_jet = log_jet + jet_variable(0.0, kk).scale(ps.log_a)
     factors = [
         *mellin_gamma_factors(ps.m, ps.u, ps.v),
         *((z, -rate, sign) for z, rate, sign in mellin_gamma_factors(1.0 - ps.m, ps.mu, ps.nu)),
@@ -140,9 +139,10 @@ def lhs_moment_expansion(ps: ParameterSet) -> complex:
     return math.factorial(kk) * log_jet.exp()[kk]
 
 
-def lerch_third_argument(a: complex) -> complex:
-    """(pi - i log a)/(2 pi), principal log; real part in (0, 1]."""
-    return (math.pi - 1j * cmath.log(a)) / (2.0 * math.pi)
+def lerch_third_argument(ps: ParameterSet) -> complex:
+    """(pi - i log a)/(2 pi), principal log (``ps.log_a``); real part in
+    (0, 1]."""
+    return (math.pi - 1j * ps.log_a) / (2.0 * math.pi)
 
 
 def rhs_theorem(ps: ParameterSet) -> complex:
@@ -158,7 +158,7 @@ def rhs_theorem(ps: ParameterSet) -> complex:
         + (k + ps.mu + ps.u) * _LN2
     )
     z = cmath.exp(2j * math.pi * ps.m)
-    return pref * lerch_phi(z, -k, lerch_third_argument(ps.a))
+    return pref * lerch_phi(z, -k, lerch_third_argument(ps))
 
 
 def _catanh(z: complex) -> complex:
@@ -178,12 +178,12 @@ def _lerch_coefficient(ps: ParameterSet, phase: complex) -> complex:
 
 
 def _hurwitz_split_form(ps: ParameterSet, n: complex | None) -> complex:
-    vv = lerch_third_argument(ps.a)
+    vv = lerch_third_argument(ps)
     return _lerch_coefficient(ps, ps.k * 0.5j * math.pi) * lerch_minus_one_split(-ps.k, vv)
 
 
 def _harmonic_form(ps: ParameterSet, n: complex | None) -> complex:
-    vv = lerch_third_argument(ps.a)
+    vv = lerch_third_argument(ps)
     return -1j * math.pi * principal_power(2.0, ps.mu + ps.u - 2.0) * (digamma((vv + 1.0) / 2.0) - digamma(vv / 2.0))
 
 

@@ -174,10 +174,9 @@ def closed_form_jet(ps: ParameterSet, order: int) -> Jet:
     """Jet of F(w) = a^w * pi^2 * 2^(mu+u-1) * csc(pi*(m+w)).
 
     Coefficient k times k! is the integer-k value of the six-fold integral.
-    a^w uses the principal branch of log a.
+    a^w uses the principal branch of log a (``ps.log_a``), so a = 0 raises
+    DomainError.
     """
-    if ps.a == 0:
-        raise DomainError("a must be non-zero")
     pref = math.pi**2 * cmath.exp((ps.mu + ps.u - 1.0) * math.log(2.0))
-    a_jet = jet_exp_linear(cmath.log(ps.a), order)
+    a_jet = jet_exp_linear(ps.log_a, order)
     return (a_jet * jet_csc(ps.m, order)).scale(pref)

@@ -30,9 +30,13 @@ their own predicate's reason as InadmissibleError before any work.  The
 Legendre kernels and log-axis weights run in float64, and complex numbers
 enter only through log a and the coupling S^k, which QMC too forms in
 float64, as real and imaginary parts.
+Both direct paths read k only as ``ParameterSet.k_int`` and log a only
+as ``ParameterSet.log_a``, through ``Integrand6D`` and their refusal
+predicates, so ``Integrand6D`` raises DomainError at a = 0.
 Both paths return (value, error estimate).  ``integrate_6d_tensor`` sums
-the full tensor-product quadrature of the integrand at the two levels of
-its plan, ``_TENSOR_PLAN``, its error |fine - coarse|; for integer k >= 0
+the full tensor-product quadrature of the integrand at its two levels
+(``_tensor_levels``), tanh-sinh level 5 and level 4 read off that one
+rule, its error |fine - coarse|; for integer k >= 0
 the sum is reorganized exactly (binomial regrouping of S^k inside the
 finite sum) so it runs in milliseconds instead of hours.
 ``integrate_6d_qmc`` is a digitally-shifted Sobol estimator with a
@@ -58,7 +62,6 @@ from .core import (
     NonFiniteSampleError,
     ParameterSet,
     derive_exponents,
-    nearest_int,
     refuse,
 )
 from ._laguerre import LAGUERRE_24, LAGUERRE_32
@@ -123,8 +126,8 @@ def gauss_laguerre(n: int) -> Rule1D:
 
     Golub-Welsch on the Jacobi matrix; the weights are the squared first
     eigenvector components, so the rule applied to f = 1 returns 1.  The
-    tensor path does not call it: it holds the two rules it needs as
-    constants (``_TENSOR_PLAN``).
+    tensor path does not call it: it reads the two rules it needs from
+    constants (``_laguerre``, ``_tensor_levels``).
     """
     if not 1 <= n <= _MAX_NODES:
         raise DomainError(f"gauss_laguerre n must be in [1, {_MAX_NODES}]")
@@ -299,14 +302,14 @@ def strip_refusal(ps: ParameterSet) -> str | None:
 def tensor_refusal(ps: ParameterSet) -> str | None:
     """Why the tensor path does not run at ``ps``, or None: a real strip,
     then integer k >= 0."""
-    kk = nearest_int(ps.k, 1e-12)
+    kk = ps.k_int
     return strip_refusal(ps) or (None if kk is not None and kk >= 0 else "tensor path needs integer k >= 0")
 
 
 def qmc_refusal(ps: ParameterSet) -> str | None:
     """Why the qmc path does not run at ``ps``, or None: a real strip, then,
     unless k is a non-negative integer, a off the positive real axis."""
-    kk = nearest_int(ps.k, 1e-12)
+    kk = ps.k_int
     if (kk is None or kk < 0) and abs(ps.a.imag) < 1e-12 and ps.a.real > 0:
         return strip_refusal(ps) or (
             "k is not a non-negative integer and a is on the positive real "
@@ -323,10 +326,11 @@ class Integrand6D:
     complex strip (``strip_refusal``, raised as InadmissibleError) before
     any series is set up.  Both direct paths read the numbers taken here
     once: Re m, the real parts ``betas`` of the log-axis exponents (p, q,
-    t, z), ``log_a`` (a float when its imaginary part is 0), ``k_int``, the
-    one accessor for k (an int when within 1e-12 of one, else None), and
-    the Gauss-series coefficients of the x and y kernels
-    (``kernel_series``), which every node array of the path reuses.  Each
+    t, z), ``log_a`` (``ps.log_a``, a float when its imaginary part is 0),
+    ``k_int`` (``ps.k_int``: an int when within 1e-12 of one, else None),
+    and the Gauss-series coefficients of the x and y kernels
+    (``kernel_series``), which every node array of the path reuses.  So
+    construction raises DomainError at a = 0 and at a non-finite k.  Each
     direct path's own predicate, ``tensor_refusal`` or ``qmc_refusal``,
     says what else it needs, and the path assembles its own sum from the
     pieces.  Nothing assigns to these attributes after construction.
@@ -334,12 +338,12 @@ class Integrand6D:
 
     def __init__(self, ps: ParameterSet) -> None:
         refuse(strip_refusal(ps))
-        log_a = cmath.log(ps.a)
+        log_a = ps.log_a
         self.ps = ps
         self.m = ps.m.real
         self.betas = tuple(b.real for b in derive_exponents(ps))
         self.log_a = log_a.real if log_a.imag == 0.0 else log_a
-        self.k_int = nearest_int(ps.k, 1e-12)
+        self.k_int = ps.k_int
         self.x_series = kernel_series(ps.v.real, ps.u.real)
         self.y_series = kernel_series(ps.nu.real, ps.mu.real)
 
@@ -443,18 +447,20 @@ class Integrand6D:
             im += prod
 
 
-# The tensor path's plan: (tanh-sinh level, Gauss-Laguerre rule) of its fine
-# and its coarse rule, the Laguerre rules of n = 32 and n = 24 nodes held as
-# constants (``_laguerre``), so the tensor path calls no LAPACK.
-_TENSOR_PLAN = ((5, LAGUERRE_32), (4, LAGUERRE_24))
-
-
 def _tensor_levels() -> list[tuple[Rule1D, Rule1D]]:
-    """The (tanh-sinh, Gauss-Laguerre) rule pair of each level of
-    ``_TENSOR_PLAN``, fine first."""
+    """The tensor path's (tanh-sinh, Gauss-Laguerre) rule pairs, fine first.
+
+    One ``tanh_sinh`` rule is built, at level 5.  The coarse level 4 is read
+    off it as its even nodes at twice their weights (``tanh_sinh_nesting``),
+    which is bit for bit ``tanh_sinh(4)``.  The Laguerre rules of n = 32 and
+    n = 24 nodes are constants (``_laguerre``), so the path calls no LAPACK.
+    """
+    fine = tanh_sinh(5)
+    held = tanh_sinh_nesting(fine)[0]
+    coarse = Rule1D(nodes=fine.nodes[held], weights=2.0 * fine.weights[held], complement=fine.complement[held])
     return [
-        (tanh_sinh(level), Rule1D(nodes=np.array(nodes), weights=np.array(weights)))
-        for level, (nodes, weights) in _TENSOR_PLAN
+        (ts, Rule1D(nodes=np.array(nodes), weights=np.array(weights)))
+        for ts, (nodes, weights) in ((fine, LAGUERRE_32), (coarse, LAGUERRE_24))
     ]
 
 
@@ -463,11 +469,12 @@ def integrate_6d_tensor(f: Integrand6D) -> tuple[complex, float]:
 
     ``tensor_refusal`` is checked first, before any rule is built: a
     non-integer or negative k raises InadmissibleError with its message.
-    Each level of ``_TENSOR_PLAN`` builds one ``tanh_sinh`` rule, taken on
-    x and y and as every log axis's head, and reads its Gauss-Laguerre rule
-    for the log axes' tails from the plan's constants (``_laguerre``), so
-    the path calls no LAPACK; the value is the fine sum, the error
-    |fine - coarse|.
+    The two levels (``_tensor_levels``) share one ``tanh_sinh`` build: the
+    fine level 5 and the coarse level 4 read off it.  Each level's
+    tanh-sinh rule is taken on x and y and as every log axis's head, and its
+    Gauss-Laguerre rule for the log axes' tails is a constant
+    (``_laguerre``), so the path calls no LAPACK; the value is the fine sum,
+    the error |fine - coarse|.
     """
     refuse(tensor_refusal(f.ps))
     sums = []

@@ -1,3 +1,5 @@
+import cmath
+import collections
 import math
 import random
 
@@ -9,6 +11,7 @@ from sixfold.core import (
     DomainError,
     ParameterSet,
     Tolerances,
+    check_parameters,
     derive_exponents,
     nearest_int,
     parameter_warnings,
@@ -62,6 +65,69 @@ def test_validate_parameters_never_raises(finite):
 def test_zero_a_rejected():
     ps = ParameterSet(k=0, a=0, m=0.5, u=0, v=1, mu=0, nu=1)
     assert "a != 0" in validate_parameters(ps)
+
+
+def test_k_int_and_log_a_are_read_off_the_fields():
+    ps = ParameterSet(k=3 + 0.5e-12, a=-2.0)
+    assert type(ps.k_int) is int and ps.k_int == 3
+    assert ps.log_a == cmath.log(-2.0)
+    assert ps.replace(k=-4 - 0.5e-12j).k_int == -4
+    for k in (2.5, 3 + 2e-12, 3 + 2e-12j):
+        assert ps.replace(k=k).k_int is None, k
+    # ps's facts were read above, so a stored fact would reach this copy.
+    moved = ps.replace(k=0.5, a=1.5 + 0.5j)
+    assert moved.k_int is None and moved.log_a == cmath.log(1.5 + 0.5j)
+    assert ps.replace(k=7, a=0.25).k_int == 7 and ps.replace(a=0.25).log_a == math.log(0.25)
+    with pytest.raises(DomainError, match="a must be non-zero"):
+        ps.replace(a=0).log_a
+    for k in (math.nan, math.inf, complex(0, -math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            ps.replace(k=k).k_int
+
+
+def _strip_draw(rng):
+    """One parameter set for the strip check: a valid strip moved now and
+    then onto a non-finite field, a = 0, within 1e-8 of a boundary, or to
+    Re beta + 1 below 1e-2."""
+    ps = ParameterSet(
+        k=rng.uniform(-3.0, 6.0),
+        a=complex(rng.uniform(-2.0, 2.0), rng.choice((0.0, rng.uniform(-1.0, 1.0)))),
+        m=complex(rng.uniform(-0.2, 1.2), rng.choice((0.0, rng.uniform(-0.5, 0.5)))),
+        u=rng.uniform(-2.0, 1.2),
+        v=rng.uniform(-0.2, 2.5),
+        mu=rng.uniform(-2.0, 1.2),
+        nu=rng.uniform(-0.2, 2.5),
+    )
+    kind = rng.randrange(5)
+    if kind == 0:
+        name = rng.choice(PARAM_NAMES)
+        return ps.replace(**{name: rng.choice((math.nan, math.inf, complex(1.0, -math.inf)))})
+    if kind == 1:
+        return ps.replace(a=0)
+    if kind == 2:
+        _, param, inside, _ = rng.choice(_NEAR_BOUNDARY)
+        return ParameterSet(k=ps.k, a=ps.a, m=0.5, u=0, v=1, mu=0, nu=1).replace(**{param: inside})
+    if kind == 3:
+        # Re beta_z + 1 = (m - u - v + 1)/2: set v so that it lands in (0, 1e-2).
+        return ps.replace(v=ps.m.real - ps.u.real + 1.0 - 2.0 * rng.uniform(1e-6, 1e-2))
+    return ps
+
+
+def test_check_parameters_is_both_checks_in_one():
+    rng = random.Random(55)
+    seen = collections.Counter()
+    for _ in range(1000):
+        ps = _strip_draw(rng)
+        violations, warnings = check_parameters(ps)
+        assert (violations, warnings) == (validate_parameters(ps), parameter_warnings(ps)), ps
+        seen["valid"] += not violations
+        seen["non-finite"] += any(v.startswith("finite(") for v in violations)
+        seen["a = 0"] += "a != 0" in violations
+        seen["off the strip"] += any(v.startswith(("Re(", "0<")) for v in violations)
+        seen["near a boundary"] += any(w.startswith("within 1e-8 of boundary") for w in warnings)
+        seen["beta near -1"] += any("degraded accuracy" in w for w in warnings)
+    # The draws reach every kind of violation and advisory.
+    assert min(seen.values()) >= 50 and len(seen) == 6, seen
 
 
 def test_exponents_reference_point():

@@ -1020,3 +1020,43 @@ def test_moment_path_evaluates_only_the_uncancelled_factors(monkeypatch):
         engine.lhs_moment_expansion(ps)
         assert seen == [ps.m, 1.0 - ps.m], ps
         done += 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        engine.lhs_jet,
+        engine.lhs_moment_expansion,
+        engine.rhs_theorem,
+        quad.Integrand6D,
+        lambda ps: engine.rhs_example("hurwitz_zeta_form", ps),
+        lambda ps: engine.rhs_example("harmonic_limit", ps),
+        lambda ps: engine.rhs_limit_full("harmonic_limit", ps),
+    ],
+    ids=["jet", "moment", "closed", "integrand", "hurwitz_zeta_form", "harmonic_limit", "limit"],
+)
+def test_zero_a_is_a_domain_error_on_every_path_function(call):
+    # Each reads log a as ParameterSet.log_a, which refuses a = 0.
+    with pytest.raises(DomainError, match="a must be non-zero"):
+        call(REFERENCE.replace(k=2, a=0))
+
+
+@pytest.mark.parametrize("a", [1.5, -1.5, 1.5 + 0.5j], ids=["positive", "negative", "complex"])
+def test_every_path_reads_one_integer_k(a):
+    # Either side of the 1e-12 integer tolerance, real and imaginary: each
+    # admission and the integrand read k as ps.k_int, and within it the
+    # jet, moment and tensor values are those of the integer.
+    base = ParameterSet(k=2, a=a, m=0.3, u=-0.4, v=1.35, mu=0.2, nu=0.85)
+    on_axis = a == 1.5
+    exact = (engine.lhs_jet(base), engine.lhs_moment_expansion(base), quad.integrate_6d_tensor(quad.Integrand6D(base)))
+    for offset in (0.9e-12, -0.9e-12, 0.9e-12j, -0.9e-12j, 1.1e-12, -1.1e-12, 1.1e-12j, -1.1e-12j):
+        ps = base.replace(k=2 + offset)
+        kk = ps.k_int
+        assert kk == (2 if abs(offset) < 1e-12 else None), offset
+        assert quad.Integrand6D(ps).k_int == kk
+        assert (engine.jet_refusal(ps) is None) == (kk is not None)
+        assert (quad.tensor_refusal(ps) is None) == (kk is not None)
+        assert (quad.qmc_refusal(ps) is None) == (kk is not None or not on_axis)
+        if kk is not None:
+            got = (engine.lhs_jet(ps), engine.lhs_moment_expansion(ps), quad.integrate_6d_tensor(quad.Integrand6D(ps)))
+            assert repr(got) == repr(exact), offset

@@ -157,6 +157,23 @@ def test_tanh_sinh_endpoint_singularities():
     assert abs(got - math.sqrt(math.pi) / 2.0) < 1e-12
 
 
+def test_tensor_path_builds_one_tanh_sinh_rule(monkeypatch):
+    # Both levels come from one level-5 build: the coarse one is level 5's
+    # even nodes at twice their weights, bit for bit tanh_sinh(4).
+    (fine, _), (coarse, _) = quad._tensor_levels()
+    expect = tanh_sinh(4)
+    assert np.array_equal(fine.nodes, tanh_sinh(5).nodes)
+    for name in ("nodes", "complement", "weights"):
+        assert np.array_equal(getattr(coarse, name), getattr(expect, name)), name
+    builds = []
+    real = quad.tanh_sinh
+    monkeypatch.setattr(quad, "tanh_sinh", lambda level: builds.append(level) or real(level))
+    f = Integrand6D(ParameterSet(k=2, a=-1.3 + 0.4j, m=0.3, u=-0.4, v=1.35, mu=0.2, nu=0.85))
+    for calls in (1, 2):
+        integrate_6d_tensor(f)
+        assert builds == [5] * calls
+
+
 @pytest.mark.parametrize("level", range(2, 13))
 def test_tanh_sinh_levels_nest(level):
     fine, coarse = tanh_sinh(level), tanh_sinh(level - 1)
